@@ -10,7 +10,6 @@ collect it: it pins the process environment the way ``run.py`` does.
 
 from __future__ import annotations
 
-import json
 import sys
 from pathlib import Path
 
@@ -44,6 +43,14 @@ def _file_case(tmp_path):
     ooc = workloads.OutOfCore(str(tmp_path))
     label, records, kwargs = list(workloads.ooc_files(7, 1 << 15))[1]
     return ooc.file_case(label, records, kwargs, "check")
+
+
+def test_outofcore_check_reads_only_its_own_output(tmp_path):
+    case = _file_case(tmp_path)
+    report = case.call()
+    assert case.check(report)
+    case.settle()
+    assert not case.check(report)
 
 
 def _target_state() -> dict:
@@ -146,10 +153,3 @@ def test_inputs_depend_only_on_the_seed():
     assert not workloads.same_bytes(a, c)
     for dtype in (np.float32, np.float64):
         inputs.check_float_edges(inputs.float_with_edges(inputs.stream(1), 256, dtype))
-
-
-def test_metric_names_match_benchmark_json():
-    spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
-    assert {m["name"]: m["unit"] for m in spec["end_to_end"]} == run.END_TO_END
-    assert {m["name"]: m["unit"] for m in spec["per_layer"]} == run.PER_LAYER
-    assert [w["name"] for w in spec["workloads"]] == list(workloads.WORKLOADS)

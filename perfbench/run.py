@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import resource
 import statistics
 import subprocess
@@ -34,56 +35,14 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = HERE / ".work"
-SETUP_PROBES = 5
+SETUP_PROBES = 4  # before measuring, and again after
 
-END_TO_END = {
-    "mkeys_per_s": "Mrecords/s",
-    "latency_p50_ms": "ms",
-    "latency_p99_ms": "ms",
-    "vs_numpy": "ratio",
-    "peak_rss_mb": "MB",
-    "setup_s": "s",
-}
+SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
 
-PER_LAYER = {
-    "plan.plan_ms": "ms",
-    "plan.facade_self_ms": "ms",
-    "plan.route.native": "fraction",
-    "plan.route.hybrid": "fraction",
-    "plan.route.external": "fraction",
-    "plan.route.batch": "fraction",
-    "plan.route.other": "fraction",
-    "native.self_s": "s",
-    "native.calls": "count",
-    "native.records": "count",
-    "native.gbps": "GB/s",
-    "host.memcpy_gbps": "GB/s",
-    "core.hybrid.self_s": "s",
-    "core.counting_pass.s": "s",
-    "core.counting_pass.calls": "count",
-    "core.partition.s": "s",
-    "core.local_sort.s": "s",
-    "core.local_sort.calls": "count",
-    "core.bijection.s": "s",
-    "core.packing.s": "s",
-    "cost.price.s": "s",
-    "cost.price.calls": "count",
-    "external.spill.s": "s",
-    "external.merge.s": "s",
-    "external.runs": "count",
-    "external.write_amp": "ratio",
-    "service.queue_wait_ms": "ms",
-    "service.execute_ms": "ms",
-    "service.overhead_ms": "ms",
-    "service.batch_fill": "fraction",
-    "service.mean_batch_size": "count",
-    "service.plan_cache_hit_ratio": "fraction",
-    "resilience.retries": "count",
-    "resilience.downgrades": "count",
-    "resilience.error_rate": "fraction",
-    "trace.overhead": "ratio",
-    "trace.absent_targets": "count",
-}
+
+def units(section: str) -> dict[str, str]:
+    """Metric name -> unit for one metric list of ``BENCHMARK.json``."""
+    return {metric["name"]: metric["unit"] for metric in SPEC[section]}
 
 
 def pin_environment() -> None:
@@ -102,9 +61,15 @@ def pin_environment() -> None:
     sys.path.insert(0, src)
 
 
-def measure_setup(workload: str) -> list[float]:
-    """Seconds from spawn to ``ready`` for fresh set-up processes."""
-    cmd = [sys.executable, str(HERE / "setup_probe.py"), workload, str(WORK)]
+def measure_setup(workload: str, warm: list) -> list[float]:
+    """Seconds from spawn to ``ready`` for fresh set-up processes.
+
+    ``warm`` (the workload's ``warm_inputs()``) reaches each probe as a
+    pickle, so no probe times generating the warm-up inputs.
+    """
+    warm_path = WORK / f"warm-{workload}.pkl"
+    warm_path.write_bytes(pickle.dumps(warm, protocol=pickle.HIGHEST_PROTOCOL))
+    cmd = [sys.executable, str(HERE / "setup_probe.py"), workload, str(WORK), str(warm_path)]
     samples = []
     for _ in range(SETUP_PROBES):
         t0 = time.perf_counter()
@@ -148,7 +113,7 @@ def end_to_end(m, setup: list[float], peak_mb: float) -> dict[str, float]:
         "latency_p99_ms": m.p99 * 1e3,
         "vs_numpy": m.vs_numpy,
         "peak_rss_mb": peak_mb,
-        "setup_s": statistics.median(setup),
+        "setup_s": min(setup),
     }
 
 
@@ -200,7 +165,7 @@ def per_layer(phases, host: dict) -> dict[str, float]:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument(
-        "--workload", required=True, choices=("bulk", "small", "outofcore", "service")
+        "--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]]
     )
     parser.add_argument("--seed", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
@@ -222,25 +187,28 @@ def main(argv=None) -> int:
               file=sys.stderr)
     host = hostinfo.describe(ROOT, native)
     print("perfbench: host " + json.dumps(host), file=sys.stderr)
-    setup = [] if args.trace else measure_setup(args.workload)
 
     import workloads
 
     workload = workloads.WORKLOADS[args.workload](str(WORK))
+    warm = workload.warm_inputs()
+    setup = [] if args.trace else measure_setup(args.workload, warm)
     workload.prepare(args.seed)
     reset_peak_rss()
     phases = workload.measure(args.seconds, traced=bool(args.trace))
     peak_mb = peak_rss_mb()
+    if not args.trace:
+        setup += measure_setup(args.workload, warm)
 
     measured = [phases.plain] + ([phases.traced] if phases.traced else [])
     attempted = sum(m.attempted for m in measured)
     failed = sum(m.failed for m in measured)
     if args.trace:
-        values, units = per_layer(phases, host), PER_LAYER
+        values, names = per_layer(phases, host), units("per_layer")
         phases.tracer.write(str(WORK / f"spans-{args.workload}-{args.seed}.jsonl"))
     else:
-        values, units = end_to_end(phases.plain, setup, peak_mb), END_TO_END
-    metrics = {name: {"value": values[name], "unit": unit} for name, unit in units.items()}
+        values, names = end_to_end(phases.plain, setup, peak_mb), units("end_to_end")
+    metrics = {name: {"value": values[name], "unit": unit} for name, unit in names.items()}
     record = {
         "workload": args.workload,
         "seed": args.seed,
@@ -249,6 +217,9 @@ def main(argv=None) -> int:
         "host": host,
         "setup_samples_s": setup,
         "operations": [len(m.latencies) for m in measured],
+        "latency_ms_per_pass": [
+            [[float(q) * 1e3 for q in pass_] for pass_ in m.percentiles] for m in measured
+        ],
         "routes": [dict(m.routes) for m in measured],
         "absent_targets": phases.tracer.absent if phases.tracer else [],
         "metrics": metrics,

@@ -2,20 +2,26 @@
 
 ``run.py`` starts this script several times and times each from spawn
 to the ``ready`` line: interpreter start, imports, the native probe and
-load, warm-up calls, and for ``service`` the service start.  That time
-is the ``setup_s`` metric.
+load, warm-up calls, and for ``service`` the service start.  The
+fastest of those times is the ``setup_s`` metric.  The warm-up inputs
+(and, for ``outofcore``, the warm-up files) were built by ``run.py``
+and arrive as a pickle, so their generation is not timed.
 
-Usage: ``python3 setup_probe.py <workload> <work dir>`` (run.py sets
-the environment and ``PYTHONPATH``).
+Usage: ``python3 setup_probe.py <workload> <work dir> <warm-up pickle>``
+(run.py sets the environment and ``PYTHONPATH``).
 """
 
+import pickle
 import sys
 
 
 def main() -> int:
     import workloads
 
-    workloads.setup(sys.argv[1], sys.argv[2], lambda: print("ready", flush=True))
+    name, work, warm_path = sys.argv[1:4]
+    with open(warm_path, "rb") as fh:
+        warm = pickle.load(fh)
+    workloads.setup(name, work, warm, lambda: print("ready", flush=True))
     return 0
 
 

@@ -14,9 +14,13 @@ also timed right next to the program, on the same input, so that
 
 The host these numbers come from is shared, and other tenants'
 memory traffic can slow every operation by a third for ten seconds
-or more; it never makes one faster.  So each sequential case reports
-its fastest pass, and the service its best round: those repeat from
-run to run where medians over a contended stretch do not.
+or more; it never makes one faster.  So throughput and ``vs_numpy``
+come from each sequential case's fastest pass and from the service's
+best round, and the latency percentiles from the pass or round where
+they are lowest: those repeat from run to run where figures over a
+contended stretch do not.  Each percentile is taken over all
+operations of its pass or round, so a slowdown that hits a share of
+the operations in every pass moves it.
 """
 
 from __future__ import annotations
@@ -87,6 +91,7 @@ class Measurement:
         default_factory=lambda: {"queue": [], "execute": [], "overhead": []}
     )
     stats: dict = field(default_factory=dict)
+    percentiles: list = field(default_factory=list)  # [p50, p99] per pass or round
 
     @property
     def done(self) -> int:
@@ -155,45 +160,54 @@ def run_sequential(cases: list[Case], seconds: float, tracer=None) -> Measuremen
     """Whole passes over ``cases`` until ``seconds`` have elapsed.
 
     Each operation is followed by its NumPy reference on the same
-    input.  Every figure comes from each case's fastest pass: latency
-    percentiles are taken over the cases' best latencies, throughput
-    and ``vs_numpy`` from their sums.
+    input.  Throughput and ``vs_numpy`` come from each case's fastest
+    pass, summed over the cases.  The latency percentiles are taken
+    over all operations of one pass, and the run reports the lowest
+    of each over its passes.
     """
     m = Measurement()
     program = [[] for _ in cases]
     reference = [[] for _ in cases]
+    percentiles = []
     start = time.perf_counter()
     op = 0
     while m.attempted == 0 or time.perf_counter() - start < seconds:
+        latencies = []
         for i, case in enumerate(cases):
             if tracer is not None:
                 tracer.set_op(op)
             op += 1
             m.attempted += 1
             try:
-                dt, out = _timed(case.call)
-            except Exception as exc:  # the program failed: count it, go on
-                m.failed += 1
-                _report(case.label, exc)
-                continue
-            if not case.check(out):
-                m.failed += 1
-                _report(case.label)
-                continue
-            m.latencies.append(dt)
-            m.input_bytes += case.nbytes
-            observe(m, out)
-            program[i].append(dt)
-            reference[i].append(_timed(case.reference)[0])
-            if case.settle is not None:
-                case.settle()
+                try:
+                    dt, out = _timed(case.call)
+                except Exception as exc:  # the program failed: count it, go on
+                    m.failed += 1
+                    _report(case.label, exc)
+                    continue
+                if not case.check(out):
+                    m.failed += 1
+                    _report(case.label)
+                    continue
+                latencies.append(dt)
+                m.input_bytes += case.nbytes
+                observe(m, out)
+                program[i].append(dt)
+                reference[i].append(_timed(case.reference)[0])
+            finally:
+                if case.settle is not None:
+                    case.settle()
+        if latencies:
+            m.latencies.extend(latencies)
+            percentiles.append(np.percentile(latencies, [50, 99]))
     measured = [i for i, times in enumerate(program) if times]
     best = [min(program[i]) for i in measured]
     if measured:
         m.throughput = sum(cases[i].records for i in measured) / sum(best)
         m.vs_numpy = sum(min(reference[i]) for i in measured) / sum(best)
-        m.p50, m.p99 = np.percentile(best, [50, 99])
+        m.p50, m.p99 = np.min(percentiles, axis=0)
         m.op_seconds = sum(best) / len(best)
+        m.percentiles = percentiles
     return m
 
 
@@ -263,25 +277,37 @@ def small_input(kind: str, rng, n: int):
     return inputs.uniform_u32(rng, n), inputs.row_ids(n, np.uint32)
 
 
-def _warm_in_memory(n: int) -> None:
-    """One call per bulk/small layout, so first-call costs are paid."""
-    for _, keys, values in _bulk_inputs(0, n):
-        if values is None:
-            repro.sort(keys)
-        else:
-            repro.sort_pairs(keys, values)
-    repro.sort(inputs.float_with_edges(inputs.stream(0, 9), n, np.float32))
+def _warm_arrays(n: int) -> list:
+    """One ``(keys, values-or-None)`` input per bulk/small layout."""
+    arrays = [(keys, values) for _, keys, values in _bulk_inputs(0, n)]
+    arrays.append((inputs.float_with_edges(inputs.stream(0, 9), n, np.float32), None))
+    return arrays
 
 
 class Sequential:
-    """Shared loop for the single-caller workloads."""
+    """Shared loop for the single-caller workloads.
+
+    ``warm_inputs`` builds the warm-up calls' inputs (and files) once,
+    in the parent, so that the set-up probes (``setup_s``) time only
+    what a fresh process of the program pays: imports, the native
+    probe and the warm-up calls themselves.
+    """
 
     def __init__(self, work: str) -> None:
         self.work = work
         self.cases: list[Case] = []
+        self.warm: list = []
+
+    def warm_up(self, warm: list) -> None:
+        """First calls per layout, so first-call costs are paid."""
+        for keys, values in warm:
+            if values is None:
+                repro.sort(keys)
+            else:
+                repro.sort_pairs(keys, values)
 
     def measure(self, seconds: float, traced: bool) -> Phases:
-        self.warm_up()
+        self.warm_up(self.warm)
         if not traced:
             return Phases(run_sequential(self.cases, seconds))
         plain = run_sequential(self.cases, seconds / 2)
@@ -300,8 +326,9 @@ class Bulk(Sequential):
             for label, keys, values in _bulk_inputs(seed, BULK_N)
         ]
 
-    def warm_up(self) -> None:
-        _warm_in_memory(WARM_N)
+    def warm_inputs(self) -> list:
+        self.warm = _warm_arrays(WARM_N)
+        return self.warm
 
 
 class Small(Sequential):
@@ -318,9 +345,9 @@ class Small(Sequential):
                 cases.append(array_case(f"{kind}-{n}", keys, values))
         self.cases = [cases[i] for i in rng.permutation(len(cases))]
 
-    def warm_up(self) -> None:
-        for n in (1 << 10, WARM_N):
-            _warm_in_memory(n)
+    def warm_inputs(self) -> list:
+        self.warm = _warm_arrays(1 << 10) + _warm_arrays(WARM_N)
+        return self.warm
 
 
 # ----------------------------------------------------------------------
@@ -338,6 +365,17 @@ def ooc_files(seed: int, n: int):
     yield "u64-timestamps", inputs.timestamps_u64(s(seed, 22), n), {"dtype": "uint64"}
 
 
+def sort_file(src: str, out: str, nbytes: int, kwargs: dict):
+    return repro.sort(src, output=out, memory_budget=max(1, nbytes // 4), **kwargs)
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
+
+
 class OutOfCore(Sequential):
     """``repro.sort(path, output=, memory_budget=file/4)`` on flat files.
 
@@ -349,16 +387,19 @@ class OutOfCore(Sequential):
         super().__init__(os.path.join(work, "ooc"))
         os.makedirs(self.work, exist_ok=True)
 
-    def file_case(self, label: str, records: np.ndarray, kwargs: dict, tag: str) -> Case:
-        src, out, ref_path = (
+    def _paths(self, tag: str, label: str):
+        return (
             os.path.join(self.work, f"{tag}-{label}.{ext}")
             for ext in ("bin", "sorted", "ref")
         )
+
+    def file_case(self, label: str, records: np.ndarray, kwargs: dict, tag: str) -> Case:
+        src, out, ref_path = self._paths(tag, label)
         records.tofile(src)
-        budget = max(1, records.nbytes // 4)
+        _remove(out)
 
         def call():
-            return repro.sort(src, output=out, memory_budget=budget, **kwargs)
+            return sort_file(src, out, records.nbytes, kwargs)
 
         def reference():
             data = np.fromfile(src, dtype=records.dtype)
@@ -372,32 +413,48 @@ class OutOfCore(Sequential):
         want = reference().tobytes()
 
         def check(report):
-            with open(out, "rb") as fh:
-                return fh.read() == want
+            try:
+                with open(out, "rb") as fh:
+                    return fh.read() == want
+            except FileNotFoundError:
+                return False
 
         def settle():
-            # Flush both outputs now, so their write-back does not land
-            # inside the next operation's fsyncs.
-            for path in (out, ref_path):
-                fd = os.open(path, os.O_RDONLY)
-                try:
-                    os.fsync(fd)
-                finally:
-                    os.close(fd)
+            # Flush the reference's output now, so its write-back does
+            # not land inside the next operation's fsyncs.  Remove the
+            # program's output, whose unwritten pages go with it, so the
+            # next check reads only bytes that its own call wrote.
+            fd = os.open(ref_path, os.O_RDONLY)
+            try:
+                os.fsync(fd)
+            finally:
+                os.close(fd)
+            _remove(out)
 
         return Case(
             label, records.size, call, check, reference, records.nbytes, settle
         )
 
     def prepare(self, seed: int) -> None:
+        for name in os.listdir(self.work):  # earlier runs' files
+            if name.startswith("seed"):
+                _remove(os.path.join(self.work, name))
         self.cases = [
-            self.file_case(label, records, kwargs, "run")
+            self.file_case(label, records, kwargs, f"seed{seed}")
             for label, records, kwargs in ooc_files(seed, OOC_N)
         ]
 
-    def warm_up(self) -> None:
+    def warm_inputs(self) -> list:
+        self.warm = []
         for label, records, kwargs in ooc_files(0, WARM_FILE_N):
-            self.file_case(label, records, kwargs, "warm").call()
+            src, out, _ = self._paths("warm", label)
+            records.tofile(src)
+            self.warm.append((src, out, records.nbytes, kwargs))
+        return self.warm
+
+    def warm_up(self, warm: list) -> None:
+        for src, out, nbytes, kwargs in warm:
+            sort_file(src, out, nbytes, kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -515,14 +572,15 @@ async def serve_phase(svc, bursts: list[Burst], seconds: float) -> Measurement:
     """Rounds of two-client traffic, each measured on its own.
 
     Between rounds the clients pause while every burst's NumPy
-    reference is timed once.  Throughput and each latency percentile
-    come from the best round; ``vs_numpy`` is the fastest reference
-    time of the bursts the highest-throughput round served over that
-    round's wall time.
+    reference is timed once.  Throughput comes from the best round;
+    ``vs_numpy`` is the fastest reference time of the bursts that round
+    served over its wall time.  The latency percentiles are taken over
+    all requests of one round, and the run reports the lowest of each
+    over its rounds.
     """
     m = Measurement()
     before = _stats(svc)
-    rounds, p50s, p99s = [], [], []
+    rounds, percentiles = [], []
     ref_best = [float("inf")] * len(bursts)
     for _ in range(max(1, round(seconds / SERVICE_ROUND_SECONDS))):
         served: Counter = Counter()
@@ -539,13 +597,13 @@ async def serve_phase(svc, bursts: list[Burst], seconds: float) -> Measurement:
         records = sum(bursts[i].records * count for i, count in served.items())
         rounds.append((records / wall, wall, served, m.done - done))
         if m.done > done:
-            p50, p99 = np.percentile(m.latencies[done:], [50, 99])
-            p50s.append(p50)
-            p99s.append(p99)
+            percentiles.append(np.percentile(m.latencies[done:], [50, 99]))
     rate, wall, served, requests = max(rounds, key=lambda r: r[0])
     m.throughput = rate
     m.vs_numpy = sum(ref_best[i] * count for i, count in served.items()) / wall
-    m.p50, m.p99 = min(p50s, default=0.0), min(p99s, default=0.0)
+    if percentiles:
+        m.p50, m.p99 = np.min(percentiles, axis=0)
+        m.percentiles = percentiles
     m.op_seconds = wall / max(requests, 1)
     after = _stats(svc)
     m.stats = {name: after[name] - before[name] for name in _STAT_FIELDS}
@@ -568,6 +626,11 @@ class Service:
 
     def prepare(self, seed: int) -> None:
         self.bursts = make_bursts(seed, SERVICE_BURSTS)
+
+    def warm_inputs(self) -> list:
+        """``(keys, values-or-None)`` of one small burst per client."""
+        bursts = make_bursts(0, SERVICE_CLIENTS, large=WARM_N)
+        return [(r.keys, r.values) for burst in bursts for r in burst.requests]
 
     def measure(self, seconds: float, traced: bool) -> Phases:
         return asyncio.run(self._measure(seconds, traced))
@@ -592,25 +655,26 @@ class Service:
 # ----------------------------------------------------------------------
 # Fresh-process set-up (what ``setup_s`` times)
 # ----------------------------------------------------------------------
-def setup(name: str, work: str, ready) -> None:
+def setup(name: str, work: str, warm: list, ready) -> None:
     """Everything a fresh process does before its first timed operation.
 
     Imports have already happened (this module imports ``repro``); here
-    the native tier is probed and loaded, warm-up calls run, and for
-    ``service`` the service starts.  ``ready()`` marks the end.
+    the native tier is probed and loaded, the warm-up calls run on the
+    inputs ``warm_inputs`` built, and for ``service`` the service
+    starts.  ``ready()`` marks the end.
     """
     repro.native_status(warn=False)
     if name == "service":
-        asyncio.run(_service_setup(ready))
+        asyncio.run(_service_setup(warm, ready))
         return
-    WORKLOADS[name](work).warm_up()
+    WORKLOADS[name](work).warm_up(warm)
     ready()
 
 
-async def _service_setup(ready) -> None:
+async def _service_setup(warm: list, ready) -> None:
     svc = await start_service()
     try:
-        await serve_phase(svc, make_bursts(0, SERVICE_CLIENTS, large=WARM_N), 0.0)
+        await asyncio.gather(*(svc.submit(keys, values) for keys, values in warm))
         ready()
     finally:
         await svc.close()
