@@ -29,12 +29,24 @@ import tracing  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _layout(kind: str, rng, n: int):
+    if kind == "u32":
+        return inputs.uniform_u32(rng, n), None
+    if kind == "i64":
+        return inputs.uniform_i64(rng, n), None
+    if kind == "f32":
+        return inputs.float_with_edges(rng, n, np.float32), None
+    if kind == "f64":
+        return inputs.float_with_edges(rng, n, np.float64), None
+    return inputs.uniform_u32(rng, n), inputs.row_ids(n, np.uint32)
+
+
 def _cases() -> list:
     """A few of every in-memory layout, across the native floor."""
     cases = []
-    for k, kind in enumerate(workloads.SMALL_KINDS):
+    for k, kind in enumerate(("u32", "i64", "f32", "f64", "pairs-u32")):
         for n in (300, 5000, 1 << 16):
-            keys, values = workloads.small_input(kind, inputs.stream(7, k, n), n)
+            keys, values = _layout(kind, inputs.stream(7, k, n), n)
             cases.append(workloads.array_case(f"{kind}-{n}", keys, values))
     return cases
 

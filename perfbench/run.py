@@ -4,7 +4,7 @@ Usage (from the repository root)::
 
     python3 perfbench/run.py --workload bulk --seed 1 --seconds 10 --trace 0
 
-Runs one workload (``bulk``, ``small``, ``outofcore`` or ``service``)
+Runs one workload (``bulk``, ``outofcore`` or ``service``)
 through the public ``repro`` API, checks every output byte for byte
 against the same-run NumPy reference, and prints one JSON line last:
 ``{"correct", "attempted", "failed", "metrics"}``.  ``--trace 0``
@@ -35,9 +35,16 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 WORK = HERE / ".work"
-SETUP_PROBES = 4  # before measuring, and again after
+SETUP_PROBES = 3  # before measuring, and again after
 
 SPEC = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+#: Absolute figures every untraced run prints (on standard error) and
+#: records.  The host's speed moves by a quarter in regimes lasting
+#: minutes, so they do not repeat well enough to compare commits by;
+#: the end-to-end metrics in BENCHMARK.json are same-run ratios,
+#: memory and set-up time.
+ABSOLUTE_UNITS = {"mkeys_per_s": "Mrecords/s", "latency_p50_ms": "ms", "latency_p99_ms": "ms"}
 
 
 def units(section: str) -> dict[str, str]:
@@ -112,8 +119,9 @@ def end_to_end(m, setup: list[float], peak_mb: float) -> dict[str, float]:
         "latency_p50_ms": m.p50 * 1e3,
         "latency_p99_ms": m.p99 * 1e3,
         "vs_numpy": m.vs_numpy,
+        "latency_p99_over_p50": m.p99 / m.p50 if m.p50 else 0.0,
         "peak_rss_mb": peak_mb,
-        "setup_s": min(setup),
+        "setup_s": statistics.median(setup),
     }
 
 
@@ -203,11 +211,17 @@ def main(argv=None) -> int:
     measured = [phases.plain] + ([phases.traced] if phases.traced else [])
     attempted = sum(m.attempted for m in measured)
     failed = sum(m.failed for m in measured)
+    absolute = {}
     if args.trace:
         values, names = per_layer(phases, host), units("per_layer")
         phases.tracer.write(str(WORK / f"spans-{args.workload}-{args.seed}.jsonl"))
     else:
         values, names = end_to_end(phases.plain, setup, peak_mb), units("end_to_end")
+        absolute = {
+            name: {"value": values[name], "unit": unit}
+            for name, unit in ABSOLUTE_UNITS.items()
+        }
+        print("perfbench: measured " + json.dumps(absolute), file=sys.stderr)
     metrics = {name: {"value": values[name], "unit": unit} for name, unit in names.items()}
     record = {
         "workload": args.workload,
@@ -222,6 +236,7 @@ def main(argv=None) -> int:
         ],
         "routes": [dict(m.routes) for m in measured],
         "absent_targets": phases.tracer.absent if phases.tracer else [],
+        "absolute": absolute,
         "metrics": metrics,
     }
     name = f"result-{args.workload}-{args.seed}-trace{args.trace}.json"

@@ -3,7 +3,7 @@
 ``run.py`` starts this script several times and times each from spawn
 to the ``ready`` line: interpreter start, imports, the native probe and
 load, warm-up calls, and for ``service`` the service start.  The
-fastest of those times is the ``setup_s`` metric.  The warm-up inputs
+median of those times is the ``setup_s`` metric.  The warm-up inputs
 (and, for ``outofcore``, the warm-up files) were built by ``run.py``
 and arrive as a pickle, so their generation is not timed.
 

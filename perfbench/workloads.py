@@ -1,6 +1,6 @@
-"""The benchmark's four workloads, driven through the public API only.
+"""The benchmark's three workloads, driven through the public API only.
 
-``bulk``, ``small`` and ``outofcore`` are one sequential caller each:
+``bulk`` and ``outofcore`` are one sequential caller each:
 the next operation starts when the previous one returns, and a run is
 a whole number of passes over a fixed, seeded list of cases, so every
 case is measured equally often.  ``service`` is two closed-loop
@@ -12,15 +12,13 @@ what the program's output must match byte for byte; the reference is
 also timed right next to the program, on the same input, so that
 ``vs_numpy`` compares two timings taken under the same host load.
 
-The host these numbers come from is shared, and other tenants'
-memory traffic can slow every operation by a third for ten seconds
-or more; it never makes one faster.  So throughput and ``vs_numpy``
-come from each sequential case's fastest pass and from the service's
-best round, and the latency percentiles from the pass or round where
-they are lowest: those repeat from run to run where figures over a
-contended stretch do not.  Each percentile is taken over all
-operations of its pass or round, so a slowdown that hits a share of
-the operations in every pass moves it.
+The host these numbers come from is shared.  Its speed wanders by a
+third from second to second, with rare short stretches that are much
+faster.  So every figure is a median over many samples spread across
+the run: over the passes of a sequential workload (the cases are few
+and short enough that a run makes a dozen passes or more) and over
+the service's 1-s rounds.  A fastest-sample figure repeats worse,
+because it depends on whether a run happened to catch a fast stretch.
 """
 
 from __future__ import annotations
@@ -40,10 +38,8 @@ import oracle
 import repro
 from tracing import Tracer
 
-BULK_N = 1 << 22
-SMALL_PER_KIND = 50
-SMALL_EXPONENTS = (8, 16)
-OOC_N = 1 << 21
+BULK_N = 1 << 21
+OOC_N = 1 << 20  # run count, and so most of the cost, is set by the budget share
 SERVICE_CLIENTS = 2
 SERVICE_BURSTS = 16
 SERVICE_SMALL = 15
@@ -160,10 +156,10 @@ def run_sequential(cases: list[Case], seconds: float, tracer=None) -> Measuremen
     """Whole passes over ``cases`` until ``seconds`` have elapsed.
 
     Each operation is followed by its NumPy reference on the same
-    input.  Throughput and ``vs_numpy`` come from each case's fastest
-    pass, summed over the cases.  The latency percentiles are taken
-    over all operations of one pass, and the run reports the lowest
-    of each over its passes.
+    input.  Throughput and ``vs_numpy`` come from each case's median
+    time over the passes, summed over the cases.  The latency
+    percentiles are taken over all operations of one pass, and the run
+    reports the median of each over its passes.
     """
     m = Measurement()
     program = [[] for _ in cases]
@@ -201,18 +197,18 @@ def run_sequential(cases: list[Case], seconds: float, tracer=None) -> Measuremen
             m.latencies.extend(latencies)
             percentiles.append(np.percentile(latencies, [50, 99]))
     measured = [i for i, times in enumerate(program) if times]
-    best = [min(program[i]) for i in measured]
+    typical = [np.median(program[i]) for i in measured]
     if measured:
-        m.throughput = sum(cases[i].records for i in measured) / sum(best)
-        m.vs_numpy = sum(min(reference[i]) for i in measured) / sum(best)
-        m.p50, m.p99 = np.min(percentiles, axis=0)
-        m.op_seconds = sum(best) / len(best)
+        m.throughput = sum(cases[i].records for i in measured) / sum(typical)
+        m.vs_numpy = sum(np.median(reference[i]) for i in measured) / sum(typical)
+        m.p50, m.p99 = np.median(percentiles, axis=0)
+        m.op_seconds = sum(typical) / len(typical)
         m.percentiles = percentiles
     return m
 
 
 # ----------------------------------------------------------------------
-# In-memory cases (bulk, small)
+# In-memory cases (bulk)
 # ----------------------------------------------------------------------
 def array_case(label: str, keys, values=None, digest_only: bool = False) -> Case:
     """``repro.sort``/``sort_pairs`` on one array input."""
@@ -262,28 +258,6 @@ def _bulk_inputs(seed: int, n: int):
     yield "pairs-i64", inputs.uniform_i64(s(seed, 6), n), inputs.row_ids(n, np.uint64)
 
 
-SMALL_KINDS = ("u32", "i64", "f32", "f64", "pairs-u32")
-
-
-def small_input(kind: str, rng, n: int):
-    if kind == "u32":
-        return inputs.uniform_u32(rng, n), None
-    if kind == "i64":
-        return inputs.uniform_i64(rng, n), None
-    if kind == "f32":
-        return inputs.float_with_edges(rng, n, np.float32), None
-    if kind == "f64":
-        return inputs.float_with_edges(rng, n, np.float64), None
-    return inputs.uniform_u32(rng, n), inputs.row_ids(n, np.uint32)
-
-
-def _warm_arrays(n: int) -> list:
-    """One ``(keys, values-or-None)`` input per bulk/small layout."""
-    arrays = [(keys, values) for _, keys, values in _bulk_inputs(0, n)]
-    arrays.append((inputs.float_with_edges(inputs.stream(0, 9), n, np.float32), None))
-    return arrays
-
-
 class Sequential:
     """Shared loop for the single-caller workloads.
 
@@ -327,26 +301,8 @@ class Bulk(Sequential):
         ]
 
     def warm_inputs(self) -> list:
-        self.warm = _warm_arrays(WARM_N)
-        return self.warm
-
-
-class Small(Sequential):
-    def prepare(self, seed: int) -> None:
-        rng = inputs.stream(seed, 10)
-        cases = []
-        for k, kind in enumerate(SMALL_KINDS):
-            # The top of the range, 2**16, is also the native tier's
-            # floor: one input per kind sits exactly there.
-            sizes = inputs.log_uniform_sizes(rng, SMALL_PER_KIND - 1, *SMALL_EXPONENTS)
-            sizes = np.append(sizes, 1 << SMALL_EXPONENTS[1])
-            for i, n in enumerate(sizes):
-                keys, values = small_input(kind, inputs.stream(seed, 11, k, i), int(n))
-                cases.append(array_case(f"{kind}-{n}", keys, values))
-        self.cases = [cases[i] for i in rng.permutation(len(cases))]
-
-    def warm_inputs(self) -> list:
-        self.warm = _warm_arrays(1 << 10) + _warm_arrays(WARM_N)
+        """One small input per bulk layout."""
+        self.warm = [(keys, values) for _, keys, values in _bulk_inputs(0, WARM_N)]
         return self.warm
 
 
@@ -571,17 +527,16 @@ def _stats(svc) -> dict:
 async def serve_phase(svc, bursts: list[Burst], seconds: float) -> Measurement:
     """Rounds of two-client traffic, each measured on its own.
 
-    Between rounds the clients pause while every burst's NumPy
-    reference is timed once.  Throughput comes from the best round;
-    ``vs_numpy`` is the fastest reference time of the bursts that round
-    served over its wall time.  The latency percentiles are taken over
-    all requests of one round, and the run reports the lowest of each
-    over its rounds.
+    Between rounds the clients pause while every burst the round served
+    is timed once through the NumPy reference.  Each round gives a
+    throughput, a ``vs_numpy`` (the served bursts' median reference
+    times over the round's wall time) and latency percentiles over all
+    its requests; the run reports the median of each over its rounds.
     """
     m = Measurement()
     before = _stats(svc)
     rounds, percentiles = [], []
-    ref_best = [float("inf")] * len(bursts)
+    ref_times = [[] for _ in bursts]
     for _ in range(max(1, round(seconds / SERVICE_ROUND_SECONDS))):
         served: Counter = Counter()
         done = m.done
@@ -593,18 +548,23 @@ async def serve_phase(svc, bursts: list[Burst], seconds: float) -> Measurement:
         ))
         wall = time.perf_counter() - start
         for i in served:
-            ref_best[i] = min(ref_best[i], _timed(bursts[i].reference)[0])
-        records = sum(bursts[i].records * count for i, count in served.items())
-        rounds.append((records / wall, wall, served, m.done - done))
+            ref_times[i].append(_timed(bursts[i].reference)[0])
+        rounds.append((wall, served))
         if m.done > done:
             percentiles.append(np.percentile(m.latencies[done:], [50, 99]))
-    rate, wall, served, requests = max(rounds, key=lambda r: r[0])
-    m.throughput = rate
-    m.vs_numpy = sum(ref_best[i] * count for i, count in served.items()) / wall
+    ref = [np.median(times) if times else 0.0 for times in ref_times]
+    m.throughput = np.median([
+        sum(bursts[i].records * count for i, count in served.items()) / wall
+        for wall, served in rounds
+    ])
+    m.vs_numpy = np.median([
+        sum(ref[i] * count for i, count in served.items()) / wall
+        for wall, served in rounds
+    ])
     if percentiles:
-        m.p50, m.p99 = np.min(percentiles, axis=0)
+        m.p50, m.p99 = np.median(percentiles, axis=0)
         m.percentiles = percentiles
-    m.op_seconds = wall / max(requests, 1)
+    m.op_seconds = sum(wall for wall, _ in rounds) / max(m.done, 1)
     after = _stats(svc)
     m.stats = {name: after[name] - before[name] for name in _STAT_FIELDS}
     # The service's own counters cover batched requests too.
@@ -682,7 +642,6 @@ async def _service_setup(warm: list, ready) -> None:
 
 WORKLOADS = {
     "bulk": Bulk,
-    "small": Small,
     "outofcore": OutOfCore,
     "service": Service,
 }
