@@ -182,6 +182,11 @@ def _describe(
     )
 
 
+def _native_policy(native: str, device: SimulatedGPU | None) -> str:
+    """A simulated ``device=`` asks for the engines it simulates."""
+    return "never" if device is not None and native == "auto" else native
+
+
 def _resolve_layout(layout, dtype, value_dtype):
     """One FileLayout from either a layout object or dtype names."""
     from repro.external.format import FileLayout, parse_dtype
@@ -225,7 +230,9 @@ def plan_for(
         data, values, device, memory_budget, workers, config,
         layout, dtype, value_dtype, shards,
     )
-    return Planner(config=config, native=native).plan(descriptor)
+    return Planner(
+        config=config, native=_native_policy(native, device)
+    ).plan(descriptor)
 
 
 def sort(
@@ -266,11 +273,13 @@ def sort(
     for any worker or shard count.
 
     ``native=`` controls the compiled kernel tier (``"auto"``, the
-    default, prefers it for large in-memory inputs when the extension
-    is available; ``"never"`` pins the simulated NumPy engines — the
-    ones that produce a trace and simulated seconds; ``"always"``
-    forces a native plan, which still degrades gracefully when the
-    extension is missing).  Every tier is byte-identical.
+    default, prefers it for large in-memory inputs and for a file's
+    run sorts when the extension is available; ``"never"`` pins the
+    simulated NumPy engines — the ones that produce a trace and
+    simulated seconds, and the choice ``"auto"`` makes when a
+    ``device=`` is given; ``"always"`` forces the native tier, which
+    still degrades gracefully when the extension is missing).  Every
+    tier is byte-identical.
     """
     if isinstance(data, (str, os.PathLike)):
         if shards is not None and shards > 1:
@@ -293,7 +302,7 @@ def sort(
             layout=file_layout,
         )
         return execute_plan(
-            Planner(config=config).plan(descriptor),
+            Planner(config=config, native=native).plan(descriptor),
             output_path=output,
             pair_packing=pair_packing,
             spool_dir=spool_dir,
@@ -317,7 +326,9 @@ def sort(
         data, None, device, memory_budget, workers, config, shards=shards
     )
     return execute_plan(
-        Planner(config=config, native=native).plan(descriptor),
+        Planner(
+            config=config, native=_native_policy(native, device)
+        ).plan(descriptor),
         keys=np.asarray(data),
         config=config,
         device=device,
@@ -341,7 +352,9 @@ def sort_pairs(
     descriptor = _describe(
         keys, values, device, memory_budget, workers, config, shards=shards
     )
-    plan = Planner(config=config, native=native).plan(descriptor)
+    plan = Planner(
+        config=config, native=_native_policy(native, device)
+    ).plan(descriptor)
     return execute_plan(
         plan, keys=keys, values=values, config=config, device=device
     )

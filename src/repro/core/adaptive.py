@@ -59,11 +59,14 @@ class AdaptiveSorter:
         config: SortConfig | None = None,
         spec: GPUSpec = TITAN_X_PASCAL,
     ) -> None:
+        # The §6.1 distinction is between the simulated hybrid engine
+        # and the LSD baseline, so the compiled tier stays out of it.
         self.planner = Planner(
             config=config,
             adaptive=True,
             key_crossover=key_crossover,
             pair_crossover=pair_crossover,
+            native="never",
         )
         self.spec = spec
         self._config = config

@@ -22,7 +22,12 @@ __all__ = [
     "extract_digit",
     "extract_digit_compact",
     "extract_digit_lsd",
+    "NATIVE_MSD_BITS",
+    "NATIVE_INNER_BITS",
+    "NATIVE_LOCAL_SORT_MAX",
+    "native_finish_widths",
     "native_pass_plan",
+    "native_traffic",
 ]
 
 
@@ -106,36 +111,94 @@ class DigitGeometry:
         return self.effective_sort_bits - self.digit_bits * from_msd_index
 
 
-def native_pass_plan(
-    sort_bits: int, msd_bits: int = 11, inner_bits: int = 11
-) -> tuple[int, tuple[int, ...]]:
-    """Digit schedule of the native C kernel, mirrored in Python.
+#: The native C kernel's compile-time schedule constants (``MSD_BITS``,
+#: ``INNER_BITS`` and ``LOCAL_SORT_MAX`` in
+#: :data:`repro.native.build.C_SOURCE`; a test keeps them equal).
+NATIVE_MSD_BITS = 11
+NATIVE_INNER_BITS = 11
+NATIVE_LOCAL_SORT_MAX = 32
+
+
+def native_finish_widths(n: int, bits: int) -> tuple[int, ...]:
+    """How the native kernel finishes ``bits`` low bits of ``n`` keys.
+
+    ``()`` means one stable insertion sort (``n`` at most
+    :data:`NATIVE_LOCAL_SORT_MAX`).  Otherwise the LSD digit widths,
+    least significant first: ``p`` passes of ``w = ceil(bits / p) <=``
+    :data:`NATIVE_INNER_BITS` bits (the last one takes the remainder),
+    for the ``p`` minimising ``p * (2n + 2**w / 10)`` — the C side's
+    ``finish_width``, step for step.
+
+    >>> native_finish_widths(32, 21)
+    ()
+    >>> native_finish_widths(37, 21)
+    (7, 7, 7)
+    >>> native_finish_widths(1 << 11, 21)
+    (11, 10)
+    """
+    if n <= NATIVE_LOCAL_SORT_MAX or bits <= 0:
+        return ()
+    p = -(-bits // NATIVE_INNER_BITS)
+    width, best_cost = -(-bits // p), None
+    while p <= bits and (best_cost is None or p * 20 * n < best_cost):
+        w = -(-bits // p)
+        cost = p * (20 * n + (1 << w))
+        if best_cost is None or cost < best_cost:
+            width, best_cost = w, cost
+        p += 1
+    widths = [width] * (bits // width)
+    if bits % width:
+        widths.append(bits % width)
+    return tuple(widths)
+
+
+def native_pass_plan(sort_bits: int, n: int) -> tuple[int, tuple[int, ...]]:
+    """Digit schedule of the native C kernel for ``n`` keys, in Python.
 
     Returns ``(msd_width, inner_widths)``: the width of the MSD
     partition digit (0 when the kernel skips the partition because the
-    whole range fits in ``msd_bits + inner_bits``) and the widths of
-    the LSD passes that finish the remaining low bits, least
-    significant first.  Keeping the schedule here lets plans and docs
-    state exactly which passes the compiled side will run without
-    parsing C.
+    whole range fits in ``NATIVE_MSD_BITS + NATIVE_INNER_BITS`` bits,
+    or the input is no larger than one insertion sort) and
+    :func:`native_finish_widths` of a bucket — the whole input without
+    a partition, else one of ``2**msd_width`` buckets of uniform keys.
+    Keeping the schedule here lets plans and docs state exactly which
+    passes the compiled side will run without parsing C.
 
-    >>> native_pass_plan(32)
+    >>> native_pass_plan(32, 1 << 24)
     (11, (11, 10))
-    >>> native_pass_plan(16)
-    (0, (11, 5))
+    >>> native_pass_plan(32, 1 << 12)   # 2-key buckets: insertion sorts
+    (11, ())
+    >>> native_pass_plan(16, 1 << 20)
+    (0, (8, 8))
     """
     if not 1 <= sort_bits <= 64:
         raise ConfigurationError("sort_bits must be in [1, 64]")
-    if not (1 <= msd_bits <= 16 and 1 <= inner_bits <= 16):
-        raise ConfigurationError("digit widths must be in [1, 16]")
-    msd_width = msd_bits if sort_bits > msd_bits + inner_bits else 0
-    remaining = sort_bits - msd_width
-    widths: list[int] = []
-    while remaining > 0:
-        w = min(remaining, inner_bits)
-        widths.append(w)
-        remaining -= w
-    return msd_width, tuple(widths)
+    if n < 0:
+        raise ConfigurationError("n must be non-negative")
+    partition = (
+        sort_bits > NATIVE_MSD_BITS + NATIVE_INNER_BITS
+        and n > NATIVE_LOCAL_SORT_MAX
+    )
+    msd_width = NATIVE_MSD_BITS if partition else 0
+    bucket = -(-n >> msd_width)
+    return msd_width, native_finish_widths(bucket, sort_bits - msd_width)
+
+
+def native_traffic(
+    sort_bits: int, n: int, record_bytes: int
+) -> tuple[int, int]:
+    """``(counting passes, bytes moved)`` of one native sort.
+
+    Each counting pass reads the records for its histogram and reads
+    and writes them for its scatter (3x traffic); buckets that finish
+    in an insertion sort read and write them once more.  The planner
+    prices native steps with it and the host profile's native probe
+    divides by it, so the two agree by construction.
+    """
+    msd_width, inner = native_pass_plan(sort_bits, n)
+    passes = (1 if msd_width else 0) + len(inner)
+    per_record = 3 * passes + (0 if inner else 2)
+    return passes, per_record * n * record_bytes
 
 
 def extract_digit(

@@ -390,16 +390,16 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
     """Compiled-tier bandwidth per layout; empty when unavailable.
 
     Uses the planner's native traffic formula
-    (``3·passes·n·record_bytes``).  An absent or broken extension
-    yields an empty table — the cost model then prices native steps
-    with the counting-scatter constant instead.
+    (:func:`repro.core.digits.native_traffic`).  An absent or broken
+    extension yields an empty table — the cost model then prices native
+    steps with the counting-scatter constant instead.
     """
     from repro.native.build import native_status
 
     status = native_status(warn=False)
     if not status.available:
         return {"native_bandwidth": {}}
-    from repro.core.digits import native_pass_plan
+    from repro.core.digits import native_traffic
     from repro.native.engine import NativeRadixEngine
 
     table: dict[str, float] = {}
@@ -407,12 +407,9 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
         keys, values = _probe_arrays(rng, n, key_bits, value_bits)
         engine = NativeRadixEngine()
         seconds = _best_seconds(lambda: engine.sort(keys, values), repeats)
-        msd_width, inner = native_pass_plan(key_bits)
-        passes = (1 if msd_width else 0) + len(inner)
         record_bytes = key_bits // 8 + value_bits // 8
-        table[layout_key(key_bits, value_bits)] = (
-            3 * passes * n * record_bytes / seconds
-        )
+        _, bytes_moved = native_traffic(key_bits, n, record_bytes)
+        table[layout_key(key_bits, value_bits)] = bytes_moved / seconds
     return {"native_bandwidth": table}
 
 

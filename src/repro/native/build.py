@@ -54,11 +54,6 @@ __all__ = [
     "source_digest",
 ]
 
-#: Bit widths of the two-level digit schedule; mirrored in Python by
-#: :func:`repro.core.digits.native_pass_plan` so plans/docs can explain
-#: exactly which passes the C side will run.
-MSD_BITS = 11
-INNER_BITS = 11
 
 CDEF = """
 int repro_native_sort_u32(uint32_t *a, uint32_t *b, int64_t n,
@@ -77,9 +72,19 @@ C_SOURCE = r"""
 
 /* Digit schedule (mirrored by repro.core.digits.native_pass_plan):
  * words whose sort range exceeds MSD_BITS + INNER_BITS take one MSD
- * partition pass on the word's top MSD_BITS bits, then finish every
- * bucket with cache-resident LSD passes of <= INNER_BITS bits each;
- * narrower ranges skip the partition and run plain LSD.
+ * partition pass on the word's top MSD_BITS bits, then every bucket
+ * finishes by its size (the inner_* functions):
+ *
+ *   - at most LOCAL_SORT_MAX keys: one stable insertion sort -- a
+ *     bucket at or below the local-sort threshold finishes in one
+ *     local sort (§4.1) and tiny buckets pay no counting pass (§4.3);
+ *   - larger: the p cache-resident LSD passes of w = ceil(bits / p)
+ *     <= INNER_BITS bits that minimise p * (2n + 2^w / 10), i.e. the
+ *     fewest passes whose histogram is not far larger than the bucket
+ *     (11-bit digits from a few hundred keys up).
+ *
+ * Narrower ranges, and inputs of at most LOCAL_SORT_MAX keys, skip the
+ * partition and finish the same way.
  *
  * All kernels sort bits [lo_bit, width) of the word and are *stable*:
  * equal keys keep their input order, which is what lets the Python
@@ -94,12 +99,49 @@ C_SOURCE = r"""
 #define MSD_RADIX (1 << MSD_BITS)
 #define INNER_BITS 11
 #define INNER_RADIX (1 << INNER_BITS)
+#define LOCAL_SORT_MAX 32
 /* WC burst size: two 64-byte cache lines per flush.  One line already
  * beats per-element stores; doubling the burst halves flush overhead
  * for +128KB of buffer, still far inside L2. */
 #define WC_LINE_BYTES 128
 #define WC_KEYS32 (WC_LINE_BYTES / 4)
 #define WC_KEYS64 (WC_LINE_BYTES / 8)
+
+/* Digit width for an LSD finish of `bits` bits over n keys: w =
+ * ceil(bits / p) for the pass count p minimising p * (2n + 2^w / 10)
+ * (scaled by 10 to stay in integers).  No p past the first whose
+ * scatter traffic alone exceeds the best cost can win. */
+static int finish_width(int64_t n, int bits)
+{
+    int p = (bits + INNER_BITS - 1) / INNER_BITS;
+    int best = (bits + p - 1) / p;
+    int64_t best_cost = -1;
+    for (; p <= bits && (best_cost < 0 || p * 20 * n < best_cost); p++) {
+        int w = (bits + p - 1) / p;
+        int64_t cost = p * (20 * n + ((int64_t)1 << w));
+        if (best_cost < 0 || cost < best_cost) {
+            best_cost = cost;
+            best = w;
+        }
+    }
+    return best;
+}
+
+/* The inner_* finishers sort bits [lo, lo+bits) of n words whose bits
+ * above lo+bits are all equal (the word top, or the caller's MSD
+ * bucket), so comparing x >> lo orders them exactly. */
+
+/* Stable insertion sort of u32 words on x >> lo, in place. */
+static void insertion_u32(uint32_t *a, int64_t n, int lo)
+{
+    int64_t i, j;
+    for (i = 1; i < n; i++) {
+        uint32_t x = a[i], kx = x >> lo;
+        for (j = i; j > 0 && (a[j - 1] >> lo) > kx; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
 
 /* Stable LSD counting sort of bits [lo, lo+bits) of 32-bit words.
  * Ping-pongs between src and tmp; returns whichever buffer holds the
@@ -110,9 +152,14 @@ static uint32_t *inner_u32(uint32_t *src, uint32_t *tmp, int64_t n,
 {
     int64_t cnt[INNER_RADIX];
     uint32_t *bufs[2] = { src, tmp };
-    int cur = 0;
+    int cur = 0, width;
+    if (n <= LOCAL_SORT_MAX) {
+        insertion_u32(src, n, lo);
+        return src;
+    }
+    width = finish_width(n, bits);
     while (bits > 0) {
-        int w = bits < INNER_BITS ? bits : INNER_BITS;
+        int w = bits < width ? bits : width;
         unsigned radix = 1u << w, mask = radix - 1, d;
         const uint32_t *s = bufs[cur];
         uint32_t *dst = bufs[1 - cur];
@@ -155,7 +202,7 @@ int repro_native_sort_u32(uint32_t *a, uint32_t *b, int64_t n, int lo_bit)
         return -1;
     if (n <= 1)
         return 0;
-    if (32 - lo_bit <= MSD_BITS + INNER_BITS)
+    if (32 - lo_bit <= MSD_BITS + INNER_BITS || n <= LOCAL_SORT_MAX)
         return inner_u32(a, b, n, lo_bit, 32 - lo_bit) == a ? 0 : 1;
     memset(hist, 0, sizeof(hist));
     for (i = 0; i < n; i++)
@@ -211,14 +258,30 @@ int repro_native_sort_u32(uint32_t *a, uint32_t *b, int64_t n, int lo_bit)
     return 1;
 }
 
+static void insertion_u64(uint64_t *a, int64_t n, int lo)
+{
+    int64_t i, j;
+    for (i = 1; i < n; i++) {
+        uint64_t x = a[i], kx = x >> lo;
+        for (j = i; j > 0 && (a[j - 1] >> lo) > kx; j--)
+            a[j] = a[j - 1];
+        a[j] = x;
+    }
+}
+
 static uint64_t *inner_u64(uint64_t *src, uint64_t *tmp, int64_t n,
                            int lo, int bits)
 {
     int64_t cnt[INNER_RADIX];
     uint64_t *bufs[2] = { src, tmp };
-    int cur = 0;
+    int cur = 0, width;
+    if (n <= LOCAL_SORT_MAX) {
+        insertion_u64(src, n, lo);
+        return src;
+    }
+    width = finish_width(n, bits);
     while (bits > 0) {
-        int w = bits < INNER_BITS ? bits : INNER_BITS;
+        int w = bits < width ? bits : width;
         unsigned radix = 1u << w, d;
         uint64_t mask = radix - 1;
         const uint64_t *s = bufs[cur];
@@ -262,7 +325,7 @@ int repro_native_sort_u64(uint64_t *a, uint64_t *b, int64_t n, int lo_bit)
         return -1;
     if (n <= 1)
         return 0;
-    if (64 - lo_bit <= MSD_BITS + INNER_BITS)
+    if (64 - lo_bit <= MSD_BITS + INNER_BITS || n <= LOCAL_SORT_MAX)
         return inner_u64(a, b, n, lo_bit, 64 - lo_bit) == a ? 0 : 1;
     memset(hist, 0, sizeof(hist));
     for (i = 0; i < n; i++)
@@ -318,14 +381,33 @@ int repro_native_sort_u64(uint64_t *a, uint64_t *b, int64_t n, int lo_bit)
 /* Dual-array variant: the payload lane rides every scatter, so a
  * payload of 0..n-1 comes back as the stable sorting permutation of
  * the keys (the decomposed layout of the paper's §2.3). */
+static void insertion_pairs(uint64_t *k, uint64_t *v, int64_t n, int lo)
+{
+    int64_t i, j;
+    for (i = 1; i < n; i++) {
+        uint64_t x = k[i], y = v[i], kx = x >> lo;
+        for (j = i; j > 0 && (k[j - 1] >> lo) > kx; j--) {
+            k[j] = k[j - 1];
+            v[j] = v[j - 1];
+        }
+        k[j] = x;
+        v[j] = y;
+    }
+}
+
 static int inner_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
                        uint64_t *vt, int64_t n, int lo, int bits)
 {
     int64_t cnt[INNER_RADIX];
     uint64_t *kb[2] = { k, kt }, *vb[2] = { v, vt };
-    int cur = 0;
+    int cur = 0, width;
+    if (n <= LOCAL_SORT_MAX) {
+        insertion_pairs(k, v, n, lo);
+        return 0;
+    }
+    width = finish_width(n, bits);
     while (bits > 0) {
-        int w = bits < INNER_BITS ? bits : INNER_BITS;
+        int w = bits < width ? bits : width;
         unsigned radix = 1u << w, d;
         uint64_t mask = radix - 1;
         const uint64_t *s = kb[cur], *sv = vb[cur];
@@ -373,7 +455,7 @@ int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
         return -1;
     if (n <= 1)
         return 0;
-    if (64 - lo_bit <= MSD_BITS + INNER_BITS)
+    if (64 - lo_bit <= MSD_BITS + INNER_BITS || n <= LOCAL_SORT_MAX)
         return inner_pairs(k, kt, v, vt, n, lo_bit, 64 - lo_bit);
     memset(hist, 0, sizeof(hist));
     for (i = 0; i < n; i++)

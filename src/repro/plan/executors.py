@@ -23,7 +23,12 @@ from repro.errors import ConfigurationError
 from repro.plan.ir import SortPlan
 from repro.types import SortResult
 
-__all__ = ["ExecutorRegistry", "DEFAULT_REGISTRY", "execute_plan"]
+__all__ = [
+    "ExecutorRegistry",
+    "DEFAULT_REGISTRY",
+    "execute_plan",
+    "sort_in_memory",
+]
 
 
 class ExecutorRegistry:
@@ -78,6 +83,59 @@ def _merged_config(plan: SortPlan, config):
     )
 
 
+def sort_in_memory(
+    engine: str,
+    keys: np.ndarray,
+    values: np.ndarray | None = None,
+    config=None,
+    device=None,
+) -> SortResult:
+    """One in-memory sort on ``engine`` (``"native"`` or ``"hybrid"``).
+
+    The native engine is the compiled counting-scatter
+    (:mod:`repro.native`): byte-identical to ``hybrid`` by construction
+    (property-pinned in ``tests/native/``), just compiled, and it
+    models no device and reports no simulated time.  A missing
+    extension or a failed kernel call degrades *inline* to the hybrid
+    engine with the downgrade recorded in ``result.meta["resilience"]``
+    — so a caller that chose native never fails for tier-availability
+    reasons.  The native plan executor and the external sorter's run
+    sorts both go through here.
+    """
+    from repro.core.hybrid_sort import HybridRadixSorter
+    from repro.errors import NativeExecutionError, NativeUnavailableError
+    from repro.native.build import native_status
+
+    downgrade = None
+    if engine == "native":
+        try:
+            from repro.native.engine import NativeRadixEngine
+
+            result = NativeRadixEngine(config=config).sort(keys, values)
+            result.meta["engine"] = "native"
+            return result
+        except (NativeUnavailableError, NativeExecutionError) as exc:
+            downgrade = exc
+    result = HybridRadixSorter(config=config, device=device).sort(
+        keys, values
+    )
+    result.meta["engine"] = "hybrid"
+    if downgrade is not None:
+        result.meta["resilience"] = {
+            "requested": "native",
+            "executed": "hybrid",
+            "retries": 0,
+            "downgrades": [
+                {
+                    "engine": "native",
+                    "error": f"{type(downgrade).__name__}: {downgrade}",
+                }
+            ],
+            "native": native_status(warn=False).reason,
+        }
+    return result
+
+
 def _execute_hybrid(
     plan: SortPlan,
     keys: np.ndarray,
@@ -86,13 +144,9 @@ def _execute_hybrid(
     device=None,
     **_: object,
 ) -> SortResult:
-    from repro.core.hybrid_sort import HybridRadixSorter
-
-    sorter = HybridRadixSorter(
-        config=_merged_config(plan, config), device=device
+    result = sort_in_memory(
+        "hybrid", keys, values, _merged_config(plan, config), device
     )
-    result = sorter.sort(keys, values)
-    result.meta["engine"] = "hybrid"
     result.meta["plan"] = plan
     return result
 
@@ -203,42 +257,14 @@ def _execute_native(
 ) -> SortResult:
     """The compiled counting-scatter tier (:mod:`repro.native`).
 
-    Top rung of the in-memory ladder: byte-identical to ``hybrid`` by
-    construction (property-pinned in ``tests/native/``), just compiled.
-    A missing extension or a failed kernel call degrades *inline* to
-    the hybrid executor with the downgrade recorded in
-    ``result.meta["resilience"]`` — a plan that says "native" never
-    fails for tier-availability reasons, even outside
-    ``resilient_execute``.  The native engine models no device and
-    reports no simulated time.
+    Top rung of the in-memory ladder.  Through :func:`sort_in_memory`,
+    a plan that says "native" degrades inline to the hybrid engine
+    rather than fail for tier-availability reasons, even outside
+    ``resilient_execute``.
     """
-    from repro.errors import NativeExecutionError, NativeUnavailableError
-    from repro.native.build import native_status
-
-    merged = _merged_config(plan, config)
-    try:
-        from repro.native.engine import NativeRadixEngine
-
-        engine = NativeRadixEngine(config=merged)
-        result = engine.sort(keys, values)
-    except (NativeUnavailableError, NativeExecutionError) as exc:
-        result = _execute_hybrid(
-            plan, keys, values=values, config=config, device=device
-        )
-        result.meta["resilience"] = {
-            "requested": "native",
-            "executed": "hybrid",
-            "retries": 0,
-            "downgrades": [
-                {
-                    "engine": "native",
-                    "error": f"{type(exc).__name__}: {exc}",
-                }
-            ],
-            "native": native_status(warn=False).reason,
-        }
-        return result
-    result.meta["engine"] = "native"
+    result = sort_in_memory(
+        "native", keys, values, _merged_config(plan, config), device
+    )
     result.meta["plan"] = plan
     return result
 

@@ -65,11 +65,12 @@ PAPER_CROSSOVER_KEYS = 1_900_000
 #: §6.1: ... and beyond 1.6 M key-value pairs.
 PAPER_CROSSOVER_PAIRS = 1_600_000
 
-#: Below this record count the native tier's fixed costs (FFI call,
-#: bijection copies, result re-view) rival the sort itself and the
-#: NumPy tier is simpler to reason about; above it the compiled
-#: counting-scatter wins decisively.
-NATIVE_MIN_KEYS = 1 << 16
+#: Smallest record count the planner sends to the native tier.  With
+#: the kernel finishing small buckets by size, native beat or tied the
+#: hybrid engine at every size measured, 2^8 to 2^16, for all four
+#: layouts (docs/performance.md, "The native floor"), so the floor sits
+#: at the smallest size measured.
+NATIVE_MIN_KEYS = 1 << 8
 
 #: Nominal host storage bandwidth (bytes/s) used to annotate the I/O
 #: halves of spill/merge steps.  A round SSD-class figure — the
@@ -118,12 +119,13 @@ class Planner:
         the Figure 5 layout, four without.
     native:
         Native compiled-tier policy.  ``"auto"`` (default) prefers the
-        compiled counting-scatter for large in-memory numeric inputs
+        compiled counting-scatter for in-memory numeric inputs — and
+        file run sorts — of at least :data:`NATIVE_MIN_KEYS` records
         when the once-per-process availability probe succeeds and the
         configuration is one the tier supports; ``"never"`` keeps every
         plan on the NumPy tiers; ``"always"`` plans the native tier
-        for any in-memory input regardless of the probe (the executor
-        degrades typed when the tier is missing — what
+        for any in-memory input or run regardless of the probe (the
+        executor degrades typed when the tier is missing — what
         ``repro sort --engine native`` relies on).
     profile:
         Host-calibration policy.  ``"auto"`` (default) loads the
@@ -313,39 +315,14 @@ class Planner:
         self, descriptor: InputDescriptor, note: str
     ) -> SortPlan:
         """One in-memory sort through the compiled counting-scatter."""
-        from repro.core.digits import native_pass_plan
-
-        config = self._config_for(descriptor)
-        n = descriptor.n
-        # The engine sorts the key field of whichever word layout the
-        # pair packing selects; the partition/LSD schedule over the key
-        # bits is the same either way, so price that.
-        msd_width, inner = native_pass_plan(config.key_bits)
-        passes = (1 if msd_width else 0) + len(inner)
-        bytes_moved = 3 * passes * n * descriptor.record_bytes
-        if self.host is not None:
-            native_seconds = self.host.native_seconds(descriptor, bytes_moved)
-        else:
-            native_seconds = self._stream_seconds(descriptor, bytes_moved)
-        step = PlanStep(
-            kind="native-lsd",
-            params={
-                "n": n,
-                "expected_passes": passes,
-                "msd_bits": msd_width,
-                "inner_widths": "+".join(str(w) for w in inner),
-            },
-            predicted_seconds=native_seconds,
-            bytes_moved=bytes_moved,
-        )
         return SortPlan(
             descriptor=descriptor,
             strategy="native",
             engine="NativeRadixEngine",
-            steps=(step,),
+            steps=(self._native_step(descriptor, descriptor.n),),
             reason=(
-                f"{n:,} in-memory records; compiled counting-scatter "
-                f"with write-combined MSD partition"
+                f"{descriptor.n:,} in-memory records; compiled "
+                f"counting-scatter with write-combined MSD partition"
             ),
             notes=(note,),
             cost_source=self._cost_source,
@@ -545,14 +522,18 @@ class Planner:
         Run sizing delegates to :func:`repro.external.runs.plan_runs`
         — which itself prices the three-buffer accounting through
         :func:`repro.hetero.chunking.plan_chunks` — so the external and
-        chunked strategies share one budget code path.
+        chunked strategies share one budget code path.  The in-memory
+        engine every run sort uses is chosen once, for the run size, by
+        :meth:`run_engine`; the ``spill-runs`` step records it and why.
         """
         from repro.external.runs import plan_runs
         from repro.external.sorter import DEFAULT_MEMORY_BUDGET
 
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
-        config = self._config_for(descriptor)
         run_plan = plan_runs(descriptor.n, descriptor.record_bytes, budget)
+        engine, engine_note = self.run_engine(
+            descriptor, run_plan.run_records
+        )
         total = descriptor.total_bytes
         if self.host is not None:
             # The spill probe folds sort cost into the measured
@@ -568,12 +549,12 @@ class Planner:
                 sort_seconds = 0.0
             else:
                 tail_records = run_plan.bounds[-1] - run_plan.bounds[-2]
-                full_seconds = self._msd_step(
-                    descriptor, config, max(1, run_plan.run_records)
-                ).predicted_seconds
-                tail_seconds = self._msd_step(
-                    descriptor, config, max(1, tail_records)
-                ).predicted_seconds
+                full_seconds = self._run_sort_seconds(
+                    descriptor, engine, run_plan.run_records
+                )
+                tail_seconds = self._run_sort_seconds(
+                    descriptor, engine, tail_records
+                )
                 sort_seconds = (
                     full_seconds * (run_plan.n_runs - 1) + tail_seconds
                 )
@@ -593,6 +574,8 @@ class Planner:
                 "run_records": run_plan.run_records,
                 "memory_budget": budget,
                 "workers": descriptor.workers,
+                "engine": engine,
+                "engine_note": engine_note,
                 "run_plan": run_plan,
             },
             predicted_seconds=spill_seconds,
@@ -611,12 +594,44 @@ class Planner:
             steps=(runs_step, merge_step),
             reason=(
                 f"on-disk input; {run_plan.n_runs} memory-budgeted "
-                f"run(s) of ≤ {run_plan.run_records:,} records, then a "
-                f"streaming merge"
+                f"run(s) of ≤ {run_plan.run_records:,} records sorted "
+                f"by the {engine} engine, then a streaming merge"
             ),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,
         )
+
+    def run_engine(
+        self, descriptor: InputDescriptor, run_records: int
+    ) -> tuple[str, str]:
+        """The in-memory engine for every run of a file sort, and why.
+
+        Returns ``("native" | "hybrid", note)``: the same
+        :meth:`_native_choice` an in-memory array of ``run_records``
+        records of the file's layout would get.  ``RunWriter`` carries
+        the choice out, with the native executor's inline fallback to
+        the hybrid engine; :meth:`ExternalSorter.resume` asks again for
+        the runs its manifest recorded.
+        """
+        run = InputDescriptor(
+            n=run_records,
+            key_dtype=descriptor.key_dtype,
+            value_dtype=descriptor.value_dtype,
+            spec=descriptor.spec,
+        )
+        use_native, note = self._native_choice(run)
+        return ("native" if use_native else "hybrid"), note
+
+    def _run_sort_seconds(
+        self, descriptor: InputDescriptor, engine: str, n: int
+    ) -> float:
+        """Uncalibrated price of one ``n``-record run sort on ``engine``."""
+        n = max(1, n)
+        if engine == "native":
+            return self._native_step(descriptor, n).predicted_seconds
+        return self._msd_step(
+            descriptor, self._config_for(descriptor), n
+        ).predicted_seconds
 
     # ------------------------------------------------------------------
     # Pricing helpers
@@ -651,6 +666,40 @@ class Planner:
             total_bytes=total_bytes,
             n_runs=n_runs,
             record_bytes=record_bytes,
+        )
+
+    def _native_step(self, descriptor: InputDescriptor, n: int) -> PlanStep:
+        """Price ``n`` records through the compiled counting-scatter.
+
+        Pass counts and traffic come from
+        :func:`repro.core.digits.native_traffic`, the Python mirror of
+        the kernel's size-adapted schedule.
+        """
+        from repro.core.digits import native_pass_plan, native_traffic
+
+        # The engine sorts the key field of whichever word layout the
+        # pair packing selects; the partition/LSD schedule over the key
+        # bits is the same either way, so price that.
+        key_bits = self._config_for(descriptor).key_bits
+        msd_width, inner = native_pass_plan(key_bits, n)
+        passes, bytes_moved = native_traffic(
+            key_bits, n, descriptor.record_bytes
+        )
+        if self.host is not None:
+            seconds = self.host.native_seconds(descriptor, bytes_moved)
+        else:
+            seconds = self._stream_seconds(descriptor, bytes_moved)
+        return PlanStep(
+            kind="native-lsd",
+            params={
+                "n": n,
+                "expected_passes": passes,
+                "msd_bits": msd_width,
+                "inner_widths": "+".join(str(w) for w in inner)
+                or "insertion",
+            },
+            predicted_seconds=seconds,
+            bytes_moved=bytes_moved,
         )
 
     def _msd_step(

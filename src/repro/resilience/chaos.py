@@ -148,6 +148,14 @@ def _external_scenario(site: str, kind: str, n: int, seed: int) -> dict:
 # Service / engine scenarios (fault absorbed or typed, never a hang)
 # ----------------------------------------------------------------------
 def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
+    """Contain one fault on the service path or a NumPy-tier rung.
+
+    Requests plan on the NumPy tier (``native="never"``), so the
+    ``engine.hybrid`` rung heads the ladder on every host whatever the
+    request size; the compiled rung has its own scenario.
+    """
+    from repro.cost.feedback import CostFeedback
+    from repro.plan import Planner
     from repro.service import SortService
 
     keys = _keys(n, seed)
@@ -162,7 +170,9 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     async def run() -> dict:
         workdir = None
         async with SortService(
-            micro_batching=False, watchdog_timeout=1.0
+            micro_batching=False,
+            watchdog_timeout=1.0,
+            planner=Planner(native="never", feedback=CostFeedback()),
         ) as svc:
             data = keys
             if site == "engine.external":

@@ -35,9 +35,10 @@ from repro.types import SortResult
 __all__ = ["BATCHABLE_STRATEGIES", "batch_configs", "execute_batch"]
 
 #: Planned strategies the batch path may stand in for: the in-memory
-#: whole-array sorts.  Chunked/external plans carry per-request
-#: budgeting the shared dispatch has no equivalent of.
-BATCHABLE_STRATEGIES = ("hybrid", "fallback")
+#: whole-array sorts, on either tier (every engine writes the same
+#: bytes).  Chunked/external plans carry per-request budgeting the
+#: shared dispatch has no equivalent of.
+BATCHABLE_STRATEGIES = ("native", "hybrid", "fallback")
 
 #: Smallest configuration capacity of the generated ladder.
 _MIN_CONFIG = 32

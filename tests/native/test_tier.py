@@ -7,14 +7,23 @@ exercise the same assertions.
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from repro.core.config import SortConfig
-from repro.core.digits import native_pass_plan
+from repro.core.digits import (
+    NATIVE_INNER_BITS,
+    NATIVE_LOCAL_SORT_MAX,
+    NATIVE_MSD_BITS,
+    native_finish_widths,
+    native_pass_plan,
+    native_traffic,
+)
 from repro.errors import ConfigurationError
+from repro.external import FileLayout
 from repro.plan import InputDescriptor, Planner
 from repro.plan.executors import execute_plan
 from repro.plan.planner import NATIVE_MIN_KEYS
@@ -25,6 +34,7 @@ from repro.resilience.degrade import (
 )
 
 from repro.native import build
+from repro.native.build import C_SOURCE
 
 NATIVE_AVAILABLE = build.native_status(warn=False).available
 
@@ -93,11 +103,123 @@ class TestPlannerChoice:
 
 class TestPassPlanMirror:
     def test_mirrors_kernel_digit_schedule(self):
-        assert native_pass_plan(32) == (11, (11, 10))
-        assert native_pass_plan(64) == (11, (11, 11, 11, 11, 9))
-        # Narrow ranges skip the MSD partition, like the C side.
-        assert native_pass_plan(16) == (0, (11, 5))
-        assert native_pass_plan(22) == (0, (11, 11))
+        big = 1 << 24
+        assert native_pass_plan(32, big) == (11, (11, 10))
+        assert native_pass_plan(64, big) == (11, (11, 11, 11, 11, 9))
+        # Narrow ranges skip the MSD partition, like the C side, and
+        # split their bits into equal digits.
+        assert native_pass_plan(16, big) == (0, (8, 8))
+        assert native_pass_plan(22, big) == (0, (11, 11))
+
+    def test_small_buckets_finish_by_size(self):
+        # 2-key buckets: the partition, then insertion sorts.
+        assert native_pass_plan(32, 1 << 12) == (11, ())
+        # ~37-key buckets (one benchmark run): three 7-bit passes.
+        assert native_pass_plan(32, 74_898) == (11, (7, 7, 7))
+        # No larger than one insertion sort: no partition either.
+        assert native_pass_plan(32, NATIVE_LOCAL_SORT_MAX) == (0, ())
+        assert native_finish_widths(NATIVE_LOCAL_SORT_MAX + 1, 21)
+
+    def test_python_constants_match_the_c_source(self):
+        defines = dict(
+            re.findall(r"^#define (\w+) (\d+)$", C_SOURCE, re.MULTILINE)
+        )
+        assert int(defines["MSD_BITS"]) == NATIVE_MSD_BITS
+        assert int(defines["INNER_BITS"]) == NATIVE_INNER_BITS
+        assert int(defines["LOCAL_SORT_MAX"]) == NATIVE_LOCAL_SORT_MAX
+
+    def test_plan_prices_the_size_adapted_schedule(self):
+        plan = Planner(native="always").plan(big_descriptor(n=1 << 12))
+        (step,) = plan.steps
+        passes, bytes_moved = native_traffic(32, 1 << 12, 4)
+        assert step.params["expected_passes"] == passes == 1
+        assert step.params["inner_widths"] == "insertion"
+        assert step.bytes_moved == bytes_moved == 5 * (1 << 12) * 4
+
+
+def fake_available(monkeypatch):
+    monkeypatch.setattr(
+        build,
+        "_probe",
+        lambda: build.NativeStatus(True, "compiled native kernel"),
+    )
+
+
+class TestExternalRunEngine:
+    """The ``spill-runs`` step names the run sorts' engine and why."""
+
+    def file_descriptor(self, tmp_path, n, budget):
+        path = tmp_path / "in.bin"
+        np.zeros(n, dtype=np.uint32).tofile(path)
+        return InputDescriptor.for_file(
+            path, FileLayout(np.uint32), memory_budget=budget
+        )
+
+    def native_sized(self, tmp_path):
+        # Runs of about 4/3 of the floor (three-buffer accounting).
+        return self.file_descriptor(
+            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 16 * NATIVE_MIN_KEYS
+        )
+
+    def test_runs_at_the_floor_sort_native(
+        self, tmp_path, fresh_probe, monkeypatch
+    ):
+        fake_available(monkeypatch)
+        plan = Planner().plan(self.native_sized(tmp_path))
+        step = plan.step("spill-runs")
+        assert step.params["run_records"] >= NATIVE_MIN_KEYS
+        assert step.params["engine"] == "native"
+        assert step.params["engine_note"] == (
+            "native tier selected: compiled native kernel"
+        )
+        text = plan.explain()
+        assert "engine=native" in text
+        assert "engine_note=native tier selected" in text
+        assert "sorted by the native engine" in plan.reason
+
+    def test_runs_below_the_floor_sort_hybrid(
+        self, tmp_path, fresh_probe, monkeypatch
+    ):
+        fake_available(monkeypatch)
+        plan = Planner().plan(
+            self.file_descriptor(tmp_path, 4 * NATIVE_MIN_KEYS, 1024)
+        )
+        step = plan.step("spill-runs")
+        assert step.params["run_records"] < NATIVE_MIN_KEYS
+        assert step.params["engine"] == "hybrid"
+        assert "floor" in step.params["engine_note"]
+
+    def test_never_planner_keeps_runs_on_numpy(self, tmp_path):
+        plan = Planner(native="never").plan(self.native_sized(tmp_path))
+        step = plan.step("spill-runs")
+        assert step.params["engine"] == "hybrid"
+        assert step.params["engine_note"] == (
+            "native tier disabled for this planner"
+        )
+
+    def test_uncalibrated_native_runs_priced_by_native_traffic(
+        self, tmp_path, fresh_probe, monkeypatch
+    ):
+        from repro.plan.planner import HOST_DISK_BANDWIDTH
+
+        fake_available(monkeypatch)
+        desc = self.native_sized(tmp_path)
+        plan = Planner(profile=None).plan(desc)
+        run_plan = plan.run_plan
+        sort_bytes = sum(
+            native_traffic(32, hi - lo, 4)[1]
+            for lo, hi in zip(run_plan.bounds, run_plan.bounds[1:])
+        )
+        expected = (
+            2 * desc.total_bytes / HOST_DISK_BANDWIDTH
+            + sort_bytes / desc.spec.effective_bandwidth
+        )
+        step = plan.step("spill-runs")
+        assert step.predicted_seconds == pytest.approx(expected)
+        hybrid = Planner(native="never", profile=None).plan(desc)
+        assert step.predicted_seconds != pytest.approx(
+            hybrid.step("spill-runs").predicted_seconds
+        )
 
 
 class TestExecutorDegradation:

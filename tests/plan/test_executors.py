@@ -79,7 +79,9 @@ class TestHybridOracle:
             np.uint32
         )
         values = np.arange(keys.size, dtype=np.uint32)
-        result = repro.sort_records(make_records(keys, values))
+        result = repro.sort_records(
+            make_records(keys, values), native="never"
+        )
         assert np.array_equal(result.meta["records"]["key"], result.keys)
         assert result.meta["plan"].strategy == "hybrid"
 

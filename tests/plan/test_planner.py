@@ -108,7 +108,7 @@ class TestStrategyChoice:
         desc = InputDescriptor(
             n=1000, key_dtype=np.uint32, memory_budget=1 << 20
         )
-        assert Planner().plan(desc).strategy == "hybrid"
+        assert Planner(native="never").plan(desc).strategy == "hybrid"
 
     def test_file_plans_external(self, tmp_path):
         path = tmp_path / "in.bin"

@@ -21,9 +21,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
+from repro.core.keys import SUPPORTED_DTYPES, to_sortable_bits
+from repro.core.pairs import fused_packable
+from repro.errors import TransientError
 from repro.external import ExternalSorter, FileLayout, write_records, write_run
 from repro.external.merge import merge_runs
 from repro.hetero.merge import kway_merge_pairs
+from repro.native import build
+from repro.plan.planner import NATIVE_MIN_KEYS
+from repro.resilience.faults import FaultPlan, inject
 
 # Keys drawn from a tiny alphabet force long runs of equal keys that
 # straddle block boundaries — the hard case for a bounded-buffer merge.
@@ -144,3 +151,168 @@ def test_equal_run_straddles_many_blocks(tmp_path, block):
     merge_runs(paths, layout, out, block_records=block)
     got = np.fromfile(out, dtype=layout.storage_dtype)
     assert np.array_equal(got["value"], np.arange(23, dtype=np.uint32))
+
+
+# ----------------------------------------------------------------------
+# Across tiers: which engine sorted the runs never shows in the bytes
+# ----------------------------------------------------------------------
+NATIVE_AVAILABLE = build.native_status(warn=False).available
+needs_native = pytest.mark.skipif(
+    not NATIVE_AVAILABLE, reason="native extension not built on this host"
+)
+
+
+@pytest.fixture
+def tier(monkeypatch):
+    """Switch the native tier on (the host's build) or off
+    (``REPRO_NATIVE=0``), with a fresh probe each way."""
+
+    def use(native: bool) -> None:
+        if native:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        build._reset_status_cache()
+
+    yield use
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    build._reset_status_cache()
+
+
+def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
+    """About four runs at the native floor: (layout, input path, budget)."""
+    layout = FileLayout(key_dtype, value_dtype)
+    n = 4 * NATIVE_MIN_KEYS + 17
+    rng = np.random.default_rng(seed)
+    kd = layout.key_dtype
+    if kd.kind == "f":
+        keys = rng.standard_normal(n).astype(kd)
+        keys[:8] = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 1.0, -1.0]
+        rng.shuffle(keys)
+    else:
+        info = np.iinfo(kd)
+        # A narrow range, so equal keys straddle run boundaries.
+        keys = rng.integers(info.min, info.min + 97, n).astype(kd)
+    values = None
+    if layout.is_pairs:
+        values = rng.integers(0, 50, n).astype(layout.value_dtype)
+    path = os.path.join(tmpdir, "in.bin")
+    write_records(path, layout.to_records(keys, values))
+    # Three-buffer accounting: runs of n / 4, just above the floor.
+    return layout, path, 4 * NATIVE_MIN_KEYS * layout.record_bytes
+
+
+def _sort_file(tmpdir, tag, layout, path, budget, pair_packing="auto"):
+    out = os.path.join(tmpdir, f"out-{tag}.bin")
+    report = repro.sort(
+        path,
+        output=out,
+        layout=layout,
+        memory_budget=budget,
+        pair_packing=pair_packing,
+    )
+    with open(out, "rb") as fh:
+        return fh.read(), report.plan.step("spill-runs").params["engine"]
+
+
+def _reference(layout, path, pair_packing):
+    """Bits-space reference: stable by key bits (then value bits, fused)."""
+    records = np.fromfile(path, dtype=layout.storage_dtype)
+    keys, values = layout.to_columns(records)
+    bits = to_sortable_bits(keys)
+    if values is not None and pair_packing == "fused":
+        order = np.lexsort((values, bits))
+    else:
+        order = np.argsort(bits, kind="stable")
+    return records[order].tobytes()
+
+
+_TIER_CASES = [
+    pytest.param(kd, None, "auto", id=f"{np.dtype(kd)}-keys")
+    for kd in SUPPORTED_DTYPES
+] + [
+    pytest.param(
+        kd, np.uint32, packing, id=f"{np.dtype(kd)}-pairs-{packing}"
+    )
+    for kd in SUPPORTED_DTYPES
+    for packing in ("auto", "index", "fused", "off")
+    if packing != "fused" or fused_packable(np.dtype(kd).itemsize * 8, 32)
+]
+
+
+@needs_native
+@pytest.mark.parametrize("key_dtype, value_dtype, pair_packing", _TIER_CASES)
+def test_file_sort_is_identical_on_both_tiers(
+    tmp_path, tier, key_dtype, value_dtype, pair_packing
+):
+    tmpdir = str(tmp_path)
+    layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
+    tier(True)
+    native, engine = _sort_file(
+        tmpdir, "native", layout, path, budget, pair_packing
+    )
+    assert engine == "native"
+    tier(False)
+    hybrid, engine = _sort_file(
+        tmpdir, "hybrid", layout, path, budget, pair_packing
+    )
+    assert engine == "hybrid"
+    assert native == hybrid == _reference(layout, path, pair_packing)
+
+
+@needs_native
+@pytest.mark.parametrize(
+    "spill_native", [True, False], ids=["native-first", "hybrid-first"]
+)
+def test_resume_finishes_the_other_tiers_runs(tmp_path, tier, spill_native):
+    tmpdir = str(tmp_path)
+    layout, path, budget = _file_input(tmpdir, np.uint32, np.uint32, seed=3)
+    out = os.path.join(tmpdir, "out.bin")
+    spool = os.path.join(tmpdir, "spool")
+    sorter = ExternalSorter(
+        memory_budget=budget, spool_dir=spool, retry_policy=None
+    )
+    tier(spill_native)
+    with inject(FaultPlan.single("external.merge_read")):
+        with pytest.raises(TransientError):
+            sorter.sort_file(path, out, layout)
+    runs = sorted(n for n in os.listdir(spool) if n.startswith("run-"))
+    assert len(runs) > 2
+    for name in runs[::2]:  # the other tier re-produces every other run
+        os.unlink(os.path.join(spool, name))
+    tier(not spill_native)
+    report = sorter.resume(path, out, layout)
+    assert 0 < report.reused_runs < report.n_runs
+    with open(out, "rb") as fh:
+        assert fh.read() == _reference(layout, path, "auto")
+
+
+def test_runs_below_the_native_floor_sort_hybrid(tmp_path):
+    layout = FileLayout(np.uint64, np.uint32)
+    rng = np.random.default_rng(5)
+    keys = rng.integers(0, 1 << 40, 2_000).astype(np.uint64)
+    values = np.arange(keys.size, dtype=np.uint32)
+    path = str(tmp_path / "in.bin")
+    write_records(path, layout.to_records(keys, values))
+    budget = layout.record_bytes * NATIVE_MIN_KEYS  # runs of floor / 3
+    got, engine = _sort_file(str(tmp_path), "small", layout, path, budget)
+    assert engine == "hybrid"
+    assert got == _reference(layout, path, "auto")
+
+
+@needs_native
+def test_native_file_sort_builds_no_simulator(tmp_path, tier, monkeypatch):
+    from repro.cost.model import CostModel
+    from repro.gpu.device import SimulatedGPU
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the simulator ran during a native file sort")
+
+    monkeypatch.setattr(SimulatedGPU, "__init__", forbidden)
+    monkeypatch.setattr(CostModel, "price_hybrid", forbidden)
+    tmpdir = str(tmp_path)
+    layout, path, budget = _file_input(tmpdir, np.int64, np.uint32, seed=9)
+    tier(True)
+    got, engine = _sort_file(tmpdir, "native", layout, path, budget)
+    assert engine == "native"
+    assert got == _reference(layout, path, "auto")

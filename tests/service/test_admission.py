@@ -19,7 +19,7 @@ from repro.service.admission import (
 class TestPlanResidentBytes:
     def test_hybrid_charges_three_buffers(self):
         desc = InputDescriptor(n=1000, key_dtype=np.uint32)
-        plan = Planner().plan(desc)
+        plan = Planner(native="never").plan(desc)
         assert plan.strategy == "hybrid"
         assert plan_resident_bytes(plan) == BUFFERS_IN_PLACE * 4000
 

@@ -23,6 +23,7 @@ from repro.errors import (
 )
 from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
+from repro.plan import Planner
 from repro.resilience.policy import Deadline
 from repro.service import SortService
 from repro.service.driver import request_kwargs, serve_stream
@@ -44,9 +45,15 @@ def make_keys(n=20_000, seed=0):
     return rng.integers(0, 1 << 32, n, dtype=np.uint64).astype(np.uint32)
 
 
+def numpy_tier() -> Planner:
+    """A planner that keeps requests off the compiled tier, so faults
+    at the ``engine.hybrid`` rung are reached on every host."""
+    return Planner(native="never")
+
+
 async def submit_once(keys, *, service_kwargs=None, **submit_kwargs):
     async with SortService(
-        micro_batching=False, **(service_kwargs or {})
+        micro_batching=False, planner=numpy_tier(), **(service_kwargs or {})
     ) as service:
         result = await service.submit(keys, **submit_kwargs)
         return result, service.stats
@@ -190,7 +197,7 @@ class TestLoadShedding:
             # Degradation and retries off so every dispatch genuinely
             # fails — a persistent engine fault manufactures the storm.
             async with SortService(
-                degradation=False, retry_policy=None
+                degradation=False, retry_policy=None, planner=numpy_tier()
             ) as service:
                 with inject(FaultPlan.single("engine.hybrid", times=-1)):
                     for _ in range(8):
@@ -274,7 +281,12 @@ class TestDriverSurface:
             FaultPlan([FaultSpec(site="engine.hybrid", times=-1)])
         ):
             rc = run(
-                serve_stream(lines, out.append, micro_batching=False)
+                serve_stream(
+                    lines,
+                    out.append,
+                    micro_batching=False,
+                    planner=numpy_tier(),
+                )
             )
         responses = [json.loads(line) for line in out]
         assert rc == 0

@@ -63,7 +63,8 @@ class TestServeCli:
         assert response["ok"] and response["n"] == 5000
         assert "keys" not in response  # generated runs don't echo data
         assert len(response["checksum"]) == 16
-        assert response["strategy"] == "hybrid"
+        planned = repro.plan_for(np.zeros(5000, dtype=np.uint32))
+        assert response["strategy"] == planned.strategy
 
     def test_burst_of_small_requests_batches(self, tmp_path, capsys):
         lines = [

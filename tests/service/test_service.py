@@ -48,7 +48,7 @@ class TestBasics:
         result = run(main())
         assert bytes(result.keys) == bytes(repro.sort(keys).keys)
         assert result.meta["service"]["batch_size"] == 1
-        assert result.meta["plan"].strategy == "hybrid"
+        assert result.meta["plan"].strategy == repro.plan_for(keys).strategy
 
     def test_pairs_and_records(self, rng):
         from repro.core.pairs import make_records

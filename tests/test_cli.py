@@ -103,6 +103,7 @@ class TestPlanCommand:
         assert rc == 0
         assert "strategy        : external" in out
         assert "spill-runs" in out
+        assert "engine_note=" in out  # which engine sorts the runs, why
         assert "kway-merge" in out
 
     def test_missing_file_errors(self, tmp_path):
