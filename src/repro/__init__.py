@@ -9,9 +9,10 @@ Quickstart::
     keys = np.random.default_rng(0).integers(
         0, 2**32, 1 << 20, dtype=np.uint64
     ).astype(np.uint32)
-    result = repro.sort(keys)
+    result = repro.sort(keys)  # the planner picks the engine
     assert (result.keys[:-1] <= result.keys[1:]).all()
-    print(f"simulated Titan X time: {result.simulated_seconds * 1e3:.2f} ms")
+    sim = repro.sort(keys, native="never")  # the simulated hybrid engine
+    print(f"simulated Titan X time: {sim.simulated_seconds * 1e3:.2f} ms")
 
 The package layout mirrors the paper: :mod:`repro.core` is the hybrid
 MSD radix sort (§4), :mod:`repro.hetero` the pipelined heterogeneous
@@ -256,9 +257,10 @@ def sort(
     Every call routes through :class:`~repro.plan.planner.Planner`:
 
     * a NumPy array of any dtype with an order-preserving bijection
-      runs the in-memory hybrid sort (§4) and returns a
-      :class:`~repro.types.SortResult` whose ``meta["plan"]`` records
-      the executed plan;
+      sorts in memory — on the library rung (``np.sort`` over the
+      §4.6 bits), the compiled tier or the hybrid sort (§4) — and
+      returns a :class:`~repro.types.SortResult` whose
+      ``meta["plan"]`` records the executed plan;
     * an array with a ``memory_budget`` it does not fit runs the §5
       chunked pipeline (chunk sorts + k-way merge, bit-identical
       output);
@@ -272,14 +274,15 @@ def sort(
     scatter/merge, :mod:`repro.shard`); the output is byte-identical
     for any worker or shard count.
 
-    ``native=`` controls the compiled kernel tier (``"auto"``, the
-    default, prefers it for large in-memory inputs and for a file's
-    run sorts when the extension is available; ``"never"`` pins the
-    simulated NumPy engines — the ones that produce a trace and
-    simulated seconds, and the choice ``"auto"`` makes when a
-    ``device=`` is given; ``"always"`` forces the native tier, which
-    still degrades gracefully when the extension is missing).  Every
-    tier is byte-identical.
+    ``native=`` is the engine policy (``"auto"``, the default, sends
+    keys and pairs of at most 32-bit keys to the library rung, and
+    other pairs and a file's run sorts to the compiled tier when the
+    extension is available; ``"never"`` pins the simulated NumPy
+    engines — the ones that produce a trace and simulated seconds,
+    and the choice ``"auto"`` makes when a ``device=`` is given;
+    ``"always"`` forces the native tier, which still degrades
+    gracefully when the extension is missing).  Every tier is
+    byte-identical.
     """
     if isinstance(data, (str, os.PathLike)):
         if shards is not None and shards > 1:

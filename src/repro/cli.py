@@ -520,6 +520,8 @@ def cmd_calibrate(args) -> int:
             print(f"native tier {layout:12s}: {rate(bandwidth)}")
     else:
         print("native tier            : unavailable (probe skipped)")
+    for layout, bandwidth in sorted(profile["library_bandwidth"].items()):
+        print(f"library rung {layout:11s}: {rate(bandwidth)}")
     print(
         f"stable argsort         : "
         f"{profile['local_sort_keys_per_s'] / 1e6:.2f} Mkeys/s"

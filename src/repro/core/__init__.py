@@ -24,6 +24,9 @@ Module map (paper section in parentheses):
   block bounds I1–I4, memory requirements M1–M5.
 * :mod:`repro.core.pairs` — key-value layouts and de/re-composition
   (§4.6).
+* :mod:`repro.core.library` — the library rung: NumPy's ``np.sort``
+  over the §4.6 bits, the host's strongest competitor, routed to where
+  it is byte-identical and faster.
 """
 
 from repro.core.adaptive import AdaptiveSorter

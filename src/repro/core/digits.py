@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import as_uint, narrow_uint_dtype
+from repro.core.pairs import index_packable
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -27,6 +28,9 @@ __all__ = [
     "NATIVE_LOCAL_SORT_MAX",
     "native_finish_widths",
     "native_pass_plan",
+    "native_pairs_pass_plan",
+    "native_split_width",
+    "native_runs_pairs_kernel",
     "native_traffic",
 ]
 
@@ -184,19 +188,90 @@ def native_pass_plan(sort_bits: int, n: int) -> tuple[int, tuple[int, ...]]:
     return msd_width, native_finish_widths(bucket, sort_bits - msd_width)
 
 
+def native_split_width(n: int, bits: int) -> int:
+    """Width of one further MSD split of a pairs-kernel bucket.
+
+    The smallest ``w`` with ``2**w >= n`` — sub-buckets of uniform keys
+    then hold about one key — capped at :data:`NATIVE_INNER_BITS` and
+    at ``bits``: the C side's ``split_width``, step for step.
+
+    >>> native_split_width(1024, 53), native_split_width(1025, 53)
+    (10, 11)
+    >>> native_split_width(1 << 20, 53), native_split_width(100, 4)
+    (11, 4)
+    """
+    w = 1
+    while w < NATIVE_INNER_BITS and (1 << w) < n:
+        w += 1
+    return min(w, bits)
+
+
+def native_pairs_pass_plan(
+    sort_bits: int, n: int
+) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """Digit schedule of the native *pairs* kernel for ``n`` records.
+
+    Returns ``(msd_width, split_widths, inner_widths)``.  The pairs
+    kernel partitions like the others (:func:`native_pass_plan`), then
+    splits a bucket further by MSD digits of
+    :func:`native_split_width` bits while it holds more than
+    :data:`NATIVE_LOCAL_SORT_MAX` keys and has more than
+    :data:`NATIVE_INNER_BITS` bits left, and finishes the sub-bucket
+    with :func:`native_finish_widths` — the paper's §4 recursion.
+    Bucket sizes are those of uniform keys.
+
+    >>> native_pairs_pass_plan(64, 1 << 21)   # 1024-key buckets
+    (11, (10,), ())
+    >>> native_pairs_pass_plan(64, 1 << 30)   # 2^19-key buckets
+    (11, (11, 8), ())
+    >>> native_pairs_pass_plan(16, 1 << 20)
+    (0, (), (8, 8))
+    """
+    msd_width, inner = native_pass_plan(sort_bits, n)
+    if not msd_width:
+        return 0, (), inner
+    bucket, bits, splits = -(-n >> msd_width), sort_bits - msd_width, []
+    while bucket > NATIVE_LOCAL_SORT_MAX and bits > NATIVE_INNER_BITS:
+        w = native_split_width(bucket, bits)
+        splits.append(w)
+        bits -= w
+        bucket = -(-bucket >> w)
+    return msd_width, tuple(splits), native_finish_widths(bucket, bits)
+
+
+def native_runs_pairs_kernel(
+    key_bits: int, n: int, has_values: bool, pair_packing: str = "auto"
+) -> bool:
+    """Whether a native sort of this layout runs the pairs kernel.
+
+    Pairs that neither index-pack nor fuse — 64-bit keys, or packing
+    ``"off"`` — ride the dual-array kernel (the ``split`` and
+    ``decomposed`` modes of ``NativeRadixEngine``); everything else
+    sorts one word array through the u32/u64 kernels.
+    """
+    if not has_values or pair_packing == "fused":
+        return False
+    return pair_packing == "off" or not index_packable(key_bits, n)
+
+
 def native_traffic(
-    sort_bits: int, n: int, record_bytes: int
+    sort_bits: int, n: int, record_bytes: int, pairs: bool = False
 ) -> tuple[int, int]:
     """``(counting passes, bytes moved)`` of one native sort.
 
     Each counting pass reads the records for its histogram and reads
     and writes them for its scatter (3x traffic); buckets that finish
-    in an insertion sort read and write them once more.  The planner
-    prices native steps with it and the host profile's native probe
-    divides by it, so the two agree by construction.
+    in an insertion sort read and write them once more.  ``pairs``
+    selects the pairs kernel's schedule
+    (:func:`native_pairs_pass_plan`).  The planner prices native steps
+    with it and the host profile's native probe divides by it, so the
+    two agree by construction.
     """
-    msd_width, inner = native_pass_plan(sort_bits, n)
-    passes = (1 if msd_width else 0) + len(inner)
+    if pairs:
+        msd_width, splits, inner = native_pairs_pass_plan(sort_bits, n)
+    else:
+        (msd_width, inner), splits = native_pass_plan(sort_bits, n), ()
+    passes = (1 if msd_width else 0) + len(splits) + len(inner)
     per_record = 3 * passes + (0 if inner else 2)
     return passes, per_record * n * record_bytes
 

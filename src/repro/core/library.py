@@ -1,0 +1,114 @@
+"""The library rung: NumPy's own sort over the §4.6 bits.
+
+The strongest sort on a CPU host is usually the one the array library
+ships: NumPy's ``np.sort`` dispatches ``uint32``/``uint64`` arrays to
+vectorised (SIMD) sorting networks.  Measured on the 2-CPU reference
+host it beats the compiled counting-scatter on keys-only arrays and on
+index-packed pairs at every size from 2^8 to 2^21
+(``docs/performance.md``, "Routing"), so the planner sends those
+layouts here:
+
+* **keys only** — :func:`~repro.core.keys.to_sortable_bits`, one
+  in-place ``np.sort``, and the inverse bijection (a free view for
+  unsigned dtypes).
+* **pairs whose keys index-pack** (at most 32 bits) — key bits and row
+  index pack into one ``uint64`` word
+  (:func:`~repro.core.pairs.pack_key_index`), the words sort, and the
+  unpacked index gathers the values once.  Every packed word is
+  unique, so the unstable sort is exactly a stable sort of the keys.
+
+Both are byte-identical to every other engine by construction.  Pairs
+with 64-bit keys do not index-pack; NumPy's only stable choice for
+them is an argsort, which the compiled tier beats, so they stay off
+this rung (:func:`library_serves`).
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from repro.core.keys import bits_dtype_for, from_sortable_bits, to_sortable_bits
+from repro.core.pairs import index_packable, pack_key_index, unpack_key_index
+from repro.errors import ConfigurationError
+from repro.types import SortResult
+
+__all__ = ["library_serves", "library_sort"]
+
+
+def library_serves(
+    key_bits: int, n: int, has_values: bool, pair_packing: str = "auto"
+) -> bool:
+    """Whether the library rung sorts this layout byte-identically.
+
+    32- and 64-bit keys qualify; pairs qualify when their keys
+    index-pack and the packing policy (``"auto"`` or ``"index"``)
+    orders ties by input position.
+    Narrow 8/16-bit keys stay off the rung: every in-memory engine
+    refuses them (they are file-only, widened by the run writer), and
+    a rung must not change which inputs succeed.
+
+    >>> library_serves(64, 1 << 20, has_values=False)
+    True
+    >>> library_serves(16, 1 << 20, has_values=False)
+    False
+    >>> library_serves(32, 1 << 20, has_values=True)
+    True
+    >>> library_serves(64, 1 << 20, has_values=True)
+    False
+    >>> library_serves(32, 1 << 20, True, pair_packing="fused")
+    False
+    """
+    if key_bits not in (32, 64):
+        return False
+    if not has_values:
+        return True
+    return pair_packing in ("auto", "index") and index_packable(key_bits, n)
+
+
+def library_sort(
+    keys: np.ndarray, values: np.ndarray | None = None, config=None
+) -> SortResult:
+    """Sort ``keys`` (with optional parallel ``values``) with ``np.sort``.
+
+    ``config`` only has to describe the input's layout, as for every
+    engine; a mismatch is a :class:`~repro.errors.ConfigurationError`.
+    So are pairs the rung cannot serve (64-bit keys), which the planner
+    never routes here.
+    """
+    keys = np.asarray(keys)
+    if keys.ndim != 1:
+        raise ConfigurationError("keys must be one-dimensional")
+    if values is not None:
+        values = np.asarray(values)
+        if values.shape != keys.shape:
+            raise ConfigurationError("values must parallel keys")
+    key_bits = bits_dtype_for(keys.dtype).itemsize * 8
+    value_bits = 0 if values is None else values.dtype.itemsize * 8
+    if config is not None and (
+        config.key_bits != key_bits or config.value_bits != value_bits
+    ):
+        raise ConfigurationError(
+            f"config is for {config.key_bits}/{config.value_bits}-bit "
+            f"records; got {key_bits}/{value_bits}-bit input"
+        )
+    bits = to_sortable_bits(keys)  # a fresh array: safe to sort in place
+    if values is None:
+        bits.sort()
+        sorted_values = None
+    else:
+        if not index_packable(key_bits, bits.size):
+            raise ConfigurationError(
+                f"the library rung sorts pairs of at most 32-bit keys; "
+                f"got {key_bits}-bit keys"
+            )
+        packed = pack_key_index(bits, key_bits)
+        packed.sort()
+        bits, perm = unpack_key_index(packed, key_bits)
+        sorted_values = values[perm]
+    if keys.dtype.kind == "u":
+        out_keys = bits.view(keys.dtype)
+    else:
+        out_keys = from_sortable_bits(bits, keys.dtype)
+    return SortResult(
+        keys=out_keys, values=sorted_values, meta={"engine": "library"}
+    )

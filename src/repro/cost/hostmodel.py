@@ -96,6 +96,18 @@ class HostCostModel:
             return self.counting_seconds(descriptor, bytes_moved)
         return bytes_moved / bw
 
+    def library_seconds(self, descriptor, bytes_moved: int) -> float:
+        """Seconds for a library-rung ``np.sort``; the measured stable
+        sort rate when the profile predates the library probe."""
+        bw = self._layout_bandwidth(
+            self.profile.library_bandwidth,
+            descriptor.key_bits,
+            descriptor.value_bits,
+        )
+        if bw is None:
+            return self.local_sort_seconds(descriptor.n)
+        return bytes_moved / bw
+
     def local_sort_seconds(self, n: int) -> float:
         """One stable sort of ``n`` records (local-sort / LSD fallback)."""
         return max(1, n) / self.profile.local_sort_keys_per_s

@@ -15,6 +15,9 @@ the constants on the host that will actually execute the plans:
   ``bytes_moved / bandwidth`` is exact at the probe size;
 * the native compiled tier (when the extension loads) through its
   ``3·passes·n·record_bytes`` formula;
+* the library rung (one ``np.sort`` over the §4.6 bits per layout it
+  serves) through the ``2·n·record_bytes`` formula its
+  ``library-sort`` steps are priced with;
 * the stable-argsort rate that prices local sorts and the LSD
   fallback, and the pack/unpack bandwidth of the pair-packing layer;
 * the external sorter's run-spill and streaming k-way-merge rates;
@@ -58,6 +61,7 @@ __all__ = [
     "run_probes",
     "probe_counting_scatter",
     "probe_native",
+    "probe_library",
     "probe_local_sort",
     "probe_pack",
     "probe_external",
@@ -137,6 +141,9 @@ class HostProfile:
     fingerprint: str = ""
     schema: int = PROFILE_SCHEMA
     extras: Mapping[str, Any] = field(default_factory=dict)
+    #: Optional: profiles written before the library probe lack it, and
+    #: the cost model then prices library steps by the stable-sort rate.
+    library_bandwidth: Mapping[str, float] = field(default_factory=dict)
 
     @property
     def cpu_count(self) -> int:
@@ -163,8 +170,9 @@ class HostProfile:
         if not isinstance(counting, Mapping) or not counting:
             raise ProfileError("counting_bandwidth must be a non-empty map")
         for name in ("counting_bandwidth", "native_bandwidth",
-                     "thread_speedup", "shard_speedup"):
-            table = data[name]
+                     "library_bandwidth", "thread_speedup",
+                     "shard_speedup"):
+            table = data.get(name, {})
             if not isinstance(table, Mapping):
                 raise ProfileError(f"{name} must be a map")
             for key, value in table.items():
@@ -177,7 +185,9 @@ class HostProfile:
             value = data[name]
             if not isinstance(value, (int, float)) or value <= 0:
                 raise ProfileError(f"{name} must be a positive number")
-        known = set(_REQUIRED_FIELDS) | {"schema", "fingerprint"}
+        known = set(_REQUIRED_FIELDS) | {
+            "schema", "fingerprint", "library_bandwidth",
+        }
         extras = {k: v for k, v in data.items() if k not in known}
         return cls(
             created=float(data["created"]),
@@ -185,6 +195,7 @@ class HostProfile:
             probes=dict(data["probes"]),
             counting_bandwidth=dict(counting),
             native_bandwidth=dict(data["native_bandwidth"]),
+            library_bandwidth=dict(data.get("library_bandwidth", {})),
             local_sort_keys_per_s=float(data["local_sort_keys_per_s"]),
             pack_bandwidth=float(data["pack_bandwidth"]),
             spill_bandwidth=float(data["spill_bandwidth"]),
@@ -203,6 +214,7 @@ class HostProfile:
             "probes": dict(self.probes),
             "counting_bandwidth": dict(self.counting_bandwidth),
             "native_bandwidth": dict(self.native_bandwidth),
+            "library_bandwidth": dict(self.library_bandwidth),
             "local_sort_keys_per_s": self.local_sort_keys_per_s,
             "pack_bandwidth": self.pack_bandwidth,
             "spill_bandwidth": self.spill_bandwidth,
@@ -399,7 +411,7 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
     status = native_status(warn=False)
     if not status.available:
         return {"native_bandwidth": {}}
-    from repro.core.digits import native_traffic
+    from repro.core.digits import native_runs_pairs_kernel, native_traffic
     from repro.native.engine import NativeRadixEngine
 
     table: dict[str, float] = {}
@@ -408,9 +420,33 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
         engine = NativeRadixEngine()
         seconds = _best_seconds(lambda: engine.sort(keys, values), repeats)
         record_bytes = key_bits // 8 + value_bits // 8
-        _, bytes_moved = native_traffic(key_bits, n, record_bytes)
+        pairs = native_runs_pairs_kernel(key_bits, n, value_bits > 0)
+        _, bytes_moved = native_traffic(key_bits, n, record_bytes, pairs)
         table[layout_key(key_bits, value_bits)] = bytes_moved / seconds
     return {"native_bandwidth": table}
+
+
+def probe_library(n: int, repeats: int, rng: np.random.Generator) -> dict:
+    """Library-rung bandwidth per layout it serves.
+
+    One ``np.sort`` over the §4.6 bits (index-packed for pairs) per
+    layout, divided into the ``2·n·record_bytes`` traffic the planner
+    prices ``library-sort`` steps with.  Pairs with 64-bit keys never
+    take the rung, so they are not probed.
+    """
+    from repro.core.library import library_serves, library_sort
+
+    table: dict[str, float] = {}
+    for key_bits, value_bits in PROBE_LAYOUTS:
+        if not library_serves(key_bits, n, value_bits > 0):
+            continue
+        keys, values = _probe_arrays(rng, n, key_bits, value_bits)
+        seconds = _best_seconds(lambda: library_sort(keys, values), repeats)
+        record_bytes = key_bits // 8 + value_bits // 8
+        table[layout_key(key_bits, value_bits)] = (
+            2 * n * record_bytes / seconds
+        )
+    return {"library_bandwidth": table}
 
 
 def probe_local_sort(n: int, repeats: int, rng: np.random.Generator) -> dict:
@@ -562,6 +598,7 @@ def run_probes(
     }
     profile.update(probe_counting_scatter(n, repeats, rng))
     profile.update(probe_native(n, repeats, rng))
+    profile.update(probe_library(n, repeats, rng))
     profile.update(probe_local_sort(n, repeats, rng))
     profile.update(probe_pack(n, repeats, rng))
     # Disk and process probes carry real fixed costs (temp files, run

@@ -8,7 +8,9 @@ bandwidth-shaped kernel:
 * **MSD partition first.**  Wide words take one 11-bit MSD partition
   pass (2048 buckets), after which every bucket is small enough that
   the remaining LSD passes scatter into a cache-resident region.  This
-  is the paper's own MSD-then-finish structure collapsed to two levels.
+  is the paper's own MSD-then-finish structure collapsed to two levels;
+  the pairs kernel keeps partitioning a bucket by MSD digits until it
+  fits a local sort or one LSD digit, as the paper's §4 hybrid does.
 * **Software write-combining.**  The one scatter that *does* span the
   full output array — the MSD partition — goes through per-bucket
   write-combining buffers flushed in cache-line-multiple (128-byte)
@@ -84,7 +86,11 @@ C_SOURCE = r"""
  *     (11-bit digits from a few hundred keys up).
  *
  * Narrower ranges, and inputs of at most LOCAL_SORT_MAX keys, skip the
- * partition and finish the same way.
+ * partition and finish the same way.  The pairs kernel, whose buckets
+ * carry 64-bit keys and a payload lane, first splits a bucket further
+ * by MSD digits of about log2(bucket) bits (msd_pairs, mirrored by
+ * repro.core.digits.native_pairs_pass_plan) and finishes as above
+ * only once a sub-bucket fits LOCAL_SORT_MAX or INNER_BITS.
  *
  * All kernels sort bits [lo_bit, width) of the word and are *stable*:
  * equal keys keep their input order, which is what lets the Python
@@ -438,7 +444,69 @@ static int inner_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
     return cur;
 }
 
-/* Sort (k, v) pairs by bits [lo_bit, 64) of k, v riding along.
+/* Digit width of one further MSD split of a pairs bucket: the
+ * smallest w with 2^w >= n, so the sub-buckets of uniform keys hold
+ * about one key each, capped at INNER_BITS and at the bits left. */
+static int split_width(int64_t n, int bits)
+{
+    int w = 1;
+    while (w < INNER_BITS && ((int64_t)1 << w) < n)
+        w++;
+    return w < bits ? w : bits;
+}
+
+/* Finish (k, v) pairs on bits [lo, lo+bits) the way the paper's §4
+ * hybrid does: further MSD partitions, each split_width bits wide
+ * (a constant digit moves nothing and is skipped), until a sub-bucket
+ * holds at most LOCAL_SORT_MAX keys or has at most INNER_BITS bits
+ * left; inner_pairs finishes it.  Same buffer contract as inner_pairs.
+ * Recursion depth is bounded by bits / 6 (w >= 6 while n > 32). */
+static int msd_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
+                     uint64_t *vt, int64_t n, int lo, int bits)
+{
+    int64_t cnt[INNER_RADIX];
+    while (n > LOCAL_SORT_MAX && bits > INNER_BITS) {
+        int w = split_width(n, bits), shift = lo + bits - w;
+        unsigned radix = 1u << w, d;
+        uint64_t mask = radix - 1;
+        int64_t i, base = 0;
+        int trivial = 0;
+        bits -= w;
+        memset(cnt, 0, radix * sizeof(int64_t));
+        for (i = 0; i < n; i++)
+            cnt[(k[i] >> shift) & mask]++;
+        for (d = 0; d < radix; d++) {
+            int64_t c = cnt[d];
+            if (c == n)
+                trivial = 1;
+            cnt[d] = base;
+            base += c;
+        }
+        if (trivial)
+            continue;
+        for (i = 0; i < n; i++) {
+            int64_t p = cnt[(k[i] >> shift) & mask]++;
+            kt[p] = k[i];
+            vt[p] = v[i];
+        }
+        /* cnt[d] now ends sub-bucket d; finish each one in (kt, vt) */
+        base = 0;
+        for (d = 0; d < radix; d++) {
+            int64_t c = cnt[d] - base;
+            if (c > 1 && msd_pairs(kt + base, k + base, vt + base,
+                                   v + base, c, lo, bits) != 0) {
+                memcpy(kt + base, k + base, (size_t)c * 8);
+                memcpy(vt + base, v + base, (size_t)c * 8);
+            }
+            base = cnt[d];
+        }
+        return 1;
+    }
+    return inner_pairs(k, kt, v, vt, n, lo, bits);
+}
+
+/* Sort (k, v) pairs by bits [lo_bit, 64) of k, v riding along: the
+ * MSD partition, then msd_pairs per bucket.
  * Returns 0 if the result is in (k, v), 1 if in (kt, vt), negative on
  * error. */
 int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
@@ -469,7 +537,7 @@ int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
         return -1;
     for (d = 0; d < MSD_RADIX; d++)
         if (hist[d] == n)
-            return inner_pairs(k, kt, v, vt, n, lo_bit, msd_lo - lo_bit);
+            return msd_pairs(k, kt, v, vt, n, lo_bit, msd_lo - lo_bit);
     wck = malloc(MSD_RADIX * WC_LINE_BYTES);
     wcv = malloc(MSD_RADIX * WC_LINE_BYTES);
     wc_n = calloc(MSD_RADIX, sizeof(int));
@@ -506,8 +574,8 @@ int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
         int64_t c = hist[d], s0 = start[d];
         if (c <= 1)
             continue;
-        if (inner_pairs(kt + s0, k + s0, vt + s0, v + s0, c,
-                        lo_bit, msd_lo - lo_bit) != 0) {
+        if (msd_pairs(kt + s0, k + s0, vt + s0, v + s0, c,
+                      lo_bit, msd_lo - lo_bit) != 0) {
             memcpy(kt + s0, k + s0, (size_t)c * 8);
             memcpy(vt + s0, v + s0, (size_t)c * 8);
         }

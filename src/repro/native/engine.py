@@ -17,9 +17,9 @@ compiled C kernels of :mod:`repro.native.build`:
     pipeline — the same proof the NumPy packed engine rests on.
 ``split`` layout (64-bit keys)
     The hybrid engine's two-stage split composes to a full 64-bit
-    stable argsort, so the native side runs the dual-array pairs kernel
-    over the whole word with a row-index payload and reads the
-    permutation straight out of the payload lane.
+    stable sort, so the native side runs the dual-array pairs kernel
+    over the whole word with the values (widened to 8 bytes when
+    narrower) in the payload lane, and returns both sorted lanes.
 ``fused`` packing
     The fused word (key high, value low) sorts whole, matching the
     hybrid engine's by-value tie-break.
@@ -140,11 +140,10 @@ class NativeRadixEngine:
             )
         elif mode == "split":
             # The hybrid split (high-word packed sort + low-word
-            # refinement) composes to the full 64-bit stable argsort,
-            # whatever sort_bits says — mirror that exactly.
-            perm = self._stable_argsort(bits.astype(np.uint64), 0)
-            sorted_bits = bits[perm]
-            sorted_values = values[perm]
+            # refinement) composes to the full 64-bit stable sort,
+            # whatever sort_bits says — mirror that exactly, with the
+            # values riding the payload lane: no permutation, no gather.
+            sorted_bits, sorted_values = self._sort_pairs(bits, values)
         else:  # mode == "decomposed" with values present
             shifted = bits.astype(np.uint64)
             shifted <<= np.uint64(64 - config.key_bits)
@@ -271,6 +270,19 @@ class NativeRadixEngine:
             )
         return a if rc == 0 else b
 
+    def _sort_pairs(
+        self, bits: np.ndarray, values: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Stable sort of 64-bit key ``bits`` with ``values`` riding the
+        payload lane; returns the sorted ``(bits, values)``."""
+        width = values.dtype.itemsize
+        raw = values.view(f"u{width}")
+        payload = raw.astype(np.uint64)  # a fresh lane, widened if narrow
+        keys, payload = self._run_pairs(bits, payload, 0)
+        if width != 8:
+            payload = payload.astype(raw.dtype)
+        return keys, payload.view(values.dtype)
+
     def _stable_argsort(
         self, key_words: np.ndarray, lo_bit: int
     ) -> np.ndarray:
@@ -279,9 +291,19 @@ class NativeRadixEngine:
         The payload lane carries 0..n-1; because the kernel is stable,
         the sorted payload *is* the stable sorting permutation.
         """
+        _, perm = self._run_pairs(
+            key_words, np.arange(key_words.size, dtype=np.uint64), lo_bit
+        )
+        return perm.astype(np.int64)
+
+    def _run_pairs(
+        self, key_words: np.ndarray, payload: np.ndarray, lo_bit: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        # As for _run_u64, both lanes are engine-owned: the kernel may
+        # ping-pong in place.
         k = np.ascontiguousarray(key_words, dtype=np.uint64)
         kt = np.empty_like(k)
-        v = np.arange(k.size, dtype=np.uint64)
+        v = payload
         vt = np.empty_like(v)
         rc = self._lib.repro_native_sort_u64_pairs(
             self._ffi.cast("uint64_t *", k.ctypes.data),
@@ -295,4 +317,4 @@ class NativeRadixEngine:
             raise NativeExecutionError(
                 f"repro_native_sort_u64_pairs returned {rc}"
             )
-        return (v if rc == 0 else vt).astype(np.int64)
+        return (k, v) if rc == 0 else (kt, vt)

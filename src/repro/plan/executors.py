@@ -269,6 +269,23 @@ def _execute_native(
     return result
 
 
+def _execute_library(
+    plan: SortPlan,
+    keys: np.ndarray,
+    values: np.ndarray | None = None,
+    config=None,
+    **_: object,
+) -> SortResult:
+    """The library rung: one ``np.sort`` over the §4.6 bits
+    (:mod:`repro.core.library`).  Above ``hybrid`` on the degradation
+    ladder, so a failure degrades to the radix engines."""
+    from repro.core.library import library_sort
+
+    result = library_sort(keys, values, config)
+    result.meta["plan"] = plan
+    return result
+
+
 def _execute_oracle(
     plan: SortPlan,
     keys: np.ndarray,
@@ -303,6 +320,7 @@ DEFAULT_REGISTRY.register("hetero", _execute_hetero)
 DEFAULT_REGISTRY.register("external", _execute_external)
 DEFAULT_REGISTRY.register("sharded", _execute_sharded)
 DEFAULT_REGISTRY.register("native", _execute_native)
+DEFAULT_REGISTRY.register("library", _execute_library)
 DEFAULT_REGISTRY.register("oracle", _execute_oracle)
 
 

@@ -1,14 +1,14 @@
 """The sort-plan intermediate representation.
 
 A :class:`SortPlan` is an ordered sequence of :class:`PlanStep` records
-— ``local-sort``, ``hybrid-msd``, ``lsd-fallback``, ``chunked-pipeline``,
-``spill-runs``, ``kway-merge`` — each annotated with sizing facts and a
-predicted cost.  The plan is *inspectable* (``explain()``, the
-``repro plan`` CLI verb), *serialisable* (``to_dict()`` — what the
-bench harness records), and *executable* (the executor registry in
-:mod:`repro.plan.executors` maps its strategy onto an engine).  The
-planner only ever describes work here; no step constructor moves a
-byte of input data.
+— ``library-sort``, ``native-lsd``, ``hybrid-msd``, ``spill-runs``,
+``kway-merge`` and the other :data:`STEP_KINDS` — each annotated with
+sizing facts and a predicted cost.  The plan is *inspectable*
+(``explain()``, the ``repro plan`` CLI verb), *serialisable*
+(``to_dict()`` — what the bench harness records), and *executable*
+(the executor registry in :mod:`repro.plan.executors` maps its
+strategy onto an engine).  The planner only ever describes work here;
+no step constructor moves a byte of input data.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ STEP_KINDS = MappingProxyType({
     "shard-sort": "per-shard sorts across worker processes",
     "shard-merge": "bits-space k-way reduce of sorted shards",
     "native-lsd": "compiled counting-scatter passes (§4 in C, WC buffers)",
+    "library-sort": "one np.sort over the §4.6 bits (index-packed pairs)",
 })
 
 
@@ -80,9 +81,9 @@ class SortPlan:
     descriptor:
         The :class:`~repro.plan.descriptor.InputDescriptor` planned for.
     strategy:
-        Which executor family runs the plan: ``"hybrid"``,
-        ``"fallback"``, ``"hetero"``, ``"external"``, or
-        ``"sharded"``.
+        Which executor family runs the plan: ``"library"``,
+        ``"native"``, ``"hybrid"``, ``"fallback"``, ``"hetero"``,
+        ``"external"``, or ``"sharded"``.
     engine:
         Human-readable engine name (class that executes the plan).
     steps:

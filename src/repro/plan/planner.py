@@ -18,9 +18,12 @@ absorbs all of those decisions into a single code path that maps an
 * **small arrays under an adaptive policy** fall back to the LSD
   baseline (§6.1's case distinction — the crossover constants live
   here and ``AdaptiveSorter`` delegates to them);
-* **everything else** is one in-memory hybrid MSD sort (§4), planned
-  as a single ``local-sort`` step when the whole input fits one
-  on-chip sort.
+* **keys, and pairs whose keys index-pack,** run the library rung:
+  one ``np.sort`` over the §4.6 bits (:mod:`repro.core.library`);
+* **everything else** is one in-memory radix sort: the compiled
+  counting-scatter (:mod:`repro.native`) when it is built, else the
+  hybrid MSD sort (§4), planned as a single ``local-sort`` step when
+  the whole input fits one on-chip sort.
 
 Planning never touches input data: every decision is a function of the
 descriptor alone, so plans are deterministic, cheap, and serialisable.
@@ -118,15 +121,18 @@ class Planner:
         Chunk-buffer accounting for budgeted plans: three buffers with
         the Figure 5 layout, four without.
     native:
-        Native compiled-tier policy.  ``"auto"`` (default) prefers the
-        compiled counting-scatter for in-memory numeric inputs — and
-        file run sorts — of at least :data:`NATIVE_MIN_KEYS` records
-        when the once-per-process availability probe succeeds and the
+        Engine policy for in-memory inputs.  ``"auto"`` (default)
+        sends every layout the library rung serves (keys, and pairs
+        whose keys index-pack) to ``np.sort`` over the §4.6 bits, and
+        prefers the compiled counting-scatter for the rest — 64-bit-key
+        pairs, ``"fused"``/``"off"`` packing — and for file run sorts,
+        from :data:`NATIVE_MIN_KEYS` records up, when the
+        once-per-process availability probe succeeds and the
         configuration is one the tier supports; ``"never"`` keeps every
-        plan on the NumPy tiers; ``"always"`` plans the native tier
-        for any in-memory input or run regardless of the probe (the
-        executor degrades typed when the tier is missing — what
-        ``repro sort --engine native`` relies on).
+        plan on the simulated NumPy engines; ``"always"`` plans the
+        native tier for any in-memory input or run regardless of the
+        probe (the executor degrades typed when the tier is missing —
+        what ``repro sort --engine native`` relies on).
     profile:
         Host-calibration policy.  ``"auto"`` (default) loads the
         calibrated :class:`~repro.cost.hostprofile.HostProfile` from
@@ -227,10 +233,35 @@ class Planner:
             descriptor.n, descriptor.has_values
         ):
             return self._plan_fallback(descriptor)
+        if self._library_choice(descriptor):
+            return self._plan_library(descriptor)
         use_native, note = self._native_choice(descriptor)
         if use_native:
             return self._plan_native(descriptor, note)
         return self._plan_hybrid(descriptor, note)
+
+    def _library_choice(self, descriptor: InputDescriptor) -> bool:
+        """Whether an in-memory plan runs on the library rung.
+
+        Under ``native="auto"`` every layout the rung serves
+        byte-identically goes there (keys, and pairs whose keys
+        index-pack under ``"auto"``/``"index"`` packing), compiled
+        tier built or not: ``np.sort`` outran the native kernel on
+        those layouts at every size measured (docs/performance.md,
+        "Routing").  An explicit ``sort_bits`` and a pinned ``native=``
+        policy keep today's engines.
+        """
+        from repro.core.library import library_serves
+
+        if self.native != "auto":
+            return False
+        config = self._config_for(descriptor)
+        return config.sort_bits is None and library_serves(
+            descriptor.key_bits,
+            descriptor.n,
+            descriptor.has_values,
+            config.pair_packing,
+        )
 
     def _native_choice(
         self, descriptor: InputDescriptor
@@ -325,6 +356,41 @@ class Planner:
                 f"counting-scatter with write-combined MSD partition"
             ),
             notes=(note,),
+            cost_source=self._cost_source,
+            profile_fingerprint=self._fingerprint,
+        )
+
+    def _plan_library(self, descriptor: InputDescriptor) -> SortPlan:
+        """One ``np.sort`` over the §4.6 bits (index-packed for pairs)."""
+        n = descriptor.n
+        bytes_moved = 2 * descriptor.total_bytes
+        if self.host is not None:
+            seconds = self.host.library_seconds(descriptor, bytes_moved)
+        else:
+            seconds = bytes_moved / descriptor.spec.effective_bandwidth
+        packing = "index" if descriptor.has_values else "keys"
+        step = PlanStep(
+            kind="library-sort",
+            params={"n": n, "packing": packing},
+            predicted_seconds=seconds,
+            bytes_moved=bytes_moved,
+        )
+        words = (
+            "key|row-index words" if descriptor.has_values else "key bits"
+        )
+        return SortPlan(
+            descriptor=descriptor,
+            strategy="library",
+            engine="numpy.sort",
+            steps=(step,),
+            reason=(
+                f"{n:,} in-memory records; np.sort over the §4.6 "
+                f"{words}"
+            ),
+            notes=(
+                "library rung selected: np.sort outruns the compiled "
+                "tier on this layout",
+            ),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,
         )
@@ -675,29 +741,44 @@ class Planner:
         :func:`repro.core.digits.native_traffic`, the Python mirror of
         the kernel's size-adapted schedule.
         """
-        from repro.core.digits import native_pass_plan, native_traffic
+        from repro.core.digits import (
+            native_pairs_pass_plan,
+            native_pass_plan,
+            native_runs_pairs_kernel,
+            native_traffic,
+        )
 
         # The engine sorts the key field of whichever word layout the
-        # pair packing selects; the partition/LSD schedule over the key
-        # bits is the same either way, so price that.
-        key_bits = self._config_for(descriptor).key_bits
-        msd_width, inner = native_pass_plan(key_bits, n)
+        # pair packing selects; the schedule over the key bits is the
+        # same either way, so price that — with the pairs kernel's
+        # further bucket splits when the layout runs it.
+        config = self._config_for(descriptor)
+        key_bits = config.key_bits
+        pairs = native_runs_pairs_kernel(
+            key_bits, n, descriptor.has_values, config.pair_packing
+        )
+        if pairs:
+            msd_width, splits, inner = native_pairs_pass_plan(key_bits, n)
+        else:
+            msd_width, inner = native_pass_plan(key_bits, n)
         passes, bytes_moved = native_traffic(
-            key_bits, n, descriptor.record_bytes
+            key_bits, n, descriptor.record_bytes, pairs=pairs
         )
         if self.host is not None:
             seconds = self.host.native_seconds(descriptor, bytes_moved)
         else:
             seconds = self._stream_seconds(descriptor, bytes_moved)
+        params = {
+            "n": n,
+            "expected_passes": passes,
+            "msd_bits": msd_width,
+            "inner_widths": "+".join(str(w) for w in inner) or "insertion",
+        }
+        if pairs:
+            params["split_widths"] = "+".join(str(w) for w in splits) or "none"
         return PlanStep(
             kind="native-lsd",
-            params={
-                "n": n,
-                "expected_passes": passes,
-                "msd_bits": msd_width,
-                "inner_widths": "+".join(str(w) for w in inner)
-                or "insertion",
-            },
+            params=params,
             predicted_seconds=seconds,
             bytes_moved=bytes_moved,
         )

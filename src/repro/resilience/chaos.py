@@ -305,10 +305,11 @@ def _shard_scenario(site: str, kind: str, n: int, seed: int) -> dict:
                    detail="absorbed, byte-identical")
 
 
-def _native_scenario(site: str, kind: str, n: int, seed: int) -> dict:
-    """Contain one fault on the compiled-tier rung.
+def _rung_scenario(site: str, kind: str, n: int, seed: int) -> dict:
+    """Contain one fault on a rung above ``hybrid`` (native, library).
 
-    Planned with ``Planner(native="always")`` so the ``native`` rung
+    ``engine.native`` plans with ``Planner(native="always")`` and
+    ``engine.library`` with the default planner, so the faulted rung
     heads the ladder on every host — the fault trips at the rung
     boundary (before any engine code), making the scenario
     deterministic whether or not the extension compiled.  The contract:
@@ -322,7 +323,8 @@ def _native_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     keys = _keys(n, seed)
     expected = _expected_bytes(keys)
     descriptor = InputDescriptor.for_array(keys)
-    plan = Planner(native="always").plan(descriptor)
+    native = "always" if site == "engine.native" else "auto"
+    plan = Planner(native=native).plan(descriptor)
     report: dict = {}
     with inject(FaultPlan.single(site, kind)) as fault_plan:
         try:
@@ -378,8 +380,8 @@ def run_chaos(
             results.append(_external_scenario(site, kind, n, seed))
         elif site.startswith("shard.") or site == "engine.sharded":
             results.append(_shard_scenario(site, kind, n, seed))
-        elif site == "engine.native":
-            results.append(_native_scenario(site, kind, n, seed))
+        elif site in ("engine.native", "engine.library"):
+            results.append(_rung_scenario(site, kind, n, seed))
         else:
             results.append(_service_scenario(site, kind, n, seed))
     return results

@@ -71,9 +71,9 @@ def fallback_chain(
 
     The planned strategy always runs first; in-memory strategies then
     append the declared ladder (minus rungs already tried) — a
-    ``"native"`` plan therefore walks native → hybrid → fallback →
-    oracle without the ladder itself naming the compiled tier (a
-    *hybrid* plan must never escalate upward to it).
+    ``"native"`` (or ``"library"``) plan therefore walks native →
+    hybrid → fallback → oracle without the ladder itself naming the
+    compiled tier (a *hybrid* plan must never escalate upward to it).
     ``external`` plans never change engine — a file sort's fallback is
     resume-from-manifest, not a different executor.
     """

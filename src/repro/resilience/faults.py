@@ -107,6 +107,10 @@ SITES: dict[str, str] = {
         "executor registry: the compiled counting-scatter rung "
         "(degrades to hybrid whether or not the extension exists)"
     ),
+    "engine.library": (
+        "executor registry: the np.sort library rung (keys and "
+        "index-packable pairs; degrades to hybrid)"
+    ),
     "shard.scatter": (
         "sharded router: partitioning input into per-shard memory slabs"
     ),

@@ -10,7 +10,9 @@ stable sorts composed with this merge equal one global stable sort,
 record for record.
 
 Merge **fan-in** follows the multiway-mergesort accounting of
-Gowanlock et al. (arXiv:1702.07961): a fan-in of ``F`` keeps ``F + 1``
+Casanova, Iacono, Karsin, Sitchinava and Weichert (arXiv:1702.07961,
+"An Efficient Multiway Mergesort for GPU Architectures"): a fan-in of
+``F`` keeps ``F + 1``
 blocks resident (one per input run, one output block), so the largest
 ``F`` whose buffers fit the merge budget minimises the number of
 passes (``ceil(log_F runs)``) without blowing the working set.  More
@@ -118,7 +120,7 @@ def choose_fan_in(
 
     ``F`` input blocks plus one output block must fit ``merge_budget``;
     the largest such ``F`` (floored at 2 — below that a merge cannot
-    make progress) minimises merge passes per the Gowanlock et al.
+    make progress) minimises merge passes per the Casanova et al.
     accounting.
     """
     if n_runs <= 1:

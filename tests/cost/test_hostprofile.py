@@ -19,6 +19,7 @@ from repro.cost.hostprofile import (
     load_host_profile,
     probe_counting_scatter,
     probe_external,
+    probe_library,
     probe_local_sort,
     probe_native,
     probe_pack,
@@ -98,6 +99,20 @@ class TestProfileObject:
 
     def test_layout_key(self):
         assert layout_key(32, 0) == "32/0"
+
+    def test_library_table_is_optional(self):
+        # Profiles written before the library probe still load.
+        assert HostProfile.from_dict(profile_doc()).library_bandwidth == {}
+        profile = HostProfile.from_dict(
+            profile_doc(library_bandwidth={"32/0": 9.0e8})
+        )
+        assert profile.library_bandwidth == {"32/0": 9.0e8}
+        assert "library_bandwidth" not in profile.extras
+        assert HostProfile.from_dict(profile.to_dict()) == profile
+        with pytest.raises(ProfileError, match="library_bandwidth"):
+            HostProfile.from_dict(
+                profile_doc(library_bandwidth={"32/0": 0.0})
+            )
         assert layout_key(64, 32) == "64/32"
 
 
@@ -211,6 +226,12 @@ class TestProbes:
             assert all(bw > 0 for bw in table.values())
         else:
             assert table == {}
+
+    def test_library_probe_covers_the_layouts_it_serves(self, rng):
+        table = probe_library(self.N, 1, rng)["library_bandwidth"]
+        # 64-bit-key pairs never take the library rung.
+        assert set(table) == {"32/0", "64/0", "32/32"}
+        assert all(bw > 0 for bw in table.values())
 
     def test_local_sort_probe(self, rng):
         out = probe_local_sort(self.N, 1, rng)

@@ -86,12 +86,22 @@ class TestImportSafety:
             [sys.executable, "-c", code], env=env, check=True, timeout=120
         )
 
+    #: Keys take the library rung, which needs no compiled tier;
+    #: 64-bit-key pairs would run native and fall back to hybrid.
+    SORTS = (
+        "k = np.arange(200_000, dtype=np.uint64)[::-1].copy();"
+        "r = repro.sort(k.astype(np.uint32));"
+        "assert r.meta['engine'] == 'library';"
+        "assert (r.keys[:-1] <= r.keys[1:]).all();"
+        "p = repro.sort_pairs(k, k);"
+        "assert p.meta['engine'] == 'hybrid';"
+        "assert (p.keys[:-1] <= p.keys[1:]).all();"
+        "assert (p.values == p.keys).all();"
+    )
+
     def test_import_and_sort_with_tier_disabled(self):
         self._run(
-            "import numpy as np, repro;"
-            "r = repro.sort(np.arange(200_000, dtype=np.uint32)[::-1].copy());"
-            "assert r.meta['engine'] == 'hybrid';"
-            "assert (r.keys[:-1] <= r.keys[1:]).all()",
+            "import numpy as np, repro;" + self.SORTS,
             {"REPRO_NATIVE": "0"},
         )
 
@@ -101,10 +111,8 @@ class TestImportSafety:
         self._run(
             "import warnings, numpy as np;"
             "warnings.simplefilter('always');"
-            "import repro;"
-            "r = repro.sort(np.arange(200_000, dtype=np.uint32)[::-1].copy());"
-            "assert r.meta['engine'] == 'hybrid';"
-            "assert repro.native_status(warn=False).reason"
+            "import repro;" + self.SORTS
+            + "assert repro.native_status(warn=False).reason"
             "       == 'cffi not installed'",
             {
                 "PYTHONPATH": f"{tmp_path}{os.pathsep}{REPO_SRC}",

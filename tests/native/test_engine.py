@@ -140,6 +140,31 @@ class TestPairParity:
         if n > 1:
             assert native.meta["packing"] == "split"
 
+    @pytest.mark.parametrize(
+        "value_dtype", [np.uint8, np.int16, np.float32, np.float64]
+    )
+    def test_split_payload_lane_carries_any_value_width(
+        self, value_dtype, rng
+    ):
+        # Values ride the pairs kernel's payload lane (widened to 8
+        # bytes when narrower) instead of a permutation and a gather.
+        n = 50_000
+        keys = rng.integers(-(1 << 62), 1 << 62, n, dtype=np.int64)
+        values = rng.integers(-100, 100, n).astype(value_dtype)
+        native = assert_identical(keys, values)
+        assert native.meta["packing"] == "split"
+        assert native.values.dtype == np.dtype(value_dtype)
+
+    def test_split_timestamp_like_keys(self, rng):
+        # Constant top digits over dense low ones: one MSD bucket holds
+        # everything, so the pairs kernel splits the whole array,
+        # skipping the constant digits.
+        n = 1 << 17
+        keys = (1_700_000_000_000_000 + rng.integers(0, 1 << 24, n)).astype(
+            np.uint64
+        )
+        assert_identical(keys, np.arange(n, dtype=np.uint64))
+
     def test_split_degenerate_high_words(self, rng):
         # Constant high 32 bits: the split path's worst case.
         n = 30_000

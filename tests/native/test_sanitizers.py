@@ -4,12 +4,14 @@ Compiles :data:`repro.native.build.C_SOURCE` together with a small C
 driver under ``gcc -fsanitize=address,undefined`` and runs the u32,
 u64 and pairs kernels over sizes around every schedule boundary (the
 insertion-sort cutoff, one full 11-bit digit, the old native floor,
-one benchmark run) and four key shapes.  Each output is compared with
+one benchmark run) and five key shapes, plus 2^18 uniform 64-bit
+pairs, past the pairs kernel's further split.  Each output is compared with
 a stable merge sort of the same input whose payload is the input
 index, which checks order and stability at once; every buffer is
 allocated to its exact size, so a write past a bucket or a flush tail
 is a sanitizer error.  The driver also prints the kernel's LSD digit
-width for a grid of bucket sizes, which must equal the Python mirror.
+width and its pairs-bucket split width for a grid of bucket sizes,
+which must equal the Python mirror.
 
 The build is test-only; the test skips where gcc or the sanitizer
 runtime is missing.
@@ -23,7 +25,11 @@ import subprocess
 
 import pytest
 
-from repro.core.digits import NATIVE_LOCAL_SORT_MAX, native_finish_widths
+from repro.core.digits import (
+    NATIVE_LOCAL_SORT_MAX,
+    native_finish_widths,
+    native_split_width,
+)
 from repro.native.build import C_SOURCE
 
 FLAGS = [
@@ -54,14 +60,17 @@ static uint64_t next_u64(void)
     return state * 2685821657736338717ULL;
 }
 
-/* 0 uniform, 1 all-equal, 2 few-distinct, 3 AND of four words */
+/* 0 uniform, 1 all-equal, 2 few-distinct, 3 AND of four words,
+ * 4 timestamp-like (constant top 40 bits, dense low 24 bits) */
+#define SHAPES 5
 static uint64_t draw(int shape)
 {
     switch (shape) {
     case 0: return next_u64();
     case 1: return 0x9e3779b97f4a7c15ULL;
     case 2: return (next_u64() % 5) * 0x1111111111111111ULL;
-    default: return next_u64() & next_u64() & next_u64() & next_u64();
+    case 3: return next_u64() & next_u64() & next_u64() & next_u64();
+    default: return 0x0000018f3a000000ULL | (next_u64() >> 40);
     }
 }
 
@@ -194,7 +203,7 @@ int main(void)
     size_t s;
     int shape, bits;
     for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
-        for (shape = 0; shape < 4; shape++) {
+        for (shape = 0; shape < SHAPES; shape++) {
             int64_t n = sizes[s];
             check_u32(n, shape, 0);   /* MSD partition + finish */
             check_u32(n, shape, 9);   /* partition, index-tagged */
@@ -205,10 +214,12 @@ int main(void)
             check_pairs(n, shape, 40);
             check_pairs(n, shape, 48);
         }
+    check_pairs(1 << 18, 0, 0);  /* 128-key buckets: one more split */
     for (s = 0; s < sizeof(width_sizes) / sizeof(width_sizes[0]); s++)
         for (bits = 1; bits <= 64; bits++)
-            printf("width %lld %d %d\n", (long long)width_sizes[s], bits,
-                   finish_width(width_sizes[s], bits));
+            printf("width %lld %d %d %d\n", (long long)width_sizes[s],
+                   bits, finish_width(width_sizes[s], bits),
+                   split_width(width_sizes[s], bits));
     printf("failures %d\n", failures);
     return failures != 0;
 }
@@ -271,5 +282,6 @@ def test_python_mirror_matches_kernel_width_rule(driver_output):
         if line.startswith("width ")
     ]
     assert len(rows) == len(WIDTH_SIZES) * 64
-    for n, bits, width in (map(int, row) for row in rows):
+    for n, bits, width, split in (map(int, row) for row in rows):
         assert native_finish_widths(n, bits)[0] == width, (n, bits)
+        assert native_split_width(n, bits) == split, (n, bits)

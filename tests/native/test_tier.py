@@ -43,9 +43,14 @@ def big_descriptor(n: int = 1 << 20) -> InputDescriptor:
     return InputDescriptor(n=n, key_dtype=np.uint32)
 
 
+def pairs64_descriptor(n: int = 1 << 20) -> InputDescriptor:
+    """The layout ``native="auto"`` still sends to the compiled tier."""
+    return InputDescriptor(n=n, key_dtype=np.int64, value_dtype=np.uint64)
+
+
 class TestPlannerChoice:
     def test_auto_prefers_native_when_available(self):
-        plan = Planner().plan(big_descriptor())
+        plan = Planner().plan(pairs64_descriptor())
         if NATIVE_AVAILABLE:
             assert plan.strategy == "native"
             assert plan.engine == "NativeRadixEngine"
@@ -69,7 +74,7 @@ class TestPlannerChoice:
         assert any("forced" in note for note in plan.notes)
 
     def test_small_inputs_stay_on_numpy_tier(self):
-        plan = Planner().plan(big_descriptor(n=NATIVE_MIN_KEYS - 1))
+        plan = Planner().plan(pairs64_descriptor(n=NATIVE_MIN_KEYS - 1))
         assert plan.strategy == "hybrid"
         assert any("floor" in note for note in plan.notes)
 
@@ -82,8 +87,44 @@ class TestPlannerChoice:
             "_probe",
             lambda: build.NativeStatus(True, "compiled native kernel"),
         )
-        plan = Planner().plan(big_descriptor(n=NATIVE_MIN_KEYS))
+        plan = Planner().plan(pairs64_descriptor(n=NATIVE_MIN_KEYS))
         assert plan.strategy == "native"
+
+    @pytest.mark.parametrize("n", [0, 1, NATIVE_MIN_KEYS - 1, 1 << 20])
+    def test_auto_sends_library_layouts_to_the_library(self, n):
+        # Keys, and pairs whose keys index-pack, whatever the size and
+        # whether or not the compiled tier built.
+        for descriptor in (
+            big_descriptor(n),
+            InputDescriptor(n=n, key_dtype=np.int64),
+            InputDescriptor(n=n, key_dtype=np.float32,
+                            value_dtype=np.uint64),
+        ):
+            plan = Planner().plan(descriptor)
+            assert plan.strategy == "library"
+            assert [s.kind for s in plan.steps] == ["library-sort"]
+            assert any("library rung" in note for note in plan.notes)
+
+    def test_narrow_keys_stay_off_the_library(self):
+        # The in-memory engines refuse 8/16-bit keys (they are
+        # file-only); the library rung must not change which inputs
+        # succeed.
+        plan = Planner().plan(InputDescriptor(n=1 << 20, key_dtype=np.uint16))
+        assert plan.strategy != "library"
+
+    @pytest.mark.parametrize("packing", ["fused", "off"])
+    def test_fused_and_off_packing_keep_the_radix_engines(self, packing):
+        config = replace(SortConfig.for_layout(32, 32), pair_packing=packing)
+        descriptor = InputDescriptor(
+            n=1 << 20, key_dtype=np.uint32, value_dtype=np.uint32
+        )
+        plan = Planner(config=config).plan(descriptor)
+        assert plan.strategy == ("native" if NATIVE_AVAILABLE else "hybrid")
+
+    def test_always_keeps_keys_on_the_native_tier(self):
+        assert Planner(native="always").plan(big_descriptor()).strategy == (
+            "native"
+        )
 
     def test_explicit_sort_bits_skips_native(self):
         config = replace(SortConfig.for_layout(32, 0), sort_bits=12)
@@ -243,10 +284,14 @@ class TestExecutorDegradation:
     def test_native_execution_reports_engine(self, rng):
         if not NATIVE_AVAILABLE:
             pytest.skip("native extension not built on this host")
-        keys = rng.integers(0, 1 << 32, 100_000).astype(np.uint32)
-        plan = Planner().plan(InputDescriptor.for_array(keys))
-        result = execute_plan(plan, keys=keys)
+        keys = rng.integers(-(1 << 63), 1 << 63, 100_000, dtype=np.int64)
+        values = np.arange(keys.size, dtype=np.uint64)
+        plan = Planner().plan(InputDescriptor.for_array(keys, values))
+        result = execute_plan(plan, keys=keys, values=values)
         assert result.meta["engine"] == "native"
+        order = np.argsort(keys, kind="stable")
+        assert result.keys.tobytes() == keys[order].tobytes()
+        assert result.values.tobytes() == values[order].tobytes()
         assert result.meta["plan"] is plan
         assert "resilience" not in result.meta
 
@@ -268,6 +313,11 @@ class TestLadder:
             "native", "hybrid", "fallback", "oracle",
         )
 
+    def test_library_plans_walk_down_to_numpy(self):
+        assert fallback_chain("library") == (
+            "library", "hybrid", "fallback", "oracle",
+        )
+
     def test_default_ladder_never_escalates_to_native(self):
         assert "native" not in DEFAULT_LADDER
         assert fallback_chain("hybrid") == ("hybrid", "fallback", "oracle")
@@ -282,8 +332,11 @@ class TestFacadeKnob:
         assert pinned.meta["engine"] == "hybrid"
         auto = repro.sort(keys)
         assert auto.keys.tobytes() == pinned.keys.tobytes()
+        assert auto.meta["engine"] == "library"
+        forced = repro.sort(keys, native="always")
+        assert forced.keys.tobytes() == pinned.keys.tobytes()
         if NATIVE_AVAILABLE:
-            assert auto.meta["engine"] == "native"
+            assert forced.meta["engine"] == "native"
 
     def test_plan_for_reports_tier(self, rng):
         import repro

@@ -24,7 +24,7 @@ class TestArrayFacades:
         assert result.keys.shape == (n,)
         assert result.keys.dtype == np.uint32
         assert result.values is None
-        assert result.meta["plan"].strategy == "hybrid"
+        assert result.meta["plan"].strategy == "library"
 
     def test_sort_pairs(self, n):
         keys = np.arange(n, dtype=np.uint64)
@@ -52,11 +52,14 @@ class TestArrayFacades:
             np.arange(n, dtype=np.uint32), memory_budget=1 << 20
         )
         assert result.keys.shape == (n,)
-        assert result.meta["plan"].strategy == "hybrid"
+        assert result.meta["plan"].strategy == "library"
 
     def test_planner_path(self, n):
         desc = InputDescriptor(n=n, key_dtype=np.uint32)
         plan = Planner().plan(desc)
+        assert plan.strategy == "library"
+        assert [s.kind for s in plan.steps] == ["library-sort"]
+        plan = Planner(native="never").plan(desc)
         assert plan.strategy == "hybrid"
         assert [s.kind for s in plan.steps] == ["local-sort"]
         assert plan.predicted_seconds >= 0.0
@@ -105,4 +108,4 @@ class TestSingleElementValues:
     def test_empty_plan_explain_renders(self):
         plan = Planner().plan(InputDescriptor(n=0, key_dtype=np.uint32))
         text = plan.explain()
-        assert "0" in text and "hybrid" in text
+        assert "0" in text and "library" in text

@@ -39,7 +39,10 @@ class TestHybridOracle:
         facade = repro.sort(keys)
         oracle = HybridRadixSorter().sort(keys)
         assert np.array_equal(facade.keys, oracle.keys)
-        assert facade.meta["plan"].strategy == "hybrid"
+        assert facade.meta["plan"].strategy == "library"
+        pinned = repro.sort(keys, native="never")
+        assert np.array_equal(pinned.keys, oracle.keys)
+        assert pinned.meta["plan"].strategy == "hybrid"
 
     @given(raw=key_lists)
     @settings(max_examples=25, deadline=None)
@@ -196,10 +199,10 @@ class TestRegistry:
         registry = ExecutorRegistry()
         registry.register("hybrid", lambda plan, **io: "custom")
         desc = InputDescriptor(n=10, key_dtype=np.uint32)
-        plan = Planner().plan(desc)
+        plan = Planner(native="never").plan(desc)
         assert execute_plan(plan, registry=registry) == "custom"
         assert "hybrid" in DEFAULT_REGISTRY.strategies()
         assert set(DEFAULT_REGISTRY.strategies()) == {
             "hybrid", "fallback", "hetero", "external", "oracle", "sharded",
-            "native",
+            "native", "library",
         }

@@ -106,6 +106,31 @@ class TestStructureInvariance:
             ]
             assert host.predicted_seconds > 0
 
+    @pytest.mark.parametrize("library_probe", [False, True])
+    def test_profile_reprices_but_never_reroutes_library_plans(
+        self, tmp_path, library_probe
+    ):
+        doc = dict(SYNTHETIC_PROFILE)
+        if library_probe:
+            doc["library_bandwidth"] = {"32/0": 9.0e8, "32/32": 4.0e8}
+        path = tmp_path / "profile.json"
+        save_profile(doc, path)
+        for desc in (
+            InputDescriptor(n=4_000_000, key_dtype=np.uint32),
+            InputDescriptor(n=500, key_dtype=np.float64),
+            InputDescriptor(
+                n=2_000_000, key_dtype=np.int32, value_dtype=np.uint64
+            ),
+        ):
+            paper = Planner(profile=None).plan(desc)
+            host = Planner(profile=str(path)).plan(desc)
+            assert paper.strategy == host.strategy == "library"
+            assert host.engine == paper.engine
+            assert [s.kind for s in host.steps] == ["library-sort"]
+            assert host.bytes_moved == paper.bytes_moved
+            assert host.cost_source == "host-profile"
+            assert host.predicted_seconds != paper.predicted_seconds
+
     def test_fixed_profile_planning_is_deterministic(
         self, profile_path, tmp_path
     ):
@@ -180,6 +205,35 @@ class TestCalibratedPricing:
         )
         assert plan.steps[0].kind == "local-sort"
         assert plan.predicted_seconds == pytest.approx(1000 / 2.0e7)
+
+    def test_library_priced_by_library_bandwidth(self, tmp_path):
+        doc = dict(SYNTHETIC_PROFILE, library_bandwidth={"32/0": 9.0e8})
+        path = tmp_path / "profile.json"
+        save_profile(doc, path)
+        desc = InputDescriptor(n=4_000_000, key_dtype=np.uint32)
+        (step,) = Planner(profile=str(path)).plan(desc).steps
+        assert step.kind == "library-sort"
+        assert step.bytes_moved == 2 * desc.total_bytes
+        assert step.predicted_seconds == pytest.approx(
+            step.bytes_moved / 9.0e8
+        )
+
+    def test_library_without_its_probe_priced_by_argsort_rate(
+        self, profile_path
+    ):
+        # Profiles written before the library probe still price it.
+        plan = Planner(profile=profile_path).plan(
+            InputDescriptor(n=4_000_000, key_dtype=np.uint32)
+        )
+        assert plan.strategy == "library"
+        assert plan.predicted_seconds == pytest.approx(4_000_000 / 2.0e7)
+
+    def test_uncalibrated_library_priced_as_a_local_sort(self):
+        desc = InputDescriptor(n=4_000_000, key_dtype=np.uint32)
+        (step,) = Planner(profile=None).plan(desc).steps
+        assert step.predicted_seconds == pytest.approx(
+            2 * desc.total_bytes / desc.spec.effective_bandwidth
+        )
 
     def test_hybrid_priced_by_layout_bandwidth(self, profile_path):
         plan = Planner(native="never", profile=profile_path).plan(

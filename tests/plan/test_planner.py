@@ -84,7 +84,7 @@ class TestStrategyChoice:
 
     def test_tiny_array_plans_one_local_sort(self):
         desc = InputDescriptor(n=100, key_dtype=np.uint32)
-        plan = Planner().plan(desc)
+        plan = Planner(native="never").plan(desc)
         assert [s.kind for s in plan.steps] == ["local-sort"]
 
     def test_adaptive_small_input_falls_back(self):
@@ -220,7 +220,7 @@ class TestPlanIR:
 
     def test_step_lookup(self):
         desc = InputDescriptor(n=10, key_dtype=np.uint32)
-        plan = Planner().plan(desc)
+        plan = Planner(native="never").plan(desc)
         assert plan.step("local-sort").kind == "local-sort"
         with pytest.raises(KeyError):
             plan.step("spill-runs")

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from repro.resilience.chaos import (
     WRITE_SITES,
     _external_scenario,
-    _native_scenario,
+    _rung_scenario,
     _service_scenario,
     _shard_scenario,
     default_schedule,
@@ -36,15 +36,17 @@ EXTERNAL_MATRIX = [
     pair for pair in FULL_MATRIX if pair[0].startswith("external.")
 ]
 SHARD_MATRIX = [pair for pair in FULL_MATRIX if _is_shard(pair[0])]
-# engine.native needs a forced-native plan to be reachable at all;
-# its scenario runner supplies one (and works without the extension).
-NATIVE_MATRIX = [pair for pair in FULL_MATRIX if pair[0] == "engine.native"]
+# The rungs above hybrid (native, library) need plans that put them at
+# the head of the ladder; their scenario runner supplies those (and
+# works without the extension).
+RUNG_SITES = ("engine.native", "engine.library")
+NATIVE_MATRIX = [pair for pair in FULL_MATRIX if pair[0] in RUNG_SITES]
 SERVICE_MATRIX = [
     pair
     for pair in FULL_MATRIX
     if not pair[0].startswith("external.")
     and not _is_shard(pair[0])
-    and pair[0] != "engine.native"
+    and pair[0] not in RUNG_SITES
 ]
 
 # Each draw runs a complete (small) sort through real engines and real
@@ -121,7 +123,7 @@ class TestSingleFaultContainment:
     )
     def test_native_faults_absorbed_or_fail_typed(self, scenario, seed):
         site, kind = scenario
-        assert_contained(_native_scenario(site, kind, n=3_000, seed=seed))
+        assert_contained(_rung_scenario(site, kind, n=3_000, seed=seed))
 
     def test_watchdog_cuts_the_hang_short(self):
         # The hang scenario is deterministic and slow-ish (it waits for

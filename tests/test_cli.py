@@ -64,8 +64,16 @@ class TestPlanCommand:
         rc = main(["plan", "--n", "1000000"])
         out = capsys.readouterr().out
         assert rc == 0
-        # The chosen tier depends on whether this host compiled the
-        # native extension; either way the plan says which and why.
+        # Keys take the library rung on every host.
+        assert "strategy        : library" in out
+        assert "library-sort" in out
+        assert "note            : library rung selected" in out
+        rc = main(["plan", "--n", "1000000", "--dtype", "int64", "--pairs",
+                   "--value-dtype", "uint64"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        # 64-bit-key pairs take the compiled tier when this host built
+        # it; either way the plan says which and why.
         if native_status(warn=False).available:
             assert "strategy        : native" in out
             assert "native-lsd" in out
