@@ -160,6 +160,7 @@ def _describe(
     dtype=None,
     value_dtype=None,
     shards: int | None = None,
+    pair_packing: str | None = None,
 ) -> InputDescriptor:
     """Build the planner's input descriptor for arrays or file paths."""
     spec = device.spec if device is not None else TITAN_X_PASCAL
@@ -172,6 +173,7 @@ def _describe(
             memory_budget=memory_budget,
             workers=workers,
             spec=spec,
+            pair_packing=pair_packing,
         )
     return InputDescriptor.for_array(
         np.asarray(data),
@@ -275,14 +277,14 @@ def sort(
     for any worker or shard count.
 
     ``native=`` is the engine policy (``"auto"``, the default, sends
-    keys and pairs of at most 32-bit keys to the library rung, and
-    other pairs and a file's run sorts to the compiled tier when the
-    extension is available; ``"never"`` pins the simulated NumPy
-    engines — the ones that produce a trace and simulated seconds,
-    and the choice ``"auto"`` makes when a ``device=`` is given;
-    ``"always"`` forces the native tier, which still degrades
-    gracefully when the extension is missing).  Every tier is
-    byte-identical.
+    keys and pairs of at most 32-bit keys — in memory or as a file's
+    run sorts — to the library rung, and other pairs to the compiled
+    tier when the extension is available; ``"never"`` pins the
+    simulated NumPy engines — the ones that produce a trace and
+    simulated seconds, and the choice ``"auto"`` makes when a
+    ``device=`` is given; ``"always"`` forces the native tier, which
+    still degrades gracefully when the extension is missing).  Every
+    tier is byte-identical.
     """
     if isinstance(data, (str, os.PathLike)):
         if shards is not None and shards > 1:
@@ -302,7 +304,7 @@ def sort(
         file_layout = _resolve_layout(layout, dtype, value_dtype)
         descriptor = _describe(
             data, None, device, memory_budget, workers, config,
-            layout=file_layout,
+            layout=file_layout, pair_packing=pair_packing,
         )
         return execute_plan(
             Planner(config=config, native=native).plan(descriptor),

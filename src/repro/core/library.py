@@ -21,6 +21,12 @@ Both are byte-identical to every other engine by construction.  Pairs
 with 64-bit keys do not index-pack; NumPy's only stable choice for
 them is an argsort, which the compiled tier beats, so they stay off
 this rung (:func:`library_serves`).
+
+The out-of-core sorter uses the same two moves on file records: its
+run sorts (:class:`~repro.external.runs.RunWriter`) and its merge
+rounds (:func:`~repro.external.merge.drain_cursors`) order by
+:func:`stable_argsort`, the ``key|position`` form of NumPy's stable
+argsort.
 """
 
 from __future__ import annotations
@@ -32,7 +38,7 @@ from repro.core.pairs import index_packable, pack_key_index, unpack_key_index
 from repro.errors import ConfigurationError
 from repro.types import SortResult
 
-__all__ = ["library_serves", "library_sort"]
+__all__ = ["library_serves", "library_sort", "stable_argsort"]
 
 
 def library_serves(
@@ -112,3 +118,28 @@ def library_sort(
     return SortResult(
         keys=out_keys, values=sorted_values, meta={"engine": "library"}
     )
+
+
+def stable_argsort(bits: np.ndarray) -> np.ndarray:
+    """``np.argsort(bits, kind="stable")``, through ``np.sort`` where it can.
+
+    ``bits`` are unsigned §4.6 bit patterns.  When they index-pack (at
+    most 32 bits wide), each one and its position fuse into a unique
+    ``uint64`` word (:func:`~repro.core.pairs.pack_key_index`), so
+    sorting the words with NumPy's vectorised ``np.sort`` is a stable
+    sort of the bits, and the words' low bits are the permutation
+    (masked in place and reinterpreted as ``int64``, no copy).  Wider
+    bits take the stable argsort itself.
+
+    >>> bits = np.array([3, 1, 3, 0, 1], dtype=np.uint32)
+    >>> stable_argsort(bits).tolist()
+    [3, 1, 4, 0, 2]
+    """
+    bits = np.asarray(bits)
+    key_bits = bits.dtype.itemsize * 8
+    if not index_packable(key_bits, bits.size):
+        return np.argsort(bits, kind="stable")
+    packed = pack_key_index(bits, key_bits)
+    packed.sort()
+    packed &= np.uint64((1 << (64 - key_bits)) - 1)
+    return packed.view(np.int64)

@@ -51,6 +51,11 @@ class InputDescriptor:
         (:mod:`repro.shard`).  Like ``workers``, never affects the
         output bytes — only where the work runs.  ``1`` means
         single-process.
+    pair_packing:
+        A file sort's pair packing policy (``"auto"``, ``"index"``,
+        ``"fused"`` or ``"off"``), which decides the engine its run
+        sorts can use; ``None`` leaves it to the planner's
+        configuration (how in-memory sorts set it).
     spec:
         The simulated device the cost annotations are priced against.
     """
@@ -63,6 +68,7 @@ class InputDescriptor:
     memory_budget: int | None = None
     workers: int = 1
     shards: int = 1
+    pair_packing: str | None = None
     spec: GPUSpec = field(default=TITAN_X_PASCAL, repr=False)
 
     def __post_init__(self) -> None:
@@ -78,6 +84,10 @@ class InputDescriptor:
             raise ConfigurationError("workers must be >= 1")
         if self.shards < 1:
             raise ConfigurationError("shards must be >= 1")
+        if self.pair_packing not in (None, "auto", "index", "fused", "off"):
+            raise ConfigurationError(
+                "pair_packing must be 'auto', 'index', 'fused', or 'off'"
+            )
         if self.shards > 1 and self.source == "file":
             raise ConfigurationError(
                 "shards= applies to in-memory arrays; file inputs "
@@ -154,6 +164,7 @@ class InputDescriptor:
         memory_budget: int | None = None,
         workers: int = 1,
         spec: GPUSpec = TITAN_X_PASCAL,
+        pair_packing: str | None = None,
     ) -> "InputDescriptor":
         """Describe a flat binary file (``repro.external.FileLayout``)."""
         path = os.fspath(path)
@@ -165,6 +176,7 @@ class InputDescriptor:
             path=path,
             memory_budget=memory_budget,
             workers=workers,
+            pair_packing=pair_packing,
             spec=spec,
         )
 
@@ -188,6 +200,7 @@ class InputDescriptor:
             self.memory_budget,
             self.workers,
             self.shards,
+            self.pair_packing,
             self.spec.name,
         )
 
@@ -213,6 +226,7 @@ class InputDescriptor:
             "memory_budget": self.memory_budget,
             "workers": self.workers,
             "shards": self.shards,
+            "pair_packing": self.pair_packing,
             "spec": self.spec.name,
             "total_bytes": self.total_bytes,
         }

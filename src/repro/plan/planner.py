@@ -123,16 +123,17 @@ class Planner:
     native:
         Engine policy for in-memory inputs.  ``"auto"`` (default)
         sends every layout the library rung serves (keys, and pairs
-        whose keys index-pack) to ``np.sort`` over the §4.6 bits, and
-        prefers the compiled counting-scatter for the rest — 64-bit-key
-        pairs, ``"fused"``/``"off"`` packing — and for file run sorts,
-        from :data:`NATIVE_MIN_KEYS` records up, when the
-        once-per-process availability probe succeeds and the
-        configuration is one the tier supports; ``"never"`` keeps every
-        plan on the simulated NumPy engines; ``"always"`` plans the
-        native tier for any in-memory input or run regardless of the
-        probe (the executor degrades typed when the tier is missing —
-        what ``repro sort --engine native`` relies on).
+        whose keys index-pack) to ``np.sort`` over the §4.6 bits — in
+        memory and as a file's run sorts alike — and prefers the
+        compiled counting-scatter for the rest (64-bit-key pairs,
+        ``"fused"``/``"off"`` packing, a file's 8/16-bit keys) from
+        :data:`NATIVE_MIN_KEYS` records up, when the once-per-process
+        availability probe succeeds and the configuration is one the
+        tier supports; ``"never"`` keeps every plan on the simulated
+        NumPy engines; ``"always"`` plans the native tier for any
+        in-memory input or run regardless of the probe (the executor
+        degrades typed when the tier is missing — what
+        ``repro sort --engine native`` relies on).
     profile:
         Host-calibration policy.  ``"auto"`` (default) loads the
         calibrated :class:`~repro.cost.hostprofile.HostProfile` from
@@ -589,8 +590,9 @@ class Planner:
         — which itself prices the three-buffer accounting through
         :func:`repro.hetero.chunking.plan_chunks` — so the external and
         chunked strategies share one budget code path.  The in-memory
-        engine every run sort uses is chosen once, for the run size, by
-        :meth:`run_engine`; the ``spill-runs`` step records it and why.
+        engine every run sort uses is chosen once, for the run size and
+        the descriptor's ``pair_packing``, by :meth:`run_engine`; the
+        ``spill-runs`` step records it and why.
         """
         from repro.external.runs import plan_runs
         from repro.external.sorter import DEFAULT_MEMORY_BUDGET
@@ -672,19 +674,30 @@ class Planner:
     ) -> tuple[str, str]:
         """The in-memory engine for every run of a file sort, and why.
 
-        Returns ``("native" | "hybrid", note)``: the same
-        :meth:`_native_choice` an in-memory array of ``run_records``
-        records of the file's layout would get.  ``RunWriter`` carries
-        the choice out, with the native executor's inline fallback to
-        the hybrid engine; :meth:`ExternalSorter.resume` asks again for
-        the runs its manifest recorded.
+        Returns ``("library" | "native" | "hybrid", note)``: the
+        choice an in-memory array of ``run_records`` records of the
+        file's layout would get.  The library rung takes every layout
+        :func:`~repro.core.library.library_serves` accepts under the
+        sort's ``pair_packing`` (``descriptor.pair_packing``);
+        ``"fused"``/``"off"`` packing, 64-bit-key pairs and 8/16-bit
+        keys get :meth:`_native_choice`.
+        ``RunWriter`` carries the choice out, with the native
+        executor's inline fallback to the hybrid engine;
+        :meth:`ExternalSorter.resume` asks again for the runs its
+        manifest recorded.
         """
         run = InputDescriptor(
             n=run_records,
             key_dtype=descriptor.key_dtype,
             value_dtype=descriptor.value_dtype,
+            pair_packing=descriptor.pair_packing,
             spec=descriptor.spec,
         )
+        if self._library_choice(run):
+            return "library", (
+                "library rung selected: np.sort outruns the compiled "
+                "tier at this run size"
+            )
         use_native, note = self._native_choice(run)
         return ("native" if use_native else "hybrid"), note
 
@@ -693,6 +706,11 @@ class Planner:
     ) -> float:
         """Uncalibrated price of one ``n``-record run sort on ``engine``."""
         n = max(1, n)
+        if engine == "library":
+            return (
+                2 * n * descriptor.record_bytes
+                / descriptor.spec.effective_bandwidth
+            )
         if engine == "native":
             return self._native_step(descriptor, n).predicted_seconds
         return self._msd_step(
@@ -703,10 +721,19 @@ class Planner:
     # Pricing helpers
     # ------------------------------------------------------------------
     def _config_for(self, descriptor: InputDescriptor) -> SortConfig:
-        """Resolve the sizing/pricing configuration for a layout."""
-        if self.config is not None:
-            return self.config
-        return layout_preset(descriptor.key_bits, descriptor.value_bits)
+        """Resolve the sizing/pricing configuration for a layout.
+
+        A file sort's ``pair_packing`` rides on its descriptor and
+        overrides the configuration's, since it decides the run sorts'
+        engine.
+        """
+        config = self.config
+        if config is None:
+            config = layout_preset(descriptor.key_bits, descriptor.value_bits)
+        packing = descriptor.pair_packing
+        if packing is not None and packing != config.pair_packing:
+            config = replace(config, pair_packing=packing)
+        return config
 
     def _stream_seconds(
         self, descriptor: InputDescriptor, bytes_moved: int

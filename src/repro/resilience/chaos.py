@@ -14,7 +14,9 @@ that one fault injected, and prove the **containment contract**:
 External-sorter sites run with retries disabled so the fault actually
 escapes, then demonstrate the crash-recovery story:
 :meth:`~repro.external.ExternalSorter.resume` must finish the sort
-byte-identically from the spool the failed attempt left behind.
+byte-identically from the spool the failed attempt left behind.  Each
+runs twice, once per run-sort rung (:data:`EXTERNAL_RUNGS`), and
+first checks that the plan spills on that rung.
 Service and engine sites run through :class:`~repro.service.
 SortService` with the default retry policy and degradation ladder, so
 single faults are *absorbed* (``recovered``/``degraded`` outcomes) and
@@ -80,44 +82,86 @@ def _keys(n: int, seed: int) -> np.ndarray:
     )
 
 
-def _expected_bytes(keys: np.ndarray) -> bytes:
+def _expected_bytes(records: np.ndarray) -> bytes:
+    """The stable bits-space sort of keys, or of records by key."""
     from repro.core.keys import to_sortable_bits
 
-    return keys[np.argsort(to_sortable_bits(keys), kind="stable")].tobytes()
+    keys = records["key"] if records.dtype.names else records
+    order = np.argsort(to_sortable_bits(keys), kind="stable")
+    return records[order].tobytes()
 
 
 # ----------------------------------------------------------------------
 # External-sorter scenarios (fault → typed error → resume → identical)
 # ----------------------------------------------------------------------
-def _external_scenario(site: str, kind: str, n: int, seed: int) -> dict:
-    from repro.external import ExternalSorter, FileLayout, write_records
+#: The run-sort rungs every external site is exercised on: uint32 keys
+#: spill on the library rung, int64-key pairs on the compiled tier (the
+#: hybrid engine where it is not built or runs fall below its floor).
+EXTERNAL_RUNGS = ("library", "native")
 
-    layout = FileLayout("uint32")
+
+def _external_input(rung: str, n: int, seed: int):
+    """``(layout, records)`` whose run sorts land on ``rung``."""
+    from repro.external import FileLayout
+
     keys = _keys(n, seed)
+    if rung == "library":
+        return FileLayout("uint32"), keys
+    layout = FileLayout("int64", "uint32")
+    signed = (keys.astype(np.int64) - (1 << 31)) << 16  # both signs
+    return layout, layout.to_records(signed, np.arange(n, dtype=np.uint32))
+
+
+def _external_scenario(
+    site: str, kind: str, n: int, seed: int, rung: str = "library"
+) -> dict:
+    """One fault on an external-sorter site, then resume from its spool.
+
+    The scenario first checks that the plan spills on ``rung`` (the
+    ``spill-runs`` step's engine), so a routing change cannot quietly
+    move the sweep off the rung it is meant to cover.
+    """
+    from repro.external import ExternalSorter, write_records
+    from repro.native.build import native_status
+    from repro.plan.planner import NATIVE_MIN_KEYS
+
+    layout, records = _external_input(rung, n, seed)
     workdir = tempfile.mkdtemp(prefix="repro-chaos-")
     try:
         inp = os.path.join(workdir, "in.bin")
         out = os.path.join(workdir, "out.bin")
         spool = os.path.join(workdir, "spool")
-        write_records(inp, keys)
+        write_records(inp, records)
         # Budget sized for ~4 runs, so production, manifest, and merge
         # sites all actually fire; retries off so the fault escapes.
         budget = max(4096, (n * layout.record_bytes) // 4)
         sorter = ExternalSorter(
             memory_budget=budget, spool_dir=spool, retry_policy=None
         )
-        expected = _expected_bytes(keys)
-        with inject(FaultPlan.single(site, kind)) as plan:
+        plan = sorter.sort_plan(inp, layout)
+        engine = plan.step("spill-runs").params["engine"]
+        want = rung
+        if rung == "native" and (
+            not native_status(warn=False).available
+            or plan.run_plan.run_records < NATIVE_MIN_KEYS
+        ):
+            want = "hybrid"
+        if engine != want:
+            return _result(site, kind, "wrong-rung", ok=False,
+                           detail=f"runs planned on {engine!r}, "
+                                  f"expected {want!r}")
+        expected = _expected_bytes(records)
+        with inject(FaultPlan.single(site, kind)) as fault_plan:
             try:
                 sorter.sort_file(inp, out, layout)
                 err = None
             except TYPED_ERRORS as exc:
                 err = exc
-        if not plan.fire_count():
+        if not fault_plan.fire_count():
             return _result(site, kind, "not-reached", ok=False,
-                           detail="fault site never hit")
+                           detail=f"{engine} runs: fault site never hit")
         if err is None:
-            detail = "sort completed despite fault"
+            detail = f"{engine} runs: sort completed despite fault"
             ok = open(out, "rb").read() == expected
             return _result(site, kind, "completed", ok=ok, detail=detail)
         if os.path.exists(out) and open(out, "rb").read() != expected:
@@ -129,16 +173,17 @@ def _external_scenario(site: str, kind: str, n: int, seed: int) -> dict:
         except TYPED_ERRORS as exc:
             return _result(
                 site, kind, "typed-error", ok=True,
-                detail=f"{type(err).__name__}; resume also typed: "
-                       f"{type(exc).__name__}: {exc}",
+                detail=f"{engine} runs: {type(err).__name__}; resume "
+                       f"also typed: {type(exc).__name__}: {exc}",
             )
         if open(out, "rb").read() != expected:
             return _result(site, kind, "corrupt-output", ok=False,
                            detail="resume produced non-identical bytes")
         return _result(
             site, kind, "recovered", ok=True,
-            detail=f"{type(err).__name__} contained; resume reused "
-                   f"{report.reused_runs}/{report.n_runs} runs",
+            detail=f"{engine} runs: {type(err).__name__} contained; "
+                   f"resume reused {report.reused_runs}/{report.n_runs} "
+                   f"runs",
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -377,7 +422,10 @@ def run_chaos(
     results = []
     for site, kind in default_schedule(sites):
         if site.startswith("external."):
-            results.append(_external_scenario(site, kind, n, seed))
+            results.extend(
+                _external_scenario(site, kind, n, seed, rung)
+                for rung in EXTERNAL_RUNGS
+            )
         elif site.startswith("shard.") or site == "engine.sharded":
             results.append(_shard_scenario(site, kind, n, seed))
         elif site in ("engine.native", "engine.library"):

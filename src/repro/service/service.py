@@ -398,6 +398,7 @@ class SortService:
                 memory_budget=memory_budget,
                 workers=workers,
                 spec=spec,
+                pair_packing=pair_packing,
             )
             return SortRequest(
                 kind="file",

@@ -29,10 +29,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.pairs import fused_packable
 from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
 from repro.external.merge import _comparison_keys, drain_cursors
+from repro.external.runs import _fused
 
 __all__ = [
     "DEFAULT_MERGE_BUDGET",
@@ -64,11 +64,12 @@ class _ArrayCursor:
         fused: bool,
     ) -> None:
         self._all = records
+        self._words = records.view(layout.word_dtype)
         self._layout = layout
         self._block = max(1, int(block_records))
         self._fused = fused
         self._next = 0
-        self._records = records[:0]
+        self._records = self._words[:0]
         self._ckeys = np.empty(0, dtype=np.uint64)
 
     @property
@@ -90,11 +91,12 @@ class _ArrayCursor:
     def refill(self) -> None:
         if self._ckeys.size or self._next >= self._all.size:
             return
-        take = min(self._block, self._all.size - self._next)
-        records = self._all[self._next:self._next + take]
-        self._next += take
-        self._records = records
-        self._ckeys = _comparison_keys(self._layout, records, self._fused)
+        lo = self._next
+        self._next = hi = min(lo + self._block, self._all.size)
+        self._records = self._words[lo:hi]
+        self._ckeys = _comparison_keys(
+            self._layout, self._all[lo:hi], self._fused
+        )
 
     def split_below(self, bound) -> int:
         return int(np.searchsorted(self._ckeys, bound, side="left"))
@@ -164,11 +166,12 @@ def _merge_once(
 ) -> np.ndarray:
     total = sum(int(r.size) for r in runs)
     out = np.empty(total, dtype=layout.storage_dtype)
+    words = out.view(layout.word_dtype)
     pos = 0
 
     def emit(records: np.ndarray) -> None:
         nonlocal pos
-        out[pos:pos + records.size] = records
+        words[pos:pos + records.size] = records
         pos += records.size
 
     cursors = [
@@ -197,11 +200,7 @@ def merge_shard_records(
     """
     if fan_in is not None and fan_in < 2:
         raise ConfigurationError("fan_in must be >= 2")
-    fused = (
-        pair_packing == "fused"
-        and layout.is_pairs
-        and fused_packable(layout.key_bits, layout.value_bits)
-    )
+    fused = _fused(layout, pair_packing)
     runs = [np.ascontiguousarray(r) for r in runs]
     if not runs:
         return np.empty(0, dtype=layout.storage_dtype)

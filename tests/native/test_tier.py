@@ -187,19 +187,25 @@ def fake_available(monkeypatch):
 
 
 class TestExternalRunEngine:
-    """The ``spill-runs`` step names the run sorts' engine and why."""
+    """The ``spill-runs`` step names the run sorts' engine and why.
 
-    def file_descriptor(self, tmp_path, n, budget):
+    The floor tests use 64-bit-key pairs, a layout the library rung
+    does not serve, so ``native="auto"`` decides by the native floor.
+    """
+
+    PAIRS64 = FileLayout(np.uint64, np.uint32)
+
+    def file_descriptor(self, tmp_path, n, budget_records, layout):
         path = tmp_path / "in.bin"
-        np.zeros(n, dtype=np.uint32).tofile(path)
+        np.zeros(n, dtype=layout.storage_dtype).tofile(path)
         return InputDescriptor.for_file(
-            path, FileLayout(np.uint32), memory_budget=budget
+            path, layout, memory_budget=budget_records * layout.record_bytes
         )
 
-    def native_sized(self, tmp_path):
+    def native_sized(self, tmp_path, layout=PAIRS64):
         # Runs of about 4/3 of the floor (three-buffer accounting).
         return self.file_descriptor(
-            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 16 * NATIVE_MIN_KEYS
+            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 4 * NATIVE_MIN_KEYS, layout
         )
 
     def test_runs_at_the_floor_sort_native(
@@ -223,7 +229,9 @@ class TestExternalRunEngine:
     ):
         fake_available(monkeypatch)
         plan = Planner().plan(
-            self.file_descriptor(tmp_path, 4 * NATIVE_MIN_KEYS, 1024)
+            self.file_descriptor(
+                tmp_path, 4 * NATIVE_MIN_KEYS, 85, self.PAIRS64
+            )
         )
         step = plan.step("spill-runs")
         assert step.params["run_records"] < NATIVE_MIN_KEYS
@@ -231,7 +239,9 @@ class TestExternalRunEngine:
         assert "floor" in step.params["engine_note"]
 
     def test_never_planner_keeps_runs_on_numpy(self, tmp_path):
-        plan = Planner(native="never").plan(self.native_sized(tmp_path))
+        plan = Planner(native="never").plan(
+            self.native_sized(tmp_path, FileLayout(np.uint32))
+        )
         step = plan.step("spill-runs")
         assert step.params["engine"] == "hybrid"
         assert step.params["engine_note"] == (
@@ -244,8 +254,9 @@ class TestExternalRunEngine:
         from repro.plan.planner import HOST_DISK_BANDWIDTH
 
         fake_available(monkeypatch)
-        desc = self.native_sized(tmp_path)
-        plan = Planner(profile=None).plan(desc)
+        desc = self.native_sized(tmp_path, FileLayout(np.uint32))
+        plan = Planner(native="always", profile=None).plan(desc)
+        assert plan.step("spill-runs").params["engine"] == "native"
         run_plan = plan.run_plan
         sort_bytes = sum(
             native_traffic(32, hi - lo, 4)[1]
@@ -261,6 +272,33 @@ class TestExternalRunEngine:
         assert step.predicted_seconds != pytest.approx(
             hybrid.step("spill-runs").predicted_seconds
         )
+
+    @pytest.mark.parametrize(
+        "layout, packing, engine",
+        [
+            (FileLayout(np.uint32), "auto", "library"),
+            (FileLayout(np.float64), "auto", "library"),
+            (FileLayout(np.uint32, np.uint32), "auto", "library"),
+            (FileLayout(np.int32, np.uint64), "index", "library"),
+            (FileLayout(np.uint32, np.uint32), "fused", "native"),
+            (FileLayout(np.uint32, np.uint32), "off", "native"),
+            (FileLayout(np.uint64, np.uint32), "auto", "native"),
+            (FileLayout(np.uint16), "auto", "native"),
+        ],
+    )
+    def test_runs_take_the_library_rung_where_it_serves(
+        self, tmp_path, fresh_probe, monkeypatch, layout, packing, engine
+    ):
+        fake_available(monkeypatch)
+        desc = replace(
+            self.native_sized(tmp_path, layout), pair_packing=packing
+        )
+        step = Planner().plan(desc).step("spill-runs")
+        assert step.params["engine"] == engine
+        if engine == "library":
+            assert step.params["engine_note"].startswith(
+                "library rung selected"
+            )
 
 
 class TestExecutorDegradation:

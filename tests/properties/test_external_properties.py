@@ -23,10 +23,12 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.keys import SUPPORTED_DTYPES, to_sortable_bits
+from repro.core.library import library_serves
 from repro.core.pairs import fused_packable
 from repro.errors import TransientError
 from repro.external import ExternalSorter, FileLayout, write_records, write_run
 from repro.external.merge import merge_runs
+from repro.external.runs import RunWriter, plan_runs
 from repro.hetero.merge import kway_merge_pairs
 from repro.native import build
 from repro.plan.planner import NATIVE_MIN_KEYS
@@ -202,7 +204,9 @@ def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
     return layout, path, 4 * NATIVE_MIN_KEYS * layout.record_bytes
 
 
-def _sort_file(tmpdir, tag, layout, path, budget, pair_packing="auto"):
+def _sort_file(
+    tmpdir, tag, layout, path, budget, pair_packing="auto", native="auto"
+):
     out = os.path.join(tmpdir, f"out-{tag}.bin")
     report = repro.sort(
         path,
@@ -210,6 +214,7 @@ def _sort_file(tmpdir, tag, layout, path, budget, pair_packing="auto"):
         layout=layout,
         memory_budget=budget,
         pair_packing=pair_packing,
+        native=native,
     )
     with open(out, "rb") as fh:
         return fh.read(), report.plan.step("spill-runs").params["engine"]
@@ -249,15 +254,52 @@ def test_file_sort_is_identical_on_both_tiers(
     layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
     tier(True)
     native, engine = _sort_file(
-        tmpdir, "native", layout, path, budget, pair_packing
+        tmpdir, "native", layout, path, budget, pair_packing, "always"
     )
     assert engine == "native"
     tier(False)
     hybrid, engine = _sort_file(
-        tmpdir, "hybrid", layout, path, budget, pair_packing
+        tmpdir, "hybrid", layout, path, budget, pair_packing, "never"
     )
     assert engine == "hybrid"
     assert native == hybrid == _reference(layout, path, pair_packing)
+
+
+@pytest.fixture
+def run_engines(monkeypatch):
+    """The engine of every run sort, in order (a ``RunWriter`` spy)."""
+    engines = []
+    real = RunWriter.sort_records
+
+    def spy(self, records):
+        engines.append(self.engine)
+        return real(self, records)
+
+    monkeypatch.setattr(RunWriter, "sort_records", spy)
+    return engines
+
+
+@pytest.mark.parametrize("key_dtype, value_dtype, pair_packing", _TIER_CASES)
+def test_library_rung_runs_exactly_where_it_serves(
+    tmp_path, run_engines, key_dtype, value_dtype, pair_packing
+):
+    """``native="auto"`` plans and runs the library rung for exactly
+    the run layouts :func:`library_serves` accepts under the sort's
+    packing — never for ``fused``/``off`` — with identical bytes."""
+    tmpdir = str(tmp_path)
+    layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
+    got, engine = _sort_file(tmpdir, "auto", layout, path, budget, pair_packing)
+    run_records = plan_runs(
+        layout.records_in(path), layout.record_bytes, budget
+    ).run_records
+    serves = library_serves(
+        layout.key_bits, run_records, layout.is_pairs, pair_packing
+    )
+    if layout.is_pairs and pair_packing in ("fused", "off"):
+        assert not serves
+    assert (engine == "library") == serves
+    assert set(run_engines) == {engine}
+    assert got == _reference(layout, path, pair_packing)
 
 
 @needs_native
@@ -265,8 +307,9 @@ def test_file_sort_is_identical_on_both_tiers(
     "spill_native", [True, False], ids=["native-first", "hybrid-first"]
 )
 def test_resume_finishes_the_other_tiers_runs(tmp_path, tier, spill_native):
+    # 64-bit-key pairs stay off the library rung, so the tier decides.
     tmpdir = str(tmp_path)
-    layout, path, budget = _file_input(tmpdir, np.uint32, np.uint32, seed=3)
+    layout, path, budget = _file_input(tmpdir, np.int64, np.uint32, seed=3)
     out = os.path.join(tmpdir, "out.bin")
     spool = os.path.join(tmpdir, "spool")
     sorter = ExternalSorter(
@@ -287,7 +330,52 @@ def test_resume_finishes_the_other_tiers_runs(tmp_path, tier, spill_native):
         assert fh.read() == _reference(layout, path, "auto")
 
 
+@pytest.mark.parametrize(
+    "spill_library", [True, False], ids=["library-first", "native-first"]
+)
+def test_resume_finishes_the_other_rungs_runs(
+    tmp_path, monkeypatch, run_engines, spill_library
+):
+    """Runs one rung spilled and runs the other re-produces merge into
+    the same bytes.  Keeping the library rung off for one phase stands
+    in for a host whose planner routed differently."""
+    import repro.core.library as library
+
+    on_rung = [spill_library]
+    serves = library.library_serves
+    monkeypatch.setattr(
+        library, "library_serves", lambda *a: on_rung[0] and serves(*a)
+    )
+    off_rung = "native" if NATIVE_AVAILABLE else "hybrid"
+    first, second = (
+        ("library", off_rung) if spill_library else (off_rung, "library")
+    )
+    tmpdir = str(tmp_path)
+    layout, path, budget = _file_input(tmpdir, np.uint32, np.uint32, seed=4)
+    out = os.path.join(tmpdir, "out.bin")
+    spool = os.path.join(tmpdir, "spool")
+    sorter = ExternalSorter(
+        memory_budget=budget, spool_dir=spool, retry_policy=None
+    )
+    with inject(FaultPlan.single("external.merge_read")):
+        with pytest.raises(TransientError):
+            sorter.sort_file(path, out, layout)
+    assert set(run_engines) == {first}
+    runs = sorted(n for n in os.listdir(spool) if n.startswith("run-"))
+    assert len(runs) > 2
+    for name in runs[::2]:  # the other rung re-produces every other run
+        os.unlink(os.path.join(spool, name))
+    run_engines.clear()
+    on_rung[0] = not spill_library
+    report = sorter.resume(path, out, layout)
+    assert set(run_engines) == {second}
+    assert 0 < report.reused_runs < report.n_runs
+    with open(out, "rb") as fh:
+        assert fh.read() == _reference(layout, path, "auto")
+
+
 def test_runs_below_the_native_floor_sort_hybrid(tmp_path):
+    # 64-bit-key pairs: off the library rung, so the floor decides.
     layout = FileLayout(np.uint64, np.uint32)
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 1 << 40, 2_000).astype(np.uint64)

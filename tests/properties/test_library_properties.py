@@ -24,7 +24,7 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.keys import to_sortable_bits
-from repro.core.library import library_serves
+from repro.core.library import library_serves, stable_argsort
 from repro.core.pairs import make_records
 from repro.plan.planner import layout_preset
 from repro.service import SortService
@@ -167,3 +167,20 @@ def test_every_entry_point_matches_the_bits_space_reference(
             assert as_bytes(result) == want
         if micro_batching and config is None and n:
             assert results[0].meta["service"]["batch_size"] == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    width=st.sampled_from((8, 16, 32, 64)),
+    n=st.sampled_from(SIZES),
+    spread=st.sampled_from((1, 3, 1 << 7)),
+    seed=st.integers(0, 2**16),
+)
+def test_stable_argsort_equals_numpys_stable_argsort(width, n, spread, seed):
+    """The merge's ordering helper is NumPy's stable argsort, ties and
+    all, whether the bits index-pack (≤ 32 bits) or not."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, spread, n).astype(f"u{width // 8}")
+    bits[rng.random(n) < 0.1] = np.iinfo(bits.dtype).max
+    got = stable_argsort(bits)
+    assert np.array_equal(got, np.argsort(bits, kind="stable"))

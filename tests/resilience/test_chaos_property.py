@@ -17,6 +17,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.resilience.chaos import (
+    EXTERNAL_RUNGS,
     WRITE_SITES,
     _external_scenario,
     _rung_scenario,
@@ -90,11 +91,16 @@ class TestSingleFaultContainment:
     @settings(max_examples=12, **SCENARIO_SETTINGS)
     @given(
         scenario=st.sampled_from(EXTERNAL_MATRIX),
+        rung=st.sampled_from(EXTERNAL_RUNGS),
         seed=st.integers(0, 2**16),
     )
-    def test_external_faults_recover_or_fail_typed(self, scenario, seed):
+    def test_external_faults_recover_or_fail_typed(
+        self, scenario, rung, seed
+    ):
         site, kind = scenario
-        assert_contained(_external_scenario(site, kind, n=3_000, seed=seed))
+        assert_contained(
+            _external_scenario(site, kind, n=3_000, seed=seed, rung=rung)
+        )
 
     @settings(max_examples=8, **SCENARIO_SETTINGS)
     @given(

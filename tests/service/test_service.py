@@ -483,6 +483,36 @@ class TestFileRequests:
         assert report.n_runs > 1
         assert bytes(read_records(dst, layout)) == bytes(np.sort(keys))
 
+    @pytest.mark.parametrize("packing", ["auto", "fused"])
+    def test_file_pair_packing_reaches_the_planner(
+        self, tmp_path, rng, packing
+    ):
+        # The packing decides the run sorts' rung: fused ties order by
+        # value bits, which the library rung (position ties) cannot do.
+        from repro.external import FileLayout, write_records
+
+        layout = FileLayout(np.uint32, np.uint32)
+        keys = rng.integers(0, 50, 6_000).astype(np.uint32)
+        values = rng.integers(0, 2**32, keys.size).astype(np.uint32)
+        src = str(tmp_path / "input.bin")
+        write_records(src, layout.to_records(keys, values))
+        kwargs = dict(
+            layout=layout, memory_budget=16 << 10, pair_packing=packing
+        )
+
+        async def main():
+            async with SortService() as service:
+                return await service.submit(
+                    src, output=str(tmp_path / "served.bin"), **kwargs
+                )
+
+        report = run(main())
+        engine = report.plan.step("spill-runs").params["engine"]
+        assert (engine == "library") == (packing == "auto")
+        repro.sort(src, output=str(tmp_path / "direct.bin"), **kwargs)
+        served = (tmp_path / "served.bin").read_bytes()
+        assert served == (tmp_path / "direct.bin").read_bytes()
+
     def test_missing_file_fails_cleanly(self, tmp_path):
         async def main():
             async with SortService() as service:
