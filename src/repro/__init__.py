@@ -81,8 +81,6 @@ __all__ = [
     "Planner",
     "ReproError",
     "ResourceExhaustedError",
-    "ShardSupervisor",
-    "ShardedSortService",
     "SimulatedGPU",
     "SortConfig",
     "SortPlan",
@@ -120,14 +118,6 @@ def __getattr__(name: str):
         from repro.service import SortService
 
         return SortService
-    if name == "ShardedSortService":
-        from repro.shard.service import ShardedSortService
-
-        return ShardedSortService
-    if name == "ShardSupervisor":
-        from repro.shard.supervisor import ShardSupervisor
-
-        return ShardSupervisor
     if name in ("RetryPolicy", "Deadline"):
         from repro.resilience import policy
 
@@ -159,7 +149,6 @@ def _describe(
     layout=None,
     dtype=None,
     value_dtype=None,
-    shards: int | None = None,
     pair_packing: str | None = None,
 ) -> InputDescriptor:
     """Build the planner's input descriptor for arrays or file paths."""
@@ -180,7 +169,6 @@ def _describe(
         None if values is None else np.asarray(values),
         memory_budget=memory_budget,
         workers=workers,
-        shards=shards or 1,
         spec=spec,
     )
 
@@ -217,7 +205,6 @@ def plan_for(
     *,
     memory_budget: int | None = None,
     workers: int | None = None,
-    shards: int | None = None,
     layout=None,
     dtype=None,
     value_dtype=None,
@@ -231,7 +218,7 @@ def plan_for(
     """
     descriptor = _describe(
         data, values, device, memory_budget, workers, config,
-        layout, dtype, value_dtype, shards,
+        layout, dtype, value_dtype,
     )
     return Planner(
         config=config, native=_native_policy(native, device)
@@ -245,7 +232,6 @@ def sort(
     *,
     memory_budget: int | None = None,
     workers: int | None = None,
-    shards: int | None = None,
     output: str | os.PathLike | None = None,
     layout=None,
     dtype=None,
@@ -271,10 +257,8 @@ def sort(
       and merges them into ``output=``, returning the
       :class:`~repro.external.ExternalSortReport`.
 
-    ``workers=`` fans disjoint work across host threads and
-    ``shards=`` across worker *processes* (shared-memory slabs +
-    scatter/merge, :mod:`repro.shard`); the output is byte-identical
-    for any worker or shard count.
+    ``workers=`` fans disjoint work across host threads; the output
+    is byte-identical for any worker count.
 
     ``native=`` is the engine policy (``"auto"``, the default, sends
     keys and pairs of at most 32-bit keys — in memory or as a file's
@@ -287,11 +271,6 @@ def sort(
     tier is byte-identical.
     """
     if isinstance(data, (str, os.PathLike)):
-        if shards is not None and shards > 1:
-            raise ConfigurationError(
-                "shards= applies to in-memory arrays; file inputs "
-                "scale out through memory_budget= runs"
-            )
         if output is None:
             raise ConfigurationError("sorting a file path needs output=")
         if config is not None:
@@ -328,7 +307,7 @@ def sort(
             f"got an in-memory array"
         )
     descriptor = _describe(
-        data, None, device, memory_budget, workers, config, shards=shards
+        data, None, device, memory_budget, workers, config
     )
     return execute_plan(
         Planner(
@@ -348,14 +327,13 @@ def sort_pairs(
     *,
     memory_budget: int | None = None,
     workers: int | None = None,
-    shards: int | None = None,
     native: str = "auto",
 ) -> SortResult:
     """Sort decomposed key-value pairs (§4.6) through the planner."""
     keys = np.asarray(keys)
     values = np.asarray(values)
     descriptor = _describe(
-        keys, values, device, memory_budget, workers, config, shards=shards
+        keys, values, device, memory_budget, workers, config
     )
     plan = Planner(
         config=config, native=_native_policy(native, device)
@@ -372,7 +350,6 @@ def sort_records(
     *,
     memory_budget: int | None = None,
     workers: int | None = None,
-    shards: int | None = None,
     native: str = "auto",
 ) -> SortResult:
     """Sort coherent key-value records: decompose, sort, recompose."""
@@ -384,7 +361,6 @@ def sort_records(
         device=device,
         memory_budget=memory_budget,
         workers=workers,
-        shards=shards,
         native=native,
     )
     result.meta["records"] = recompose(result.keys, result.values)

@@ -26,15 +26,9 @@ Commands
     Async sort service (``repro.service.SortService``) driven by JSON
     lines on stdin: inline arrays, generated workloads, or file sorts,
     with micro-batching, admission control, and per-request telemetry.
-    ``--shards N`` runs N service worker processes behind the same
-    stream (``repro.shard.ShardedSortService``).
 ``bench-service``
     Closed-loop throughput benchmark of the sort service (requests/s,
     p50/p95 latency, micro-batching on vs off).
-``bench-shard``
-    Multiprocess scaling benchmark of the sharded engine: one workload,
-    1→N shard processes, every timed run verified byte-identical to
-    the single-process oracle; writes ``BENCH_shard.json``.
 ``chaos``
     Deterministic fault-injection sweep: every named fault site, one
     fault at a time, each scenario proven to end in byte-identical
@@ -56,7 +50,6 @@ Examples::
     printf '%s\n' '{"id": 1, "keys": [3, 1, 2], "dtype": "uint32"}' \
         | python -m repro serve
     python -m repro bench-service --quick --output /tmp/BENCH_service.json
-    python -m repro bench-shard --quick --output /tmp/BENCH_shard.json
     python -m repro chaos --quick
 """
 
@@ -533,10 +526,6 @@ def cmd_calibrate(args) -> int:
         f"thread speedup x2      : "
         f"{profile['thread_speedup']['2']:.2f}"
     )
-    print(
-        f"shard speedup x2       : "
-        f"{profile['shard_speedup']['2']:.2f}"
-    )
     fingerprint = save_profile(profile, path)
     print(f"wrote {path} (fingerprint {fingerprint})")
     return 0
@@ -570,7 +559,6 @@ def cmd_serve(args) -> int:
                 sys.stdout.write,
                 seed=args.seed,
                 echo_limit=args.echo_limit,
-                shards=args.shards,
                 memory_budget=_parse_size(args.memory_budget),
                 micro_batching=not args.no_batching,
                 batch_window=args.batch_window / 1e3,
@@ -584,12 +572,6 @@ def cmd_serve(args) -> int:
 
 def cmd_bench_service(args) -> int:
     from repro.bench.service import execute
-
-    return execute(args)
-
-
-def cmd_bench_shard(args) -> int:
-    from repro.bench.shard import execute
 
     return execute(args)
 
@@ -826,13 +808,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=10_000,
         help="echo sorted data for inline requests up to this size",
     )
-    p_serve.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="service worker processes (>1 runs one full service per "
-        "process behind the same stream)",
-    )
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.set_defaults(func=cmd_serve)
 
@@ -844,15 +819,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_bench_service_args(p_bsvc)
     p_bsvc.set_defaults(func=cmd_bench_service)
-
-    p_bshard = sub.add_parser(
-        "bench-shard",
-        help="multiprocess sharded-engine scaling benchmark",
-    )
-    from repro.bench.shard import add_bench_shard_args
-
-    add_bench_shard_args(p_bshard)
-    p_bshard.set_defaults(func=cmd_bench_shard)
 
     p_chaos = sub.add_parser(
         "chaos",

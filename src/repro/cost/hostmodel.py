@@ -135,10 +135,11 @@ class HostCostModel:
     # ------------------------------------------------------------------
     # Scaling factors
     # ------------------------------------------------------------------
-    def _speedup(self, table, count: int) -> float:
-        if count <= 1:
+    def thread_speedup(self, workers: int) -> float:
+        if workers <= 1:
             return 1.0
-        exact = table.get(str(count))
+        table = self.profile.thread_speedup
+        exact = table.get(str(workers))
         if exact:
             return max(float(exact), 1e-3)
         # Extrapolate from the widest measured point at its parallel
@@ -154,11 +155,5 @@ class HostCostModel:
         if best_count <= 1:
             return 1.0
         efficiency = best_speedup / best_count
-        usable = min(count, max(self.profile.cpu_count, best_count))
+        usable = min(workers, max(self.profile.cpu_count, best_count))
         return max(1e-3, usable * efficiency)
-
-    def thread_speedup(self, workers: int) -> float:
-        return self._speedup(self.profile.thread_speedup, workers)
-
-    def shard_speedup(self, shards: int) -> float:
-        return self._speedup(self.profile.shard_speedup, shards)

@@ -21,9 +21,8 @@ the constants on the host that will actually execute the plans:
 * the stable-argsort rate that prices local sorts and the LSD
   fallback, and the pack/unpack bandwidth of the pair-packing layer;
 * the external sorter's run-spill and streaming k-way-merge rates;
-* thread (``workers=``) and shard-process (``shards=``) speedup
-  factors at ×2, extrapolated linearly per extra worker up to the CPU
-  count.
+* the thread (``workers=``) speedup factor at ×2, extrapolated
+  linearly per extra worker up to the CPU count.
 
 The result is an atomic, schema-versioned JSON file (default
 ``~/.cache/repro-host-profile.json``, overridable with the
@@ -66,7 +65,6 @@ __all__ = [
     "probe_pack",
     "probe_external",
     "probe_thread_scaling",
-    "probe_shard_scaling",
 ]
 
 #: Version of the on-disk profile layout.  Readers reject any other
@@ -99,7 +97,6 @@ _REQUIRED_FIELDS = (
     "spill_bandwidth",
     "merge_bandwidth",
     "thread_speedup",
-    "shard_speedup",
 )
 
 
@@ -137,7 +134,6 @@ class HostProfile:
     spill_bandwidth: float
     merge_bandwidth: float
     thread_speedup: Mapping[str, float]
-    shard_speedup: Mapping[str, float]
     fingerprint: str = ""
     schema: int = PROFILE_SCHEMA
     extras: Mapping[str, Any] = field(default_factory=dict)
@@ -170,8 +166,7 @@ class HostProfile:
         if not isinstance(counting, Mapping) or not counting:
             raise ProfileError("counting_bandwidth must be a non-empty map")
         for name in ("counting_bandwidth", "native_bandwidth",
-                     "library_bandwidth", "thread_speedup",
-                     "shard_speedup"):
+                     "library_bandwidth", "thread_speedup"):
             table = data.get(name, {})
             if not isinstance(table, Mapping):
                 raise ProfileError(f"{name} must be a map")
@@ -201,7 +196,6 @@ class HostProfile:
             spill_bandwidth=float(data["spill_bandwidth"]),
             merge_bandwidth=float(data["merge_bandwidth"]),
             thread_speedup=dict(data["thread_speedup"]),
-            shard_speedup=dict(data["shard_speedup"]),
             fingerprint=str(data.get("fingerprint", "")),
             extras=extras,
         )
@@ -220,7 +214,6 @@ class HostProfile:
             "spill_bandwidth": self.spill_bandwidth,
             "merge_bandwidth": self.merge_bandwidth,
             "thread_speedup": dict(self.thread_speedup),
-            "shard_speedup": dict(self.shard_speedup),
         }
         out.update(dict(self.extras))
         if self.fingerprint:
@@ -542,22 +535,6 @@ def probe_thread_scaling(
     return {"thread_speedup": {"1": 1.0, "2": max(t1 / t2, 1e-3)}}
 
 
-def probe_shard_scaling(
-    n: int, repeats: int, rng: np.random.Generator
-) -> dict:
-    """Measured ×2-shard-process speedup, spawn overhead included."""
-    import repro
-
-    keys, _ = _probe_arrays(rng, n, 32, 0)
-    t1 = _best_seconds(
-        lambda: repro.sort(keys, native="never"), repeats
-    )
-    t2 = _best_seconds(
-        lambda: repro.sort(keys, shards=2, native="never"), repeats
-    )
-    return {"shard_speedup": {"1": 1.0, "2": max(t1 / t2, 1e-3)}}
-
-
 def run_probes(
     n: int | None = None,
     repeats: int | None = None,
@@ -601,13 +578,11 @@ def run_probes(
     profile.update(probe_library(n, repeats, rng))
     profile.update(probe_local_sort(n, repeats, rng))
     profile.update(probe_pack(n, repeats, rng))
-    # Disk and process probes carry real fixed costs (temp files, run
-    # framing, process spawn): too small a probe measures the overhead,
-    # not the rate.  Full calibration holds them near the in-memory
-    # probe size; --quick bounds them so calibration stays interactive.
+    # Disk probes carry real fixed costs (temp files, run framing):
+    # too small a probe measures the overhead, not the rate.  Full
+    # calibration holds them near the in-memory probe size; --quick
+    # bounds them so calibration stays interactive.
     external_n = min(n, 1 << 18) if quick else max(n, 1 << 21)
     profile.update(probe_external(external_n, 1, rng))
     profile.update(probe_thread_scaling(n, 1, rng))
-    shard_n = min(n, 1 << 18) if quick else max(n, 1 << 20)
-    profile.update(probe_shard_scaling(shard_n, 1, rng))
     return profile

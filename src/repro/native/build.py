@@ -24,8 +24,9 @@ The extension is compiled at most once per (source digest, python ABI)
 and cached under ``$REPRO_NATIVE_CACHE`` (default
 ``~/.cache/repro-native``).  Compilation happens in a scratch directory
 and the finished shared object is published with ``os.replace`` — an
-atomic rename — so concurrent processes (the shard workers re-plan per
-shard) can race on first use without observing a half-written module.
+atomic rename — so concurrent processes (parallel test runs, several
+services on one host) can race on first use without observing a
+half-written module.
 
 ``import repro`` must never fail because a compiler is missing: every
 failure mode (no cffi, no gcc, sandboxed tmpdir, corrupt cache) is
@@ -651,8 +652,8 @@ def _compile_extension(dest: Path) -> Path:
     try:
         built = ffibuilder.compile(tmpdir=tmpdir, verbose=False)
         # os.replace is atomic within a filesystem: racing processes
-        # (shard workers probing concurrently) each publish a complete
-        # module; last writer wins with identical bytes.
+        # each publish a complete module; last writer wins with
+        # identical bytes.
         os.replace(built, dest)
     finally:
         shutil.rmtree(tmpdir, ignore_errors=True)

@@ -46,11 +46,6 @@ class InputDescriptor:
     workers:
         Host threads the execution may fan disjoint work across.
         Never affects the plan's output — only its wall-clock.
-    shards:
-        Worker *processes* the sort may scatter across
-        (:mod:`repro.shard`).  Like ``workers``, never affects the
-        output bytes — only where the work runs.  ``1`` means
-        single-process.
     pair_packing:
         A file sort's pair packing policy (``"auto"``, ``"index"``,
         ``"fused"`` or ``"off"``), which decides the engine its run
@@ -67,7 +62,6 @@ class InputDescriptor:
     path: str | None = None
     memory_budget: int | None = None
     workers: int = 1
-    shards: int = 1
     pair_packing: str | None = None
     spec: GPUSpec = field(default=TITAN_X_PASCAL, repr=False)
 
@@ -82,16 +76,9 @@ class InputDescriptor:
             raise ConfigurationError("memory_budget must be positive")
         if self.workers < 1:
             raise ConfigurationError("workers must be >= 1")
-        if self.shards < 1:
-            raise ConfigurationError("shards must be >= 1")
         if self.pair_packing not in (None, "auto", "index", "fused", "off"):
             raise ConfigurationError(
                 "pair_packing must be 'auto', 'index', 'fused', or 'off'"
-            )
-        if self.shards > 1 and self.source == "file":
-            raise ConfigurationError(
-                "shards= applies to in-memory arrays; file inputs "
-                "scale out through the external sorter's run plan"
             )
         object.__setattr__(self, "key_dtype", np.dtype(self.key_dtype))
         if self.value_dtype is not None:
@@ -134,7 +121,6 @@ class InputDescriptor:
         values: np.ndarray | None = None,
         memory_budget: int | None = None,
         workers: int = 1,
-        shards: int = 1,
         spec: GPUSpec = TITAN_X_PASCAL,
     ) -> "InputDescriptor":
         """Describe an in-memory (keys[, values]) input without copying it."""
@@ -152,7 +138,6 @@ class InputDescriptor:
             source="array",
             memory_budget=memory_budget,
             workers=workers,
-            shards=shards,
             spec=spec,
         )
 
@@ -199,7 +184,6 @@ class InputDescriptor:
             self.path,
             self.memory_budget,
             self.workers,
-            self.shards,
             self.pair_packing,
             self.spec.name,
         )
@@ -225,7 +209,6 @@ class InputDescriptor:
             "path": self.path,
             "memory_budget": self.memory_budget,
             "workers": self.workers,
-            "shards": self.shards,
             "pair_packing": self.pair_packing,
             "spec": self.spec.name,
             "total_bytes": self.total_bytes,

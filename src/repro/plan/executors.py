@@ -4,8 +4,8 @@ The planner describes work; this module maps a
 :class:`~repro.plan.ir.SortPlan`'s strategy onto the engine that
 performs it.  Each executor is a plain callable
 ``fn(plan, **io) -> SortResult | ExternalSortReport`` registered under
-the plan's strategy name, so new engines (a sharded service, a cached
-backend) plug in without touching the planner or the facades.
+the plan's strategy name, so new engines (a cached backend, say) plug
+in without touching the planner or the facades.
 
 Every stock executor drives the *existing* engine unchanged — the plan
 only decides which engine runs and with what sizing — which is what
@@ -218,35 +218,6 @@ def _execute_external(
     return sorter.execute_plan(plan, desc.path, output_path, layout)
 
 
-def _execute_sharded(
-    plan: SortPlan,
-    keys: np.ndarray,
-    values: np.ndarray | None = None,
-    config=None,
-    supervisor=None,
-    partition: str | None = None,
-    device=None,
-    **_: object,
-) -> SortResult:
-    """The multiprocess scatter/merge backend (:mod:`repro.shard`).
-
-    Sits above ``hybrid`` on the degradation ladder: if the worker
-    pool is systematically failing, :func:`repro.resilience.degrade.
-    resilient_execute` falls back to the single-process engines, which
-    produce byte-identical output.
-    """
-    from repro.shard.router import execute_sharded_plan
-
-    return execute_sharded_plan(
-        plan,
-        keys=keys,
-        values=values,
-        config=_merged_config(plan, config),
-        supervisor=supervisor,
-        partition=partition,
-    )
-
-
 def _execute_native(
     plan: SortPlan,
     keys: np.ndarray,
@@ -318,7 +289,6 @@ DEFAULT_REGISTRY.register("hybrid", _execute_hybrid)
 DEFAULT_REGISTRY.register("fallback", _execute_fallback)
 DEFAULT_REGISTRY.register("hetero", _execute_hetero)
 DEFAULT_REGISTRY.register("external", _execute_external)
-DEFAULT_REGISTRY.register("sharded", _execute_sharded)
 DEFAULT_REGISTRY.register("native", _execute_native)
 DEFAULT_REGISTRY.register("library", _execute_library)
 DEFAULT_REGISTRY.register("oracle", _execute_oracle)

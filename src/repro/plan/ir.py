@@ -26,9 +26,6 @@ STEP_KINDS = MappingProxyType({
     "chunked-pipeline": "budgeted chunks through the §5 pipeline",
     "spill-runs": "memory-budgeted sorted runs spilled to disk",
     "kway-merge": "k-way merge of sorted runs",
-    "shard-scatter": "partitioning input into per-shard memory slabs",
-    "shard-sort": "per-shard sorts across worker processes",
-    "shard-merge": "bits-space k-way reduce of sorted shards",
     "native-lsd": "compiled counting-scatter passes (§4 in C, WC buffers)",
     "library-sort": "one np.sort over the §4.6 bits (index-packed pairs)",
 })
@@ -82,8 +79,8 @@ class SortPlan:
         The :class:`~repro.plan.descriptor.InputDescriptor` planned for.
     strategy:
         Which executor family runs the plan: ``"library"``,
-        ``"native"``, ``"hybrid"``, ``"fallback"``, ``"hetero"``,
-        ``"external"``, or ``"sharded"``.
+        ``"native"``, ``"hybrid"``, ``"fallback"``, ``"hetero"``, or
+        ``"external"``.
     engine:
         Human-readable engine name (class that executes the plan).
     steps:

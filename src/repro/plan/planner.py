@@ -226,8 +226,6 @@ class Planner:
     def _choose(self, descriptor: InputDescriptor) -> SortPlan:
         if descriptor.source == "file":
             return self.plan_external(descriptor)
-        if descriptor.shards > 1:
-            return self.plan_sharded(descriptor)
         if not self.fits_in_memory(descriptor):
             return self.plan_chunked(descriptor)
         if self.adaptive and not self.chooses_hybrid(
@@ -503,81 +501,6 @@ class Planner:
                 f"input exceeds the "
                 f"{'memory budget' if budgeted else 'device memory'}; "
                 f"{chunk_plan.n_chunks} pipelined chunks + host merge"
-            ),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
-        )
-
-    def plan_sharded(
-        self, descriptor: InputDescriptor, partition: str = "range"
-    ) -> SortPlan:
-        """The multiprocess scatter/merge strategy (``shards > 1``).
-
-        The §5 shape at process granularity: partition the input into
-        per-shard shared-memory slabs, sort every shard in parallel
-        worker processes (each shard is an ordinary in-memory plan),
-        and reduce with the bits-space k-way merge — fan-in per the
-        multiway-mergesort buffer accounting.  Requested shards clamp
-        to the record count; one effective shard plans as a plain
-        single-process sort.
-        """
-        if not self.fits_in_memory(descriptor):
-            raise ConfigurationError(
-                "shards= cannot combine with a memory budget the input "
-                "does not fit; choose process scale-out (shards=) or "
-                "budgeted chunking (memory_budget=), not both"
-            )
-        shards = min(descriptor.shards, max(1, descriptor.n))
-        if shards == 1:
-            return self._choose(replace(descriptor, shards=1))
-        from repro.shard.merge import choose_fan_in
-
-        config = self._config_for(descriptor)
-        total = descriptor.total_bytes
-        per_shard = max(1, descriptor.n // shards)
-        shard_sort = self._msd_step(descriptor, config, per_shard)
-        scatter_step = PlanStep(
-            kind="shard-scatter",
-            params={"shards": shards, "partition": partition},
-            predicted_seconds=self._stream_seconds(descriptor, 2 * total),
-            bytes_moved=2 * total,
-        )
-        # Shards run concurrently: the step costs one shard's sort,
-        # while bytes_moved counts all of them.  A host profile knows
-        # the measured process-scaling efficiency (spawn + slab copy
-        # overhead included) and corrects the concurrency credit.
-        sort_seconds = shard_sort.predicted_seconds
-        if self.host is not None:
-            sort_seconds = (
-                sort_seconds * shards / self.host.shard_speedup(shards)
-            )
-        sort_step = PlanStep(
-            kind="shard-sort",
-            params={
-                "shards": shards,
-                "per_shard_records": per_shard,
-                "expected_passes": shard_sort.params["expected_passes"],
-            },
-            predicted_seconds=sort_seconds,
-            bytes_moved=shard_sort.bytes_moved * shards,
-        )
-        fan_in = choose_fan_in(shards, descriptor.record_bytes)
-        merge_step = PlanStep(
-            kind="shard-merge",
-            params={"n_runs": shards, "fan_in": fan_in, "where": "host"},
-            predicted_seconds=self._merge_seconds(
-                total, shards, descriptor.record_bytes
-            ),
-            bytes_moved=2 * total,
-        )
-        return SortPlan(
-            descriptor=descriptor,
-            strategy="sharded",
-            engine="ShardRouter",
-            steps=(scatter_step, sort_step, merge_step),
-            reason=(
-                f"{shards} shard processes over shared-memory slabs; "
-                f"scatter, parallel shard sorts, fan-in-{fan_in} reduce"
             ),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,

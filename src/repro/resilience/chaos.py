@@ -291,65 +291,6 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     return asyncio.run(run())
 
 
-# ----------------------------------------------------------------------
-# Sharded scenarios (parent-side fault → retry/degrade → identical)
-# ----------------------------------------------------------------------
-def _shard_scenario(site: str, kind: str, n: int, seed: int) -> dict:
-    """Contain one fault on the sharded path.
-
-    All shard sites trip in the *parent* process (worker-crash
-    containment is exercised separately, by actually killing workers —
-    ``tests/shard/test_shard_crash.py``), so the injected plan is visible and
-    auditable here.  The sort runs through ``resilient_execute`` with
-    the default retry policy: a single transient fault is absorbed by a
-    retry, and a persistent one degrades down the ladder to the
-    single-process engines — byte-identical either way.
-    """
-    from repro.plan import InputDescriptor, Planner
-    from repro.resilience.degrade import resilient_execute
-    from repro.resilience.policy import RetryPolicy
-
-    keys = _keys(n, seed)
-    expected = _expected_bytes(keys)
-    descriptor = InputDescriptor.for_array(keys, shards=2)
-    plan = Planner().plan(descriptor)
-    report: dict = {}
-    with inject(FaultPlan.single(site, kind)) as fault_plan:
-        try:
-            result = resilient_execute(
-                plan,
-                retry_policy=RetryPolicy(max_attempts=3, base_delay=0.01),
-                report=report,
-                keys=keys,
-            )
-            err = None
-        except TYPED_ERRORS as exc:
-            err = exc
-    if not fault_plan.fire_count():
-        return _result(site, kind, "not-reached", ok=False,
-                       detail="fault site never hit")
-    if err is not None:
-        return _result(site, kind, "typed-error", ok=True,
-                       detail=f"{type(err).__name__}: {err}")
-    if result.keys.tobytes() != expected:
-        return _result(site, kind, "corrupt-output", ok=False,
-                       detail="result differs from oracle")
-    if report.get("downgrades"):
-        return _result(
-            site, kind, "degraded", ok=True,
-            detail=f"degraded after "
-                   f"{len(report['downgrades'])} rung failure(s), "
-                   f"byte-identical",
-        )
-    if report.get("retries"):
-        return _result(
-            site, kind, "recovered", ok=True,
-            detail=f"{report['retries']} retry(ies), byte-identical",
-        )
-    return _result(site, kind, "completed", ok=True,
-                   detail="absorbed, byte-identical")
-
-
 def _rung_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     """Contain one fault on a rung above ``hybrid`` (native, library).
 
@@ -426,8 +367,6 @@ def run_chaos(
                 _external_scenario(site, kind, n, seed, rung)
                 for rung in EXTERNAL_RUNGS
             )
-        elif site.startswith("shard.") or site == "engine.sharded":
-            results.append(_shard_scenario(site, kind, n, seed))
         elif site in ("engine.native", "engine.library"):
             results.append(_rung_scenario(site, kind, n, seed))
         else:

@@ -100,9 +100,6 @@ SITES: dict[str, str] = {
         "executor registry: the NumPy stable-sort oracle rung "
         "(the ladder's last resort)"
     ),
-    "engine.sharded": (
-        "executor registry: the multiprocess sharded engine rung"
-    ),
     "engine.native": (
         "executor registry: the compiled counting-scatter rung "
         "(degrades to hybrid whether or not the extension exists)"
@@ -110,16 +107,6 @@ SITES: dict[str, str] = {
     "engine.library": (
         "executor registry: the np.sort library rung (keys and "
         "index-packable pairs; degrades to hybrid)"
-    ),
-    "shard.scatter": (
-        "sharded router: partitioning input into per-shard memory slabs"
-    ),
-    "shard.dispatch": (
-        "sharded supervisor: dispatching one shard task to a worker "
-        "process"
-    ),
-    "shard.merge": (
-        "sharded router: the bits-space k-way reduce of sorted shards"
     ),
 }
 

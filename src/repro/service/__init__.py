@@ -33,10 +33,7 @@ plan layer as its scheduling currency:
   :class:`~repro.service.stats.ServiceStats` aggregates them.
 
 ``python -m repro serve`` drives a service from JSON lines on stdin;
-:mod:`repro.bench.service` measures its throughput.  For scale past
-one process, :class:`~repro.shard.service.ShardedSortService`
-(re-exported here) runs one full service per worker process behind the
-same ``submit()`` surface — ``repro serve --shards N`` selects it.
+:mod:`repro.bench.service` measures its throughput.
 """
 
 from repro.service.admission import AdmissionController
@@ -52,18 +49,7 @@ __all__ = [
     "PlanCache",
     "RequestTiming",
     "ServiceStats",
-    "ShardedSortService",
     "SortRequest",
     "SortService",
     "execute_batch",
 ]
-
-
-def __getattr__(name: str):
-    # Lazy: the sharded tier pulls in multiprocessing machinery that
-    # plain single-process service users never need to import.
-    if name == "ShardedSortService":
-        from repro.shard.service import ShardedSortService
-
-        return ShardedSortService
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

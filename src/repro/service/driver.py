@@ -19,6 +19,9 @@ file sorts (out-of-core; the response reports the run/merge phases)::
     {"id": 4, "input": "data.bin", "output": "sorted.bin",
      "dtype": "uint32", "memory_budget": "64M"}
 
+Any shape may add ``memory_budget``, ``workers`` and ``deadline``; a key
+outside :data:`REQUEST_KEYS` fails its line instead of being dropped.
+
 At EOF the driver drains the service and emits one final
 ``{"event": "stats", ...}`` record with the aggregate
 :class:`~repro.service.stats.ServiceStats`.  Everything is line-
@@ -36,10 +39,19 @@ import json
 
 import numpy as np
 
+from repro.errors import ConfigurationError
 from repro.service.service import SortService
 from repro.workloads import generate_pairs, typed_keys
 
 __all__ = ["serve_stream", "request_kwargs"]
+
+#: Every key a request record may carry; anything else is a typo or an
+#: option this driver does not have, and is refused rather than dropped.
+REQUEST_KEYS = frozenset({
+    "id", "keys", "values", "dtype", "value_dtype", "input", "output",
+    "pairs", "n", "seed", "distribution", "memory_budget", "workers",
+    "deadline",
+})
 
 
 def _parse_size(value) -> int | None:
@@ -56,8 +68,16 @@ def request_kwargs(record: dict, default_seed: int = 0) -> dict:
 
     Returns ``{"data": ..., "values": ..., **submit_options}``; raises
     ``ValueError``/:class:`~repro.errors.ReproError` on malformed
-    records (the driver reports those per line, it never dies).
+    records (the driver reports those per line, it never dies) — among
+    them :class:`~repro.errors.ConfigurationError` for any key outside
+    :data:`REQUEST_KEYS`.
     """
+    unknown = sorted(str(key) for key in record if key not in REQUEST_KEYS)
+    if unknown:
+        raise ConfigurationError(
+            f"unknown request key(s): {', '.join(unknown)}; "
+            f"known: {', '.join(sorted(REQUEST_KEYS))}"
+        )
     if "keys" in record:
         dtype = np.dtype(record.get("dtype", "uint32"))
         keys = np.asarray(record["keys"], dtype=dtype)
@@ -97,7 +117,7 @@ def request_kwargs(record: dict, default_seed: int = 0) -> dict:
             "request needs 'keys' (inline), 'n' (generated), or "
             "'input' (file)"
         )
-    for option in ("memory_budget", "workers", "shards"):
+    for option in ("memory_budget", "workers"):
         if record.get(option) is not None:
             source[option] = (
                 _parse_size(record[option])
@@ -190,7 +210,6 @@ async def serve_stream(
     *,
     seed: int = 0,
     echo_limit: int = 10_000,
-    shards: int | None = None,
     **service_kwargs,
 ) -> int:
     """Drive a :class:`SortService` from a line stream; returns exit code.
@@ -200,11 +219,6 @@ async def serve_stream(
     Requests are submitted as soon as their line parses — concurrent
     in-flight requests are what gives the scheduler bursts to batch —
     and responses stream out as they complete.
-
-    ``shards`` > 1 swaps the backend for a
-    :class:`~repro.shard.service.ShardedSortService` — that many worker
-    processes, each running a full service; the final stats record then
-    carries fleet-wide totals plus a per-worker breakdown.
     """
     loop = asyncio.get_running_loop()
     failures = 0
@@ -213,13 +227,7 @@ async def serve_stream(
     def emit(payload: dict) -> None:
         write(json.dumps(payload) + "\n")
 
-    if shards is not None and shards > 1:
-        from repro.shard.service import ShardedSortService
-
-        backend = ShardedSortService(shards=shards, **service_kwargs)
-    else:
-        backend = SortService(**service_kwargs)
-    async with backend as service:
+    async with SortService(**service_kwargs) as service:
 
         async def run_one(record: dict) -> None:
             nonlocal failures

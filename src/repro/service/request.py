@@ -69,10 +69,6 @@ class SortRequest:
             return None
         if self.descriptor.memory_budget is not None:
             return None
-        if self.descriptor.shards > 1:
-            # Sharded requests scatter across processes; a coalesced
-            # batch dispatch has no per-request equivalent.
-            return None
         if self.io.get("config") is not None or self.io.get("device") is not None:
             return None
         if self.descriptor.key_dtype.itemsize < 4:

@@ -273,7 +273,6 @@ class SortService:
         *,
         memory_budget: int | None = None,
         workers: int | None = None,
-        shards: int | None = None,
         output: str | os.PathLike | None = None,
         layout=None,
         dtype=None,
@@ -311,7 +310,6 @@ class SortService:
             values,
             memory_budget=memory_budget,
             workers=workers,
-            shards=shards,
             output=output,
             layout=layout,
             dtype=dtype,
@@ -360,7 +358,6 @@ class SortService:
         *,
         memory_budget,
         workers,
-        shards,
         output,
         layout,
         dtype,
@@ -376,11 +373,6 @@ class SortService:
         if isinstance(data, (str, os.PathLike)):
             if output is None:
                 raise ConfigurationError("sorting a file path needs output=")
-            if shards is not None and shards > 1:
-                raise ConfigurationError(
-                    "shards= applies to in-memory arrays; file inputs "
-                    "already stream through the external engine"
-                )
             if values is not None:
                 raise ConfigurationError(
                     "values= does not apply to file-path inputs; describe "
@@ -443,7 +435,6 @@ class SortService:
             values,
             memory_budget=memory_budget,
             workers=workers,
-            shards=shards or 1,
             spec=spec,
         )
         return SortRequest(

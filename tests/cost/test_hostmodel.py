@@ -26,7 +26,6 @@ def profile_doc(**overrides) -> dict:
         "spill_bandwidth": 5.0e7,
         "merge_bandwidth": 1.0e8,
         "thread_speedup": {"1": 1.0, "2": 1.6},
-        "shard_speedup": {"1": 1.0, "2": 1.2},
     }
     doc.update(overrides)
     return doc
@@ -92,7 +91,6 @@ class TestSpeedups:
     def test_measured_point_used_exactly(self, model):
         assert model.thread_speedup(1) == 1.0
         assert model.thread_speedup(2) == 1.6
-        assert model.shard_speedup(2) == 1.2
 
     def test_extrapolation_scales_measured_efficiency(self, model):
         # ×2 measured at 1.6 → efficiency 0.8; 4 workers on an 8-CPU

@@ -28,10 +28,15 @@ from repro.cost.hostprofile import (
     run_probes,
     save_profile,
 )
+from repro.plan import InputDescriptor, Planner
 
 
 def profile_doc(**overrides) -> dict:
-    """A small, valid, fully synthetic profile document."""
+    """A small, valid, fully synthetic profile document.
+
+    It keeps the ``shard_speedup`` table that calibration wrote before
+    the process-shard tier was removed, as older profiles on disk do.
+    """
     doc = {
         "schema": PROFILE_SCHEMA,
         "created": 123.0,
@@ -99,6 +104,41 @@ class TestProfileObject:
 
     def test_layout_key(self):
         assert layout_key(32, 0) == "32/0"
+
+    def test_retired_field_loads_as_extra_and_round_trips(self):
+        old_doc = profile_doc()
+        old = HostProfile.from_dict(old_doc)
+        assert old.extras == {"shard_speedup": old_doc["shard_speedup"]}
+        assert HostProfile.from_dict(old.to_dict()) == old
+        del old_doc["shard_speedup"]
+        assert HostProfile.from_dict(old_doc).extras == {}
+
+    @pytest.mark.parametrize(
+        "desc",
+        [
+            InputDescriptor(n=1 << 20, key_dtype=np.uint32),
+            InputDescriptor(n=1 << 20, key_dtype=np.uint32, workers=2),
+            InputDescriptor(
+                n=1 << 20, key_dtype=np.int64, value_dtype=np.uint64
+            ),
+            InputDescriptor(
+                n=1 << 20, key_dtype=np.uint32, memory_budget=1 << 20
+            ),
+        ],
+        ids=["keys", "workers", "pairs64", "budget"],
+    )
+    def test_retired_field_prices_alike(self, desc):
+        old_doc = profile_doc()
+        new_doc = dict(old_doc)
+        del new_doc["shard_speedup"]
+        plans = [
+            Planner(native="never", profile=HostProfile.from_dict(doc)).plan(
+                desc
+            )
+            for doc in (old_doc, new_doc)
+        ]
+        assert [p.cost_source for p in plans] == ["host-profile"] * 2
+        assert plans[0].steps == plans[1].steps
 
     def test_library_table_is_optional(self):
         # Profiles written before the library probe still load.
@@ -261,6 +301,7 @@ class TestRunProbes:
             "n": 1024, "repeats": 1, "quick": True, "seed": 7,
         }
         assert doc["host"]["cpu_count"] >= 1
+        assert HostProfile.from_dict(doc).extras == {}
         fingerprint = save_profile(doc, tmp_path / "p.json")
         profile = load_host_profile(tmp_path / "p.json")
         assert profile is not None and profile.fingerprint == fingerprint

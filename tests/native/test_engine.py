@@ -248,21 +248,25 @@ class TestEngineContract:
         assert np.array_equal(values, values_before)
 
 
-class TestShardCrossCheck:
-    def test_sharded_sort_matches_native_engine(self, rng):
+class TestTierCrossCheck:
+    """The planner's one-process NumPy tier against the compiled engine."""
+
+    def test_numpy_tier_keys_match_native_engine(self, rng):
         import repro
 
         keys = rng.integers(0, 1 << 32, 120_000).astype(np.uint32)
-        sharded = repro.sort(keys, shards=2, native="never")
+        numpy_tier = repro.sort(keys, native="never")
         native = make_engine().sort(keys)
-        assert sharded.keys.tobytes() == native.keys.tobytes()
+        assert numpy_tier.meta["engine"] == "hybrid"
+        assert numpy_tier.keys.tobytes() == native.keys.tobytes()
 
-    def test_sharded_pairs_match_native_engine(self, rng):
+    def test_numpy_tier_pairs_match_native_engine(self, rng):
         import repro
 
         keys = rng.integers(0, 1 << 32, 120_000).astype(np.uint32)
         values = np.arange(120_000, dtype=np.uint32)
-        sharded = repro.sort_pairs(keys, values, shards=3, native="never")
+        numpy_tier = repro.sort_pairs(keys, values, native="never")
         native = make_engine().sort(keys, values)
-        assert sharded.keys.tobytes() == native.keys.tobytes()
-        assert sharded.values.tobytes() == native.values.tobytes()
+        assert numpy_tier.meta["engine"] == "hybrid"
+        assert numpy_tier.keys.tobytes() == native.keys.tobytes()
+        assert numpy_tier.values.tobytes() == native.values.tobytes()

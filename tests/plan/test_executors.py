@@ -203,6 +203,6 @@ class TestRegistry:
         assert execute_plan(plan, registry=registry) == "custom"
         assert "hybrid" in DEFAULT_REGISTRY.strategies()
         assert set(DEFAULT_REGISTRY.strategies()) == {
-            "hybrid", "fallback", "hetero", "external", "oracle", "sharded",
-            "native", "library",
+            "hybrid", "fallback", "hetero", "external", "oracle", "native",
+            "library",
         }

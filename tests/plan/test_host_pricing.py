@@ -32,7 +32,6 @@ SYNTHETIC_PROFILE = {
     "spill_bandwidth": 1.0e8,
     "merge_bandwidth": 2.0e8,
     "thread_speedup": {"1": 1.0, "2": 1.5},
-    "shard_speedup": {"1": 1.0, "2": 1.3},
 }
 
 
@@ -52,11 +51,10 @@ def various_descriptors(tmp_path):
     budgeted = InputDescriptor(
         n=4_000_000, key_dtype=np.uint32, memory_budget=1 << 22
     )
-    sharded = InputDescriptor(n=4_000_000, key_dtype=np.uint32, shards=4)
     path = tmp_path / "input.bin"
     np.arange(100_000, dtype=np.uint32).tofile(path)
     on_disk = InputDescriptor.for_file(path, FileLayout(np.uint32))
-    return [array, pairs, small, budgeted, sharded, on_disk]
+    return [array, pairs, small, budgeted, on_disk]
 
 
 class TestProvenance:

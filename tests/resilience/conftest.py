@@ -1,14 +1,10 @@
-"""Shared guards for the resilience suite.
+"""Shared guard for the resilience suite.
 
-Two autouse fixtures keep fault-injection tests honest:
-
-* ``clean_faults`` guarantees no test leaves a process-global
-  :class:`~repro.resilience.faults.FaultPlan` installed (a leaked plan
-  would make unrelated tests fail mysteriously);
-* ``hang_guard`` arms a ``SIGALRM`` watchdog around every test, so a
-  containment bug that produces a real hang fails the test instead of
-  wedging the whole suite.  (``pytest-timeout`` is not a dependency;
-  the alarm is the zero-dependency equivalent on POSIX.)
+``hang_guard`` arms a ``SIGALRM`` watchdog around every test, so a
+containment bug that produces a real hang fails the test instead of
+wedging the whole suite.  (``pytest-timeout`` is not a dependency; the
+alarm is the zero-dependency equivalent on POSIX.)  The suite-wide
+``clean_faults`` guard lives in ``tests/conftest.py``.
 """
 
 from __future__ import annotations
@@ -17,16 +13,7 @@ import signal
 
 import pytest
 
-from repro.resilience import faults
-
 TEST_TIMEOUT_SECONDS = 120
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.uninstall()
-    yield
-    faults.uninstall()
 
 
 @pytest.fixture(autouse=True)

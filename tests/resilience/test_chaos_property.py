@@ -22,21 +22,15 @@ from repro.resilience.chaos import (
     _external_scenario,
     _rung_scenario,
     _service_scenario,
-    _shard_scenario,
     default_schedule,
 )
 from repro.resilience.faults import SITES
-
-
-def _is_shard(site: str) -> bool:
-    return site.startswith("shard.") or site == "engine.sharded"
 
 
 FULL_MATRIX = default_schedule()
 EXTERNAL_MATRIX = [
     pair for pair in FULL_MATRIX if pair[0].startswith("external.")
 ]
-SHARD_MATRIX = [pair for pair in FULL_MATRIX if _is_shard(pair[0])]
 # The rungs above hybrid (native, library) need plans that put them at
 # the head of the ladder; their scenario runner supplies those (and
 # works without the extension).
@@ -46,7 +40,6 @@ SERVICE_MATRIX = [
     pair
     for pair in FULL_MATRIX
     if not pair[0].startswith("external.")
-    and not _is_shard(pair[0])
     and pair[0] not in RUNG_SITES
 ]
 
@@ -112,15 +105,6 @@ class TestSingleFaultContainment:
     def test_service_faults_absorbed_or_fail_typed(self, scenario, seed):
         site, kind = scenario
         assert_contained(_service_scenario(site, kind, n=3_000, seed=seed))
-
-    @settings(max_examples=6, **SCENARIO_SETTINGS)
-    @given(
-        scenario=st.sampled_from(SHARD_MATRIX),
-        seed=st.integers(0, 2**16),
-    )
-    def test_shard_faults_absorbed_or_fail_typed(self, scenario, seed):
-        site, kind = scenario
-        assert_contained(_shard_scenario(site, kind, n=3_000, seed=seed))
 
     @settings(max_examples=6, **SCENARIO_SETTINGS)
     @given(

@@ -201,5 +201,5 @@ class TestSitesTable:
     def test_site_names_have_component_prefixes(self):
         for site in SITES:
             component, _, name = site.partition(".")
-            assert component in ("external", "service", "engine", "shard")
+            assert component in ("external", "service", "engine")
             assert name

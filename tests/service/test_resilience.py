@@ -21,19 +21,11 @@ from repro.errors import (
     OverloadedError,
     TransientError,
 )
-from repro.resilience import faults
 from repro.resilience.faults import FaultPlan, FaultSpec, inject
 from repro.plan import Planner
 from repro.resilience.policy import Deadline
 from repro.service import SortService
 from repro.service.driver import request_kwargs, serve_stream
-
-
-@pytest.fixture(autouse=True)
-def clean_faults():
-    faults.uninstall()
-    yield
-    faults.uninstall()
 
 
 def run(coro):

@@ -9,6 +9,7 @@ import pytest
 
 import repro
 from repro.cli import main as cli_main
+from repro.errors import ConfigurationError
 
 
 def serve(tmp_path, capsys, lines, extra_args=()):
@@ -199,6 +200,35 @@ class TestRequestKwargs:
         with pytest.raises(ValueError, match="request needs"):
             request_kwargs({"id": 1})
 
+    def test_unknown_keys_rejected(self):
+        from repro.service.driver import request_kwargs
+
+        record = {
+            "id": 1, "keys": [3, 1, 2], "memory_budegt": "1M", "shards": 2,
+        }
+        with pytest.raises(
+            ConfigurationError, match=r"key\(s\): memory_budegt, shards;"
+        ):
+            request_kwargs(record)
+
+    def test_unknown_keys_fail_that_line_only(self, tmp_path, capsys):
+        code, responses, _ = serve(
+            tmp_path,
+            capsys,
+            [
+                {"id": 1, "keys": [3, 1, 2], "memory_budegt": "1M"},
+                {"id": 2, "keys": [3, 1, 2], "workerz": 2},
+                {"id": 3, "keys": [3, 1, 2]},
+            ],
+        )
+        assert code == 1
+        by_id = {r["id"]: r for r in responses}
+        for rid, key in ((1, "memory_budegt"), (2, "workerz")):
+            assert not by_id[rid]["ok"]
+            assert by_id[rid]["error_type"] == "ConfigurationError"
+            assert key in by_id[rid]["error"]
+        assert by_id[3]["ok"] and by_id[3]["keys"] == [1, 2, 3]
+
     def test_memory_budget_suffix_parsed(self):
         from repro.service.driver import request_kwargs
 
@@ -206,3 +236,53 @@ class TestRequestKwargs:
             {"keys": [1, 2], "memory_budget": "1M"}
         )
         assert kwargs["memory_budget"] == 1 << 20
+
+
+#: One record of each request shape, together carrying every key the
+#: driver reads.
+FULL_RECORDS = {
+    "inline": {
+        "id": 1, "keys": [3, 1, 2], "values": [0, 1, 2], "dtype": "int32",
+        "value_dtype": "uint64", "memory_budget": "1M", "workers": 2,
+        "deadline": 5,
+    },
+    "generated": {
+        "id": 2, "n": 64, "seed": 3, "distribution": "zipf", "pairs": True,
+        "dtype": "uint64",
+    },
+    "file": {
+        "id": 3, "input": "in.bin", "output": "out.bin", "dtype": "uint16",
+        "pairs": True, "value_dtype": "uint32",
+    },
+}
+
+
+class TestRequestShapes:
+    def test_shapes_carry_every_known_key(self):
+        from repro.service.driver import REQUEST_KEYS
+
+        carried = set().union(*FULL_RECORDS.values())
+        assert carried == REQUEST_KEYS
+
+    @pytest.mark.parametrize("shape", sorted(FULL_RECORDS))
+    def test_every_key_is_read(self, shape):
+        from repro.service.driver import request_kwargs
+
+        kwargs = request_kwargs(FULL_RECORDS[shape])
+        if shape == "inline":
+            assert kwargs["data"].dtype == np.int32
+            assert kwargs["values"].dtype == np.uint64
+            assert kwargs["memory_budget"] == 1 << 20
+            assert kwargs["workers"] == 2
+            assert kwargs["deadline"] == 5.0
+        elif shape == "generated":
+            assert kwargs["data"].dtype == np.uint64
+            assert kwargs["data"].size == 64
+            assert kwargs["values"] is not None
+            reseeded = request_kwargs({**FULL_RECORDS[shape], "seed": 4})
+            assert kwargs["data"].tobytes() != reseeded["data"].tobytes()
+        else:
+            assert kwargs == {
+                "data": "in.bin", "output": "out.bin", "dtype": "uint16",
+                "value_dtype": "uint32",
+            }
