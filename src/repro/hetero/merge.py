@@ -1,110 +1,24 @@
-"""CPU multiway merge (§5): functional loser-tree merge + cost model.
+"""The CPU multiway merge's cost model (§5).
 
 The heterogeneous sort leaves the CPU "with the task of merging the s
 chunks into one final sorted sequence" using "the parallel multiway merge
-... from the parallel extension of stdlibc++".  The functional
-implementation here is a loser-tree k-way merge (with a NumPy fast path
-for modest chunk counts); the cost model reproduces the six-core host's
-behaviour: it merges at streaming bandwidth up to a width of four, and
-wider inputs need multiple passes — which is exactly why Figure 8's
-optimum sits at s = 4 on that machine.
+... from the parallel extension of stdlibc++".  :class:`CpuMergeModel`
+reproduces the six-core host's behaviour: it merges at streaming
+bandwidth up to a width of four, and wider inputs need multiple passes
+— which is exactly why Figure 8's optimum sits at s = 4 on that
+machine.  The merge that really runs on this host, for files and for
+budgeted arrays alike, is :func:`repro.external.merge.drain_cursors`.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from repro.cost.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.errors import ConfigurationError
 
-__all__ = ["kway_merge", "kway_merge_pairs", "CpuMergeModel"]
-
-
-def kway_merge(runs: list[np.ndarray]) -> np.ndarray:
-    """Merge sorted runs into one sorted array (loser-tree semantics).
-
-    Uses :func:`heapq.merge`-style selection through a heap of run heads;
-    falls back to concatenate+sort only for degenerate inputs (0/1 runs).
-    """
-    runs = [np.asarray(r) for r in runs if np.asarray(r).size > 0]
-    if not runs:
-        return np.empty(0, dtype=np.uint32)
-    if len(runs) == 1:
-        return runs[0].copy()
-    total = sum(r.size for r in runs)
-    out = np.empty(total, dtype=runs[0].dtype)
-    heap: list[tuple] = []
-    for ri, run in enumerate(runs):
-        heap.append((run[0], ri, 0))
-    heapq.heapify(heap)
-    pos = 0
-    while heap:
-        value, ri, idx = heapq.heappop(heap)
-        out[pos] = value
-        pos += 1
-        nxt = idx + 1
-        if nxt < runs[ri].size:
-            heapq.heappush(heap, (runs[ri][nxt], ri, nxt))
-    return out
-
-
-def kway_merge_pairs(
-    key_runs: list[np.ndarray], value_runs: list[np.ndarray]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Merge sorted key runs with their value runs riding along.
-
-    **Stability contract** (documented API, regression-tested in
-    ``tests/hetero/test_merge.py``): records with equal keys are
-    emitted in *run-index order*, and within one run in that run's
-    order.  Consequently, when the runs are consecutive slices of one
-    input — each sorted stably — the merge output equals one global
-    stable sort of that input.  The out-of-core sorter
-    (:func:`repro.external.merge.merge_runs`, which generalizes this
-    function to file-backed runs) relies on exactly this identity for
-    its byte-identical-to-in-memory guarantee; do not weaken the
-    tie-break.
-
-    Empty runs are skipped *before* indexing, so run index means
-    "position among non-empty runs" — callers passing slices of one
-    input are unaffected (empty slices contribute no records).
-
-    Parameters
-    ----------
-    key_runs / value_runs:
-        Parallel lists; ``key_runs[i]`` must be sorted ascending and
-        ``value_runs[i]`` carries its per-record payloads.
-    """
-    if len(key_runs) != len(value_runs):
-        raise ConfigurationError("key and value run lists must be parallel")
-    pairs = [
-        (np.asarray(k), np.asarray(v))
-        for k, v in zip(key_runs, value_runs)
-        if np.asarray(k).size > 0
-    ]
-    if not pairs:
-        return np.empty(0, dtype=np.uint32), np.empty(0, dtype=np.uint32)
-    keys0, values0 = pairs[0]
-    total = sum(k.size for k, _ in pairs)
-    out_keys = np.empty(total, dtype=keys0.dtype)
-    out_values = np.empty(total, dtype=values0.dtype)
-    heap: list[tuple] = []
-    for ri, (k, _) in enumerate(pairs):
-        heap.append((k[0], ri, 0))
-    heapq.heapify(heap)
-    pos = 0
-    while heap:
-        key, ri, idx = heapq.heappop(heap)
-        out_keys[pos] = key
-        out_values[pos] = pairs[ri][1][idx]
-        pos += 1
-        nxt = idx + 1
-        if nxt < pairs[ri][0].size:
-            heapq.heappush(heap, (pairs[ri][0][nxt], ri, nxt))
-    return out_keys, out_values
+__all__ = ["CpuMergeModel"]
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""End-to-end heterogeneous sorter (§5).
+"""The heterogeneous sorter's model (§5): Figures 8 and 9.
 
 Splits the input into ``s`` chunks, pipelines HtD transfer / on-GPU
 hybrid sort / DtH transfer with the in-place replacement layout, then
@@ -6,14 +6,13 @@ multiway-merges the sorted runs on the CPU:
 
     T_EtE = T_HtD/s + max(T_HtD, T_S, T_DtH) + T_DtH/s + T_M
 
-Two entry points:
-
-* :meth:`HeterogeneousSorter.sort` — functional: really sorts NumPy
-  arrays chunk-by-chunk and merges them, attaching the simulated
-  pipeline timing.  Used by the tests and the out-of-core example.
-* :meth:`HeterogeneousSorter.simulate` — model-only: prices an input of
-  tens of gigabytes from a distribution sample (Figures 8 and 9) without
-  materialising it.
+:meth:`HeterogeneousSorter.simulate` prices an input of tens of
+gigabytes from a distribution sample without materialising it, and
+:meth:`HeterogeneousSorter.simulate_naive` prices the unpipelined
+baseline.  Nothing here sorts data: a budgeted ``repro.sort`` runs the
+same chunk-and-merge scheme on the host rungs (the ``hetero`` plan
+strategy, :func:`repro.plan.executors.sort_in_memory` chunk sorts and
+:func:`repro.external.merge.drain_cursors`).
 """
 
 from __future__ import annotations
@@ -24,12 +23,10 @@ import numpy as np
 
 from repro.bench.scaling import simulate_sort_at_scale
 from repro.core.config import SortConfig
-from repro.core.hybrid_sort import HybridRadixSorter
-from repro.errors import ConfigurationError
 from repro.gpu.pcie import PCIeLink
 from repro.gpu.spec import GPUSpec, TITAN_X_PASCAL
 from repro.hetero.chunking import ChunkPlan, plan_chunks
-from repro.hetero.merge import CpuMergeModel, kway_merge, kway_merge_pairs
+from repro.hetero.merge import CpuMergeModel
 from repro.hetero.pipeline import PipelineSchedule, simulate_pipeline
 
 __all__ = ["HeteroOutcome", "HeterogeneousSorter"]
@@ -37,14 +34,12 @@ __all__ = ["HeteroOutcome", "HeterogeneousSorter"]
 
 @dataclass
 class HeteroOutcome:
-    """Timing decomposition (and, in functional mode, the sorted data)."""
+    """The simulated timing decomposition of one heterogeneous sort."""
 
     plan: ChunkPlan
     schedule: PipelineSchedule
     chunked_sort_seconds: float
     merge_seconds: float
-    keys: np.ndarray | None = None
-    values: np.ndarray | None = None
     meta: dict = field(default_factory=dict)
 
     @property
@@ -57,7 +52,7 @@ class HeteroOutcome:
 
 
 class HeterogeneousSorter:
-    """Pipelined CPU+GPU sorter for inputs beyond device memory."""
+    """Pipelined CPU+GPU sort model for inputs beyond device memory."""
 
     def __init__(
         self,
@@ -72,101 +67,6 @@ class HeterogeneousSorter:
         self.config = config
         self.merge_model = merge_model or CpuMergeModel()
 
-    # ------------------------------------------------------------------
-    # Functional path
-    # ------------------------------------------------------------------
-    def sort(
-        self,
-        keys: np.ndarray,
-        values: np.ndarray | None = None,
-        n_chunks: int | None = None,
-    ) -> HeteroOutcome:
-        """Chunk, sort each chunk on the simulated GPU, merge on the CPU.
-
-        Plan-then-execute: the §5 chunk sizing is delegated to the
-        shared :class:`repro.plan.planner.Planner` (the one budget code
-        path), and :meth:`run_plan` executes the resulting plan (and
-        carries the input validation both entry points share).
-        """
-        keys = np.asarray(keys)
-        if keys.ndim != 1 or keys.size == 0:
-            raise ConfigurationError("keys must be a non-empty 1-D array")
-        from repro.plan.descriptor import InputDescriptor
-        from repro.plan.planner import Planner
-
-        descriptor = InputDescriptor.for_array(keys, values, spec=self.spec)
-        planner = Planner(
-            config=self.config,
-            in_place_replacement=self.in_place_replacement,
-        )
-        sort_plan = planner.plan_chunked(
-            descriptor, n_chunks=4 if n_chunks is None else n_chunks
-        )
-        return self.run_plan(sort_plan, keys, values)
-
-    def run_plan(
-        self,
-        sort_plan,
-        keys: np.ndarray,
-        values: np.ndarray | None = None,
-    ) -> HeteroOutcome:
-        """Execute a planned ``chunked-pipeline`` + ``kway-merge``.
-
-        The executor half of the plan/execute split: chunk boundaries
-        come from the plan's :class:`~repro.hetero.chunking.ChunkPlan`
-        alone, so whoever planned (this sorter, the ``repro.sort``
-        facade, a service layer) the output is identical.
-        """
-        keys = np.asarray(keys)
-        if keys.ndim != 1 or keys.size == 0:
-            raise ConfigurationError("keys must be a non-empty 1-D array")
-        if values is not None and values.shape != keys.shape:
-            raise ConfigurationError("values must parallel keys")
-        record_bytes = keys.dtype.itemsize + (
-            values.dtype.itemsize if values is not None else 0
-        )
-        plan = sort_plan.chunk_plan
-        bounds = np.linspace(0, keys.size, plan.n_chunks + 1).astype(np.int64)
-        key_runs: list[np.ndarray] = []
-        value_runs: list[np.ndarray] = []
-        upload, sorting, download = [], [], []
-        sorter = HybridRadixSorter(config=self.config)
-        for c in range(plan.n_chunks):
-            lo, hi = int(bounds[c]), int(bounds[c + 1])
-            chunk_values = values[lo:hi] if values is not None else None
-            result = sorter.sort(keys[lo:hi], chunk_values)
-            key_runs.append(result.keys)
-            if values is not None:
-                value_runs.append(result.values)
-            chunk_bytes = (hi - lo) * record_bytes
-            upload.append(self.link.transfer_time(chunk_bytes))
-            sorting.append(result.simulated_seconds)
-            download.append(self.link.transfer_time(chunk_bytes))
-        schedule = simulate_pipeline(
-            upload, sorting, download, self.in_place_replacement
-        )
-        merge_seconds = self.merge_model.merge_seconds(
-            total_bytes=keys.size * record_bytes,
-            n_runs=plan.n_chunks,
-            record_bytes=record_bytes,
-        )
-        if values is not None:
-            merged_keys, merged_values = kway_merge_pairs(key_runs, value_runs)
-        else:
-            merged_keys, merged_values = kway_merge(key_runs), None
-        return HeteroOutcome(
-            plan=plan,
-            schedule=schedule,
-            chunked_sort_seconds=schedule.makespan,
-            merge_seconds=merge_seconds,
-            keys=merged_keys,
-            values=merged_values,
-            meta={"plan": sort_plan},
-        )
-
-    # ------------------------------------------------------------------
-    # Model-only path (paper-size inputs)
-    # ------------------------------------------------------------------
     def simulate(
         self,
         total_bytes: int,

@@ -15,8 +15,8 @@ that phase first-class and inspectable:
 * :mod:`~repro.plan.executors` — the registry mapping a plan's
   strategy onto the engine that executes it.
 
-``repro.sort()``, ``AdaptiveSorter``, ``HeterogeneousSorter``, and
-``ExternalSorter`` all plan-then-execute through this layer; the
+``repro.sort()``, ``AdaptiveSorter`` and ``ExternalSorter`` all
+plan-then-execute through this layer; the
 ``repro plan`` CLI verb explains a plan without executing it.
 """
 

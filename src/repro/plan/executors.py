@@ -90,18 +90,25 @@ def sort_in_memory(
     config=None,
     device=None,
 ) -> SortResult:
-    """One in-memory sort on ``engine`` (``"native"`` or ``"hybrid"``).
+    """One in-memory sort on ``engine``: ``"library"``, ``"native"`` or
+    ``"hybrid"``.
 
-    The native engine is the compiled counting-scatter
-    (:mod:`repro.native`): byte-identical to ``hybrid`` by construction
-    (property-pinned in ``tests/native/``), just compiled, and it
-    models no device and reports no simulated time.  A missing
-    extension or a failed kernel call degrades *inline* to the hybrid
-    engine with the downgrade recorded in ``result.meta["resilience"]``
-    — so a caller that chose native never fails for tier-availability
-    reasons.  The native plan executor and the external sorter's run
-    sorts both go through here.
+    The library rung is one ``np.sort`` over the §4.6 bits
+    (:mod:`repro.core.library`).  The native engine is the compiled
+    counting-scatter (:mod:`repro.native`): byte-identical to
+    ``hybrid`` by construction (property-pinned in ``tests/native/``),
+    just compiled, and it models no device and reports no simulated
+    time.  A missing extension or a failed kernel call degrades
+    *inline* to the hybrid engine with the downgrade recorded in
+    ``result.meta["resilience"]`` — so a caller that chose native never
+    fails for tier-availability reasons.  The native plan executor,
+    the external sorter's radix run sorts and the chunk sorts of a
+    budgeted array all go through here.
     """
+    if engine == "library":
+        from repro.core.library import library_sort
+
+        return library_sort(keys, values, config)
     from repro.core.hybrid_sort import HybridRadixSorter
     from repro.errors import NativeExecutionError, NativeUnavailableError
     from repro.native.build import native_status
@@ -167,6 +174,13 @@ def _execute_fallback(
     return result
 
 
+def _columns(records: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Keys, or the key and value fields of ``("key", "value")`` records."""
+    if records.dtype.names is None:
+        return (records,)
+    return records["key"], records["value"]
+
+
 def _execute_hetero(
     plan: SortPlan,
     keys: np.ndarray,
@@ -174,21 +188,72 @@ def _execute_hetero(
     config=None,
     **_: object,
 ) -> SortResult:
-    from repro.hetero.sorter import HeterogeneousSorter
+    """The §5 chunked sort of a budgeted array, on the host rungs.
 
-    sorter = HeterogeneousSorter(
-        spec=plan.descriptor.spec,
-        in_place_replacement=plan.chunk_plan.in_place_replacement,
-        config=_merged_config(plan, config),
+    Each chunk sorts on the engine the ``chunked-pipeline`` step
+    recorded (:meth:`~repro.plan.planner.Planner.run_engine`) into one
+    staged copy of the input.  The file merge's
+    :func:`~repro.external.merge.drain_cursors` then merges the chunks
+    over :class:`~repro.external.merge.ArrayCursor` blocks sized so a
+    round's temporaries fit the budget.  Both order records as every
+    engine does, so the bytes equal the unbudgeted sort's.
+    """
+    from repro.core.pairs import fused_packable, record_dtype
+    from repro.external.merge import (
+        ArrayCursor,
+        array_block_records,
+        drain_cursors,
     )
-    outcome = sorter.run_plan(plan, keys, values)
-    result = SortResult(
-        keys=outcome.keys,
-        values=outcome.values,
-        simulated_seconds=outcome.total_seconds,
-        meta={"engine": "hetero", "plan": plan, "outcome": outcome},
+
+    keys = np.asarray(keys)
+    pairs = values is not None
+    values = np.asarray(values) if pairs else None
+    config = _merged_config(plan, config)
+    engine = plan.step("chunked-pipeline").params["engine"]
+    n, n_chunks = keys.size, plan.chunk_plan.n_chunks
+    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+    chunks = list(zip(bounds, bounds[1:]))
+    staged = np.empty(
+        n, record_dtype(keys.dtype, values.dtype) if pairs else keys.dtype
     )
-    return result
+    for lo, hi in chunks:
+        chunk = sort_in_memory(
+            engine, keys[lo:hi], values[lo:hi] if pairs else None, config
+        )
+        for field, column in zip(
+            _columns(staged[lo:hi]), (chunk.keys, chunk.values)
+        ):
+            field[:] = column
+        del chunk, column  # one chunk's output at a time, none in the merge
+    # The merge orders ties as the chunk sorts did (runs._fused's rule).
+    fused = (
+        pairs
+        and config is not None
+        and config.pair_packing == "fused"
+        and fused_packable(8 * keys.itemsize, 8 * values.itemsize)
+    )
+    block = array_block_records(
+        n_chunks, staged.dtype, fused, plan.descriptor.memory_budget
+    )
+    out = [np.empty(n, field.dtype) for field in _columns(staged[:0])]
+    written = 0
+
+    def emit(words: np.ndarray) -> None:
+        nonlocal written
+        merged = words.view(staged.dtype)
+        for column, field in zip(out, _columns(merged)):
+            column[written:written + merged.size] = field
+        written += merged.size
+
+    drain_cursors(
+        [ArrayCursor(staged[lo:hi], block, fused) for lo, hi in chunks],
+        emit,
+    )
+    return SortResult(
+        keys=out[0],
+        values=out[1] if pairs else None,
+        meta={"engine": "hetero", "plan": plan},
+    )
 
 
 def _execute_external(
@@ -250,9 +315,7 @@ def _execute_library(
     """The library rung: one ``np.sort`` over the §4.6 bits
     (:mod:`repro.core.library`).  Above ``hybrid`` on the degradation
     ladder, so a failure degrades to the radix engines."""
-    from repro.core.library import library_sort
-
-    result = library_sort(keys, values, config)
+    result = sort_in_memory("library", keys, values, config)
     result.meta["plan"] = plan
     return result
 

@@ -23,7 +23,7 @@ STEP_KINDS = MappingProxyType({
     "local-sort": "one in-cache local sort of the whole input",
     "hybrid-msd": "MSD hybrid radix sort passes (§4)",
     "lsd-fallback": "LSD baseline for small inputs (§6.1)",
-    "chunked-pipeline": "budgeted chunks through the §5 pipeline",
+    "chunked-pipeline": "budget-sized chunks sorted in memory (§5)",
     "spill-runs": "memory-budgeted sorted runs spilled to disk",
     "kway-merge": "k-way merge of sorted runs",
     "native-lsd": "compiled counting-scatter passes (§4 in C, WC buffers)",
@@ -82,7 +82,8 @@ class SortPlan:
         ``"native"``, ``"hybrid"``, ``"fallback"``, ``"hetero"``, or
         ``"external"``.
     engine:
-        Human-readable engine name (class that executes the plan).
+        Human-readable name of what executes the plan (a class, or
+        for ``hetero`` the chunk engine and the merge).
     steps:
         Ordered :class:`PlanStep` tuple.
     reason:

@@ -13,8 +13,10 @@ absorbs all of those decisions into a single code path that maps an
 
 * **file inputs** spill memory-budgeted runs and k-way merge them
   (the out-of-core realisation of §5, executed by ``ExternalSorter``);
-* **arrays that exceed the memory budget** run the §5 chunked pipeline
-  (three-buffer in-place replacement accounting, Figure 5);
+* **arrays that exceed the memory budget** sort budget-sized chunks
+  (three-buffer in-place replacement accounting, Figure 5) on the
+  engine a file's runs would use, and merge them in memory with the
+  file merge's :func:`~repro.external.merge.drain_cursors`;
 * **small arrays under an adaptive policy** fall back to the LSD
   baseline (§6.1's case distinction — the crossover constants live
   here and ``AdaptiveSorter`` delegates to them);
@@ -30,8 +32,8 @@ descriptor alone, so plans are deterministic, cheap, and serialisable.
 Cost annotations come from three tiers, best available wins — the
 paper-anchored models (:class:`~repro.core.analytical.AnalyticalModel`
 pass counts, the LSD baseline's
-:class:`~repro.cost.model.LSDCostPreset` pricing, the §5 pipeline
-simulation, :class:`~repro.hetero.merge.CpuMergeModel`), a measured
+:class:`~repro.cost.model.LSDCostPreset` pricing,
+:class:`~repro.hetero.merge.CpuMergeModel`), a measured
 :class:`~repro.cost.hostprofile.HostProfile` from ``repro calibrate``
 when one exists, and per-signature measured-execute feedback
 (:class:`~repro.cost.feedback.CostFeedback`) when a service supplies
@@ -47,10 +49,8 @@ from repro.core.config import SortConfig
 from repro.cost.hostmodel import HostCostModel
 from repro.cost.hostprofile import HostProfile, load_host_profile
 from repro.errors import ConfigurationError
-from repro.gpu.pcie import PCIeLink
 from repro.hetero.chunking import max_chunk_bytes, plan_chunks
 from repro.hetero.merge import CpuMergeModel
-from repro.hetero.pipeline import simulate_pipeline
 from repro.plan.descriptor import InputDescriptor
 from repro.plan.ir import PlanStep, SortPlan
 
@@ -438,69 +438,65 @@ class Planner:
             profile_fingerprint=self._fingerprint,
         )
 
-    def plan_chunked(
-        self, descriptor: InputDescriptor, n_chunks: int | None = None
-    ) -> SortPlan:
-        """The §5 chunked-pipeline strategy (budget or device memory).
+    def plan_chunked(self, descriptor: InputDescriptor) -> SortPlan:
+        """The §5 chunked strategy for an array over its memory budget.
 
-        With ``memory_budget`` set on the descriptor, chunks are planned
-        against that budget; otherwise against the device memory of the
-        descriptor's spec — the single code path that used to live
-        separately in ``HeterogeneousSorter.sort``.
+        :func:`repro.hetero.chunking.plan_chunks` sizes the chunks
+        against ``memory_budget``.  Every chunk sorts on the engine
+        :meth:`run_engine` picks for the chunk size (recorded with its
+        note, as ``spill-runs`` records a file's), and the sorted
+        chunks merge in memory through
+        :func:`repro.external.merge.drain_cursors`.
         """
         if descriptor.n == 0:
             raise ConfigurationError("cannot plan chunks for an empty input")
-        config = self._config_for(descriptor)
+        if descriptor.memory_budget is None:
+            raise ConfigurationError(
+                "the chunked strategy needs a memory_budget"
+            )
         chunk_plan = plan_chunks(
             descriptor.total_bytes,
-            n_chunks=n_chunks,
-            spec=descriptor.spec,
             in_place_replacement=self.in_place_replacement,
             budget_bytes=descriptor.memory_budget,
         )
-        link = PCIeLink.for_spec(descriptor.spec)
-        record_bytes = descriptor.record_bytes
-        upload, sorting, download = [], [], []
-        for chunk_bytes in chunk_plan.chunk_sizes:
-            chunk_records = max(1, chunk_bytes // record_bytes)
-            upload.append(link.transfer_time(chunk_bytes))
-            sorting.append(
-                self._msd_step(descriptor, config, chunk_records)
-                .predicted_seconds
-            )
-            download.append(link.transfer_time(chunk_bytes))
-        schedule = simulate_pipeline(
-            upload, sorting, download, self.in_place_replacement
-        )
-        pipeline_step = PlanStep(
+        n_chunks = chunk_plan.n_chunks
+        # The executor cuts even chunks, none over this many records.
+        chunk_records = -(-descriptor.n // n_chunks)
+        engine, engine_note = self.run_engine(descriptor, chunk_records)
+        total = descriptor.total_bytes
+        chunks_step = PlanStep(
             kind="chunked-pipeline",
             params={
-                "n_chunks": chunk_plan.n_chunks,
+                "n_chunks": n_chunks,
                 "chunk_bytes": chunk_plan.chunk_bytes,
+                "memory_budget": descriptor.memory_budget,
                 "in_place_replacement": chunk_plan.in_place_replacement,
+                "engine": engine,
+                "engine_note": engine_note,
                 "chunk_plan": chunk_plan,
             },
-            predicted_seconds=schedule.makespan,
-            bytes_moved=2 * descriptor.total_bytes,
+            predicted_seconds=n_chunks * self._run_sort_seconds(
+                descriptor, engine, chunk_records
+            ),
+            bytes_moved=2 * total,
         )
         merge_step = PlanStep(
             kind="kway-merge",
-            params={"n_runs": chunk_plan.n_chunks, "where": "host"},
+            params={"n_runs": n_chunks, "where": "host"},
             predicted_seconds=self._merge_seconds(
-                descriptor.total_bytes, chunk_plan.n_chunks, record_bytes
+                total, n_chunks, descriptor.record_bytes
             ),
-            bytes_moved=2 * descriptor.total_bytes,
+            bytes_moved=2 * total,
         )
-        budgeted = descriptor.memory_budget is not None
         return SortPlan(
             descriptor=descriptor,
             strategy="hetero",
-            engine="HeterogeneousSorter",
-            steps=(pipeline_step, merge_step),
+            engine=f"{engine} chunks + drain_cursors",
+            steps=(chunks_step, merge_step),
             reason=(
-                f"input exceeds the "
-                f"{'memory budget' if budgeted else 'device memory'}; "
-                f"{chunk_plan.n_chunks} pipelined chunks + host merge"
+                f"input exceeds the memory budget; {n_chunks} chunks "
+                f"sorted by the {engine} engine, then an in-memory "
+                f"k-way merge"
             ),
             cost_source=self._cost_source,
             profile_fingerprint=self._fingerprint,
@@ -627,13 +623,15 @@ class Planner:
     def _run_sort_seconds(
         self, descriptor: InputDescriptor, engine: str, n: int
     ) -> float:
-        """Uncalibrated price of one ``n``-record run sort on ``engine``."""
+        """Price of one ``n``-record run or chunk sort on ``engine``."""
         n = max(1, n)
         if engine == "library":
-            return (
-                2 * n * descriptor.record_bytes
-                / descriptor.spec.effective_bandwidth
-            )
+            bytes_moved = 2 * n * descriptor.record_bytes
+            if self.host is not None:
+                return self.host.library_seconds(
+                    replace(descriptor, n=n), bytes_moved
+                )
+            return bytes_moved / descriptor.spec.effective_bandwidth
         if engine == "native":
             return self._native_step(descriptor, n).predicted_seconds
         return self._msd_step(

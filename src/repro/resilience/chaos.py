@@ -192,12 +192,19 @@ def _external_scenario(
 # ----------------------------------------------------------------------
 # Service / engine scenarios (fault absorbed or typed, never a hang)
 # ----------------------------------------------------------------------
+#: The rung the ``engine.hetero`` scenario's chunks sort on: its uint32
+#: keys plan on the library rung, as in production.
+HETERO_CHUNK_RUNG = "library"
+
+
 def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     """Contain one fault on the service path or a NumPy-tier rung.
 
     Requests plan on the NumPy tier (``native="never"``), so the
     ``engine.hybrid`` rung heads the ladder on every host whatever the
-    request size; the compiled rung has its own scenario.
+    request size; the compiled rung has its own scenario.  The
+    ``engine.hetero`` request plans as in production, and must sort
+    its chunks on :data:`HETERO_CHUNK_RUNG`.
     """
     from repro.cost.feedback import CostFeedback
     from repro.plan import Planner
@@ -206,18 +213,20 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     keys = _keys(n, seed)
     expected = _expected_bytes(keys)
     submit_kwargs: dict = {}
+    native = "never"
     if site == "engine.hetero":
         # Hetero only runs for budgeted in-memory plans.
         submit_kwargs["memory_budget"] = max(
             4096, (keys.nbytes * 3) // 2
         )
+        native = "auto"
 
     async def run() -> dict:
         workdir = None
         async with SortService(
             micro_batching=False,
             watchdog_timeout=1.0,
-            planner=Planner(native="never", feedback=CostFeedback()),
+            planner=Planner(native=native, feedback=CostFeedback()),
         ) as svc:
             data = keys
             if site == "engine.external":
@@ -258,6 +267,16 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
                         site, kind, "typed-error", ok=True,
                         detail=f"{type(err).__name__}: {err}",
                     )
+                if site == "engine.hetero":
+                    engine = result.meta["plan"].step(
+                        "chunked-pipeline"
+                    ).params["engine"]
+                    if engine != HETERO_CHUNK_RUNG:
+                        return _result(
+                            site, kind, "wrong-rung", ok=False,
+                            detail=f"chunks planned on {engine!r}, "
+                                   f"expected {HETERO_CHUNK_RUNG!r}",
+                        )
                 if site == "engine.external":
                     got = open(submit_kwargs["output"], "rb").read()
                     identical = got == expected

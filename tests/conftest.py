@@ -67,6 +67,18 @@ def _live_threads() -> set[threading.Thread]:
     }
 
 
+@pytest.fixture
+def budget_for_chunks():
+    """``budget(nbytes, n_chunks)``: a ``memory_budget`` the planner
+    splits ``nbytes`` into ``n_chunks`` chunks under (three chunk-sized
+    buffers, :func:`repro.hetero.chunking.plan_chunks`)."""
+
+    def budget(nbytes: int, n_chunks: int) -> int:
+        return 3 * -(-nbytes // n_chunks)
+
+    return budget
+
+
 @pytest.fixture(autouse=True)
 def no_leaks():
     """Fail the test if it leaves a descriptor, temp entry or thread."""

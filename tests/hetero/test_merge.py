@@ -1,65 +1,16 @@
-"""Tests for the CPU multiway merge (functional + cost model)."""
+"""Tests for the CPU multiway merge's cost model (Figures 8 and 9).
+
+The merge itself is :func:`repro.external.merge.drain_cursors`, tested
+in ``tests/external/test_run_merge.py``.
+"""
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.cost.calibration import Calibration
 from repro.errors import ConfigurationError
-from repro.hetero.merge import CpuMergeModel, kway_merge, kway_merge_pairs
-
-
-class TestKwayMerge:
-    def test_two_runs(self, rng):
-        a = np.sort(rng.integers(0, 1000, 100, dtype=np.uint64))
-        b = np.sort(rng.integers(0, 1000, 150, dtype=np.uint64))
-        merged = kway_merge([a, b])
-        assert np.array_equal(merged, np.sort(np.concatenate((a, b))))
-
-    def test_sixteen_runs(self, rng):
-        runs = [
-            np.sort(rng.integers(0, 10_000, rng.integers(1, 200), dtype=np.uint64))
-            for _ in range(16)
-        ]
-        merged = kway_merge(runs)
-        assert np.array_equal(merged, np.sort(np.concatenate(runs)))
-
-    def test_empty_runs_skipped(self, rng):
-        a = np.sort(rng.integers(0, 100, 50, dtype=np.uint64))
-        merged = kway_merge([np.empty(0, dtype=np.uint64), a])
-        assert np.array_equal(merged, a)
-
-    def test_no_runs(self):
-        assert kway_merge([]).size == 0
-
-    def test_single_run_copied(self, rng):
-        a = np.sort(rng.integers(0, 100, 10, dtype=np.uint64))
-        merged = kway_merge([a])
-        merged[0] = 999
-        assert a[0] != 999
-
-
-class TestKwayMergePairs:
-    def test_values_follow_keys(self, rng):
-        keys = rng.integers(0, 1000, 300, dtype=np.uint64)
-        values = np.arange(300, dtype=np.uint64)
-        order = np.argsort(keys[:150], kind="stable")
-        k1, v1 = keys[:150][order], values[:150][order]
-        order = np.argsort(keys[150:], kind="stable")
-        k2, v2 = keys[150:][order], values[150:][order]
-        mk, mv = kway_merge_pairs([k1, k2], [v1, v2])
-        assert np.array_equal(mk, np.sort(keys))
-        assert np.array_equal(keys[mv], mk)
-
-    def test_mismatched_lists(self):
-        with pytest.raises(ConfigurationError):
-            kway_merge_pairs([np.zeros(1, dtype=np.uint64)], [])
-
-    def test_empty(self):
-        mk, mv = kway_merge_pairs([], [])
-        assert mk.size == 0
-        assert mv.size == 0
+from repro.hetero.merge import CpuMergeModel
 
 
 class TestCpuMergeModel:
@@ -88,61 +39,3 @@ class TestCpuMergeModel:
     def test_negative_bytes_rejected(self):
         with pytest.raises(ConfigurationError):
             CpuMergeModel().merge_seconds(-1, 4)
-
-
-class TestStabilityContract:
-    """The documented contract: equal keys come out in run order.
-
-    The external sorter's byte-identity guarantee composes run-local
-    stable sorts with this merge; if the tie-break ever changes, these
-    must fail.
-    """
-
-    def test_equal_keys_preserve_run_order(self):
-        # Three runs, all sharing key 7; payloads identify (run, pos).
-        key_runs = [
-            np.array([3, 7, 7], dtype=np.uint64),
-            np.array([7, 9], dtype=np.uint64),
-            np.array([7, 7], dtype=np.uint64),
-        ]
-        value_runs = [
-            np.array([10, 11, 12], dtype=np.uint64),
-            np.array([20, 21], dtype=np.uint64),
-            np.array([30, 31], dtype=np.uint64),
-        ]
-        mk, mv = kway_merge_pairs(key_runs, value_runs)
-        assert mk.tolist() == [3, 7, 7, 7, 7, 7, 9]
-        # All run-0 sevens, then run-1's, then run-2's — in-run order kept.
-        assert mv.tolist() == [10, 11, 12, 20, 30, 31, 21]
-
-    def test_slices_of_one_input_equal_global_stable_sort(self, rng):
-        # Runs = consecutive stable-sorted slices of one array; the merge
-        # must reproduce the global stable argsort exactly.
-        keys = rng.integers(0, 5, 600, dtype=np.uint64)
-        values = np.arange(600, dtype=np.uint64)
-        bounds = [0, 150, 400, 600]
-        key_runs, value_runs = [], []
-        for lo, hi in zip(bounds, bounds[1:]):
-            order = np.argsort(keys[lo:hi], kind="stable")
-            key_runs.append(keys[lo:hi][order])
-            value_runs.append(values[lo:hi][order])
-        mk, mv = kway_merge_pairs(key_runs, value_runs)
-        order = np.argsort(keys, kind="stable")
-        assert np.array_equal(mk, keys[order])
-        assert np.array_equal(mv, values[order])
-
-    def test_empty_runs_do_not_shift_tiebreak(self):
-        key_runs = [
-            np.empty(0, dtype=np.uint64),
-            np.array([1], dtype=np.uint64),
-            np.empty(0, dtype=np.uint64),
-            np.array([1], dtype=np.uint64),
-        ]
-        value_runs = [
-            np.empty(0, dtype=np.uint64),
-            np.array([100], dtype=np.uint64),
-            np.empty(0, dtype=np.uint64),
-            np.array([200], dtype=np.uint64),
-        ]
-        mk, mv = kway_merge_pairs(key_runs, value_runs)
-        assert mv.tolist() == [100, 200]

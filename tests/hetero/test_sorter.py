@@ -1,11 +1,11 @@
-"""Tests for the end-to-end heterogeneous sorter (§5)."""
+"""Tests for the heterogeneous sort (§5): the host run and the model."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.errors import ConfigurationError
+import repro
 from repro.hetero.sorter import HeterogeneousSorter
 from repro.workloads import generate_pairs, uniform_keys, zipf_keys
 
@@ -13,35 +13,52 @@ GB = 10**9
 
 
 class TestFunctionalPath:
-    def test_sorts_keys(self, rng):
+    """The §5 scheme really sorting: a budgeted ``repro.sort``.
+
+    Chunks sort on the host rungs and merge through
+    ``external.merge.drain_cursors``; the model below only prices.
+    """
+
+    def test_sorts_keys(self, rng, budget_for_chunks):
         keys = uniform_keys(100_000, 64, rng)
-        out = HeterogeneousSorter().sort(keys, n_chunks=4)
+        out = repro.sort(
+            keys, memory_budget=budget_for_chunks(keys.nbytes, 4)
+        )
+        assert out.meta["plan"].chunk_plan.n_chunks == 4
         assert np.array_equal(out.keys, np.sort(keys))
 
-    def test_sorts_pairs(self, rng):
+    def test_sorts_pairs(self, rng, budget_for_chunks):
         keys = uniform_keys(60_000, 64, rng)
         keys, values = generate_pairs(keys, 64)
-        out = HeterogeneousSorter().sort(keys, values, n_chunks=3)
+        out = repro.sort_pairs(
+            keys,
+            values,
+            memory_budget=budget_for_chunks(keys.nbytes + values.nbytes, 3),
+        )
+        assert out.meta["plan"].chunk_plan.n_chunks == 3
         assert np.array_equal(out.keys, np.sort(keys))
         assert np.array_equal(keys[out.values.astype(np.int64)], out.keys)
 
-    def test_zipf_input(self, rng):
+    def test_zipf_input(self, rng, budget_for_chunks):
         keys = zipf_keys(50_000, 64, rng=rng)
-        out = HeterogeneousSorter().sort(keys, n_chunks=4)
+        out = repro.sort(
+            keys, memory_budget=budget_for_chunks(keys.nbytes, 4)
+        )
+        assert out.meta["plan"].chunk_plan.n_chunks == 4
         assert np.array_equal(out.keys, np.sort(keys))
 
-    def test_schedule_attached(self, rng):
+    def test_host_run_reports_no_simulated_time(self, rng, budget_for_chunks):
         keys = uniform_keys(50_000, 64, rng)
-        out = HeterogeneousSorter().sort(keys, n_chunks=4)
-        assert out.schedule.n_chunks == 4
-        assert out.total_seconds > 0
-        assert out.total_seconds == pytest.approx(
-            out.chunked_sort_seconds + out.merge_seconds
+        out = repro.sort(
+            keys, memory_budget=budget_for_chunks(keys.nbytes, 4)
         )
+        assert out.meta["engine"] == "hetero"
+        assert out.simulated_seconds == 0.0
 
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            HeterogeneousSorter().sort(np.empty(0, dtype=np.uint64))
+    def test_empty_input_never_chunks(self):
+        out = repro.sort(np.empty(0, dtype=np.uint64), memory_budget=1)
+        assert out.keys.size == 0
+        assert out.meta["plan"].strategy != "hetero"
 
 
 class TestModelPath:
@@ -108,3 +125,14 @@ class TestModelPath:
             6 * GB, out.meta["per_chunk_sort"] * 4
         )
         assert out.total_seconds < naive["total"]
+
+
+class TestModelSchedule:
+    def test_schedule_attached(self, rng):
+        keys = uniform_keys(50_000, 64, rng)
+        out = HeterogeneousSorter().simulate(6 * GB, keys, n_chunks=4)
+        assert out.schedule.n_chunks == 4
+        assert out.total_seconds > 0
+        assert out.total_seconds == pytest.approx(
+            out.chunked_sort_seconds + out.merge_seconds
+        )

@@ -5,12 +5,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+import repro
 from repro.core.analytical import AnalyticalModel
 from repro.core.config import SortConfig
 from repro.core.counting_sort import block_level_counting_sort
 from repro.cost.model import CostModel
 from repro.errors import TraceError
-from repro.hetero.sorter import HeterogeneousSorter
 from repro.types import BlockStats, CountingPassTrace, SortTrace
 from repro.workloads import uniform_keys
 
@@ -77,13 +77,17 @@ class TestTraceValidationInjection:
 
 class TestHeteroOddSplits:
     @pytest.mark.parametrize("n", [100_001, 65_537, 99_999])
-    def test_non_divisible_chunk_boundaries(self, rng, n):
+    def test_non_divisible_chunk_boundaries(self, rng, n, budget_for_chunks):
         keys = uniform_keys(n, 64, rng)
-        out = HeterogeneousSorter().sort(keys, n_chunks=3)
+        out = repro.sort(
+            keys, memory_budget=budget_for_chunks(keys.nbytes, 3)
+        )
+        assert out.meta["plan"].chunk_plan.n_chunks == 3
         assert np.array_equal(out.keys, np.sort(keys))
 
     def test_single_chunk_degenerates_to_direct_sort(self, rng):
+        # A budget that holds the input as one chunk plans no merge.
         keys = uniform_keys(50_000, 64, rng)
-        out = HeterogeneousSorter().sort(keys, n_chunks=1)
+        out = repro.sort(keys, memory_budget=3 * keys.nbytes)
         assert np.array_equal(out.keys, np.sort(keys))
-        assert out.merge_seconds == 0.0
+        assert out.meta["plan"].strategy != "hetero"

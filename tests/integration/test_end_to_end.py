@@ -7,7 +7,6 @@ import numpy as np
 import repro
 from repro.baselines import CubRadixSort, MergeSortBaseline, ParadisSorter
 from repro.core.hybrid_sort import HybridRadixSorter
-from repro.hetero.sorter import HeterogeneousSorter
 from repro.workloads import (
     ENTROPY_LADDER_32,
     generate_entropy_keys,
@@ -74,18 +73,25 @@ class TestEntropyLadderSweep:
 
 
 class TestHeterogeneousEndToEnd:
-    def test_hetero_equals_direct_sort(self, rng):
+    def test_hetero_equals_direct_sort(self, rng, budget_for_chunks):
         keys = uniform_keys(80_000, 64, rng)
         keys, values = generate_pairs(keys, 64)
-        hetero = HeterogeneousSorter().sort(keys, values, n_chunks=4)
+        hetero = repro.sort_pairs(
+            keys,
+            values,
+            memory_budget=budget_for_chunks(keys.nbytes + values.nbytes, 4),
+        )
         direct = HybridRadixSorter().sort(keys, values)
+        assert hetero.meta["plan"].chunk_plan.n_chunks == 4
         assert np.array_equal(hetero.keys, direct.keys)
         assert np.array_equal(keys[hetero.values.astype(np.int64)], hetero.keys)
 
-    def test_chunk_count_does_not_change_output(self, rng):
+    def test_chunk_count_does_not_change_output(self, rng, budget_for_chunks):
         keys = zipf_keys(50_000, 64, rng=rng)
-        a = HeterogeneousSorter().sort(keys, n_chunks=2)
-        b = HeterogeneousSorter().sort(keys, n_chunks=8)
+        a = repro.sort(keys, memory_budget=budget_for_chunks(keys.nbytes, 2))
+        b = repro.sort(keys, memory_budget=budget_for_chunks(keys.nbytes, 8))
+        assert a.meta["plan"].chunk_plan.n_chunks == 2
+        assert b.meta["plan"].chunk_plan.n_chunks == 8
         assert np.array_equal(a.keys, b.keys)
 
 

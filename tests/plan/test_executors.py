@@ -123,14 +123,16 @@ class TestHeteroOracle:
         assert np.array_equal(chunked.keys, oracle.keys)
         assert np.array_equal(chunked.values, oracle.values)
 
-    def test_hetero_sorter_unchanged_by_refactor(self, rng):
-        from repro.hetero.sorter import HeterogeneousSorter
-
+    def test_hetero_sorter_unchanged_by_refactor(
+        self, rng, budget_for_chunks
+    ):
         keys = rng.integers(0, 2**32, 65_537, dtype=np.uint64)
-        out = HeterogeneousSorter().sort(keys, n_chunks=3)
+        out = repro.sort(
+            keys, memory_budget=budget_for_chunks(keys.nbytes, 3)
+        )
         assert np.array_equal(out.keys, np.sort(keys))
         assert out.meta["plan"].strategy == "hetero"
-        assert out.plan.n_chunks == 3
+        assert out.meta["plan"].chunk_plan.n_chunks == 3
 
 
 class TestExternalOracle:

@@ -141,11 +141,6 @@ class TestBudgetLogicUnification:
             desc.total_bytes, budget_bytes=desc.memory_budget
         )
 
-    def test_hetero_device_plan_matches_plan_chunks(self):
-        desc = InputDescriptor(n=1 << 20, key_dtype=np.uint64)
-        plan = Planner().plan_chunked(desc, n_chunks=4)
-        assert plan.chunk_plan == plan_chunks(desc.total_bytes, n_chunks=4)
-
     def test_external_plan_matches_plan_runs(self, tmp_path):
         path = tmp_path / "in.bin"
         np.arange(9_999, dtype=np.uint32).tofile(path)
@@ -168,10 +163,80 @@ class TestBudgetLogicUnification:
         ]
         assert runs == sorted(runs, reverse=True)
 
-    def test_empty_chunked_plan_rejected(self):
-        desc = InputDescriptor(n=0, key_dtype=np.uint32)
+    @pytest.mark.parametrize("memory_budget", [None, 1 << 10])
+    def test_empty_chunked_plan_rejected(self, memory_budget):
+        desc = InputDescriptor(
+            n=0, key_dtype=np.uint32, memory_budget=memory_budget
+        )
         with pytest.raises(ConfigurationError):
             Planner().plan_chunked(desc)
+
+    def test_unbudgeted_chunked_plan_rejected(self):
+        # Chunks are sized against memory_budget; there is no device
+        # memory to fall back on.
+        desc = InputDescriptor(n=1 << 20, key_dtype=np.uint64)
+        with pytest.raises(ConfigurationError, match="memory_budget"):
+            Planner().plan_chunked(desc)
+
+
+class TestChunkedPlan:
+    """A budgeted array sorts its chunks on the rung a run would use."""
+
+    @pytest.mark.parametrize("native", ["auto", "never"])
+    @pytest.mark.parametrize(
+        "key_dtype,value_dtype",
+        [
+            (np.uint32, None),
+            (np.float64, None),
+            (np.uint32, np.uint32),
+            (np.int64, np.uint64),
+        ],
+    )
+    def test_chunk_engine_is_the_run_engine(
+        self, native, key_dtype, value_dtype
+    ):
+        planner = Planner(native=native)
+        desc = InputDescriptor(
+            n=1 << 20,
+            key_dtype=key_dtype,
+            value_dtype=value_dtype,
+            memory_budget=1 << 20,
+        )
+        plan = planner.plan(desc)
+        step = plan.step("chunked-pipeline")
+        chunk = -(-desc.n // plan.chunk_plan.n_chunks)
+        assert (step.params["engine"], step.params["engine_note"]) == (
+            planner.run_engine(desc, chunk)
+        )
+        assert plan.engine == f"{step.params['engine']} chunks + drain_cursors"
+
+    def test_fused_packing_keeps_chunks_off_the_library_rung(self):
+        from dataclasses import replace
+
+        from repro.core.config import SortConfig
+
+        config = replace(SortConfig.for_layout(32, 32), pair_packing="fused")
+        desc = InputDescriptor(
+            n=1 << 20, key_dtype=np.uint32, value_dtype=np.uint32,
+            memory_budget=1 << 20,
+        )
+        step = Planner(config=config).plan(desc).step("chunked-pipeline")
+        assert step.params["engine"] in ("native", "hybrid")
+
+    def test_chunks_priced_as_run_sorts(self):
+        planner = Planner(native="never")
+        desc = InputDescriptor(
+            n=1_000_003, key_dtype=np.uint32, memory_budget=1 << 20
+        )
+        plan = planner.plan(desc)
+        k = plan.chunk_plan.n_chunks
+        chunk = -(-desc.n // k)
+        assert plan.step("chunked-pipeline").predicted_seconds == (
+            pytest.approx(k * planner._run_sort_seconds(desc, "hybrid", chunk))
+        )
+        assert plan.step("kway-merge").predicted_seconds == pytest.approx(
+            planner._merge_seconds(desc.total_bytes, k, desc.record_bytes)
+        )
 
 
 class TestAdaptiveDispatchProperty:

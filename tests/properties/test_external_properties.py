@@ -4,9 +4,9 @@ Two families of properties:
 
 * **merge-level** — :func:`repro.external.merge.merge_runs` over
   arbitrary sorted runs, block sizes down to one record, and
-  duplicate-heavy keys must equal the in-memory stable k-way merge
-  (equal keys in run order), regardless of where block boundaries fall
-  inside runs of equal keys.
+  duplicate-heavy keys must equal one bits-space stable sort of the
+  runs concatenated in run order (equal keys in run order), regardless
+  of where block boundaries fall inside runs of equal keys.
 * **sorter-level** — the full spill-to-disk pipeline over arbitrary
   inputs and budgets must be byte-identical to one in-memory stable
   sort, i.e. run boundaries are invisible in the output.
@@ -29,7 +29,6 @@ from repro.errors import TransientError
 from repro.external import ExternalSorter, FileLayout, write_records, write_run
 from repro.external.merge import merge_runs
 from repro.external.runs import RunWriter, plan_runs
-from repro.hetero.merge import kway_merge_pairs
 from repro.native import build
 from repro.plan.planner import NATIVE_MIN_KEYS
 from repro.resilience.faults import FaultPlan, inject
@@ -54,7 +53,7 @@ def _write_runs(tmpdir, layout, runs):
 def test_streaming_merge_equals_in_memory_stable_merge(
     tmp_path_factory, runs, block
 ):
-    """Any block size reproduces the stable in-memory k-way merge."""
+    """Any block size reproduces the bits-space stable sort."""
     tmpdir = str(tmp_path_factory.mktemp("merge"))
     layout = FileLayout(np.uint32, np.uint32)
     key_runs, value_runs, prepared = [], [], []
@@ -69,7 +68,12 @@ def test_streaming_merge_equals_in_memory_stable_merge(
     paths = _write_runs(tmpdir, layout, prepared)
     out = os.path.join(tmpdir, "out.bin")
     written = merge_runs(paths, layout, out, block_records=block)
-    expected_k, expected_v = kway_merge_pairs(key_runs, value_runs)
+    # The bits-space stable reference: one stable argsort of the runs
+    # concatenated in run order.
+    all_keys = np.concatenate(key_runs)
+    order = np.argsort(to_sortable_bits(all_keys), kind="stable")
+    expected_k = all_keys[order]
+    expected_v = np.concatenate(value_runs)[order]
     got = np.fromfile(out, dtype=layout.storage_dtype)
     assert written == got.size == expected_k.size
     assert np.array_equal(got["key"], expected_k)

@@ -1,4 +1,4 @@
-"""Property-based tests for the CPU multiway merge and PARADIS."""
+"""Property-based tests for the in-memory multiway merge and PARADIS."""
 
 from __future__ import annotations
 
@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.paradis import ParadisSorter
-from repro.hetero.merge import kway_merge, kway_merge_pairs
+from repro.core.pairs import make_records
+from repro.external.merge import ArrayCursor, drain_cursors
 
 run_lists = st.lists(
     st.lists(st.integers(0, 10**6), min_size=0, max_size=200),
@@ -16,11 +17,24 @@ run_lists = st.lists(
 )
 
 
+def _drain(runs, block_records):
+    blocks = []
+    written = drain_cursors(
+        [ArrayCursor(run, block_records) for run in runs], blocks.append
+    )
+    dtype = runs[0].dtype if runs else np.dtype(np.uint64)
+    merged = (
+        np.concatenate(blocks).view(dtype) if blocks else np.empty(0, dtype)
+    )
+    assert written == merged.size
+    return merged
+
+
 @settings(max_examples=60, deadline=None)
-@given(run_lists)
-def test_kway_merge_equals_global_sort(runs):
+@given(run_lists, st.integers(1, 64))
+def test_array_merge_equals_global_sort(runs, block):
     arrays = [np.sort(np.array(r, dtype=np.uint64)) for r in runs]
-    merged = kway_merge(arrays)
+    merged = _drain(arrays, block)
     expected = np.sort(
         np.concatenate(arrays) if arrays else np.empty(0, dtype=np.uint64)
     )
@@ -28,26 +42,27 @@ def test_kway_merge_equals_global_sort(runs):
 
 
 @settings(max_examples=40, deadline=None)
-@given(run_lists)
-def test_kway_merge_pairs_consistency(runs):
-    key_runs, value_runs = [], []
+@given(run_lists, st.integers(1, 64))
+def test_array_merge_pairs_is_the_global_stable_sort(runs, block):
+    record_runs = []
     offset = 0
     all_keys = []
     for r in runs:
         keys = np.array(r, dtype=np.uint64)
         values = np.arange(offset, offset + keys.size, dtype=np.uint64)
         order = np.argsort(keys, kind="stable")
-        key_runs.append(keys[order])
-        value_runs.append(values[order])
+        record_runs.append(make_records(keys[order], values[order]))
         all_keys.append(keys)
         offset += keys.size
-    mk, mv = kway_merge_pairs(key_runs, value_runs)
+    merged = _drain(record_runs, block)
     flat = (
         np.concatenate(all_keys) if all_keys else np.empty(0, dtype=np.uint64)
     )
     if flat.size:
-        assert np.array_equal(mk, np.sort(flat))
-        assert np.array_equal(flat[mv], mk)
+        order = np.argsort(flat, kind="stable")
+        assert np.array_equal(merged["key"], flat[order])
+        # Values are input positions: equal keys in run order.
+        assert np.array_equal(merged["value"], order)
 
 
 @settings(max_examples=30, deadline=None)

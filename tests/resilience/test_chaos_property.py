@@ -122,3 +122,19 @@ class TestSingleFaultContainment:
         assert_contained(result)
         assert result["outcome"] == "typed-error"
         assert "DeadlineExceededError" in result["detail"]
+
+
+class TestHeteroChunkRung:
+    def test_hetero_scenario_plans_chunks_on_the_library_rung(self):
+        result = _service_scenario("engine.hetero", "error", n=3_000, seed=0)
+        assert_contained(result)
+        assert result["outcome"] == "recovered"  # the retry re-ran it
+
+    def test_a_moved_chunk_rung_fails_the_scenario(self, monkeypatch):
+        from repro.resilience import chaos
+
+        monkeypatch.setattr(chaos, "HETERO_CHUNK_RUNG", "native")
+        result = _service_scenario("engine.hetero", "error", n=3_000, seed=0)
+        assert not result["ok"]
+        assert result["outcome"] == "wrong-rung"
+        assert "'library'" in result["detail"]
