@@ -1,4 +1,4 @@
-"""Experiment harness shared by the benchmarks.
+"""Experiment harness shared by the paper-figure benchmarks.
 
 * :mod:`repro.bench.scaling` — scale-model simulation: run the functional
   sorter on a sample, price the trace at the paper's input size.
@@ -6,30 +6,20 @@
   containers.
 * :mod:`repro.bench.reporting` — ASCII tables/series in the shape of the
   paper's figures.
-* :mod:`repro.bench.wallclock` — real host Mkeys/s measurement (the one
-  number the cost model cannot vouch for), persisted as
-  ``BENCH_wallclock.json`` for the cross-PR perf trajectory.
+
+These report *simulated* seconds.  Real host time is measured by
+``perfbench/run.py``, against a same-run NumPy sort of the same input.
 """
 
 from repro.bench.reporting import format_series, format_table
 from repro.bench.runner import BenchmarkSettings, ExperimentResult
 from repro.bench.scaling import ScaledSortOutcome, simulate_sort_at_scale
-from repro.bench.wallclock import (
-    DEFAULT_CASES,
-    WallclockCase,
-    run_case,
-    run_suite,
-)
 
 __all__ = [
     "BenchmarkSettings",
-    "DEFAULT_CASES",
     "ExperimentResult",
     "ScaledSortOutcome",
-    "WallclockCase",
     "format_series",
     "format_table",
-    "run_case",
-    "run_suite",
     "simulate_sort_at_scale",
 ]

@@ -13,9 +13,9 @@ Commands
     analytical bounds for a given input size.
 ``sweep``
     A quick Figure 6-style entropy sweep at a chosen sample size.
-``bench-wallclock``
-    Measure real host Mkeys/s across key widths, entropies, and pair
-    layouts; writes ``BENCH_wallclock.json`` for the perf trajectory.
+``calibrate``
+    Time micro-probes on this host and write the host profile the
+    planner prices plans with.
 ``gen-file``
     Write a flat binary workload file (keys-only or interleaved
     key-value records) for the out-of-core sorter.
@@ -26,9 +26,6 @@ Commands
     Async sort service (``repro.service.SortService``) driven by JSON
     lines on stdin: inline arrays, generated workloads, or file sorts,
     with micro-batching, admission control, and per-request telemetry.
-``bench-service``
-    Closed-loop throughput benchmark of the sort service (requests/s,
-    p50/p95 latency, micro-batching on vs off).
 ``chaos``
     Deterministic fault-injection sweep: every named fault site, one
     fault at a time, each scenario proven to end in byte-identical
@@ -41,7 +38,6 @@ Examples::
     python -m repro plan --input data.bin --dtype uint32 --memory-budget 8M
     python -m repro info --n 500000000
     python -m repro sweep --key-bits 64 --target 250000000
-    python -m repro bench-wallclock --quick
     python -m repro gen-file --output data.bin --n 8000000 --dtype uint32
     python -m repro sort-file --input data.bin --output sorted.bin \
         --dtype uint32 --memory-budget 8M --workers 2 --verify
@@ -49,7 +45,6 @@ Examples::
         --dtype uint32 --spool-dir spool --resume
     printf '%s\n' '{"id": 1, "keys": [3, 1, 2], "dtype": "uint32"}' \
         | python -m repro serve
-    python -m repro bench-service --quick --output /tmp/BENCH_service.json
     python -m repro chaos --quick
 """
 
@@ -176,14 +171,16 @@ def cmd_sort(args) -> int:
         print(f"counting passes : {result.trace.num_counting_passes}")
         print(f"finished early  : {result.trace.finished_early}")
         print(f"local-sorted    : {result.trace.total_local_keys:,} keys")
-    if result.simulated_seconds > 0:
-        print(f"simulated time  : {result.simulated_seconds * 1e3:.3f} ms")
-        rate = result.sorting_rate() / GB
-        print(f"simulated rate  : {rate:.2f} GB/s ({TITAN_X_PASCAL.name})")
+    if result.trace is None and result.simulated_seconds == 0:
+        # Nothing was simulated: a host rung ran the sort.  (The
+        # baselines price their runs on the device without a trace.)
+        engine = executed or args.engine
+        print(f"simulated time  : n/a ({engine} runs on the host)")
     else:
-        # The native tier runs on the real host, not the simulated
-        # device, so there is no simulated rate to report.
-        print("simulated time  : n/a (compiled tier runs on the host)")
+        print(f"simulated time  : {result.simulated_seconds * 1e3:.3f} ms")
+        if result.simulated_seconds > 0:
+            rate = result.sorting_rate() / GB
+            print(f"simulated rate  : {rate:.2f} GB/s ({TITAN_X_PASCAL.name})")
     return 0 if ok else 1
 
 
@@ -531,20 +528,6 @@ def cmd_calibrate(args) -> int:
     return 0
 
 
-def cmd_bench_wallclock(args) -> int:
-    from repro.bench.wallclock import execute
-
-    return execute(
-        args.n,
-        args.repeats,
-        args.seed,
-        args.output,
-        quick=args.quick,
-        workers=args.workers,
-        cases=args.cases,
-    )
-
-
 def cmd_serve(args) -> int:
     """Run the async sort service over JSON lines (stdin or --input)."""
     import asyncio
@@ -568,12 +551,6 @@ def cmd_serve(args) -> int:
     finally:
         if args.input is not None:
             stream.close()
-
-
-def cmd_bench_service(args) -> int:
-    from repro.bench.service import execute
-
-    return execute(args)
 
 
 def cmd_chaos(args) -> int:
@@ -762,14 +739,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_sf.set_defaults(func=cmd_sort_file)
 
-    p_bench = sub.add_parser(
-        "bench-wallclock", help="host wall-clock Mkeys/s benchmark"
-    )
-    from repro.bench.wallclock import add_bench_args
-
-    add_bench_args(p_bench)
-    p_bench.set_defaults(func=cmd_bench_wallclock)
-
     p_serve = sub.add_parser(
         "serve",
         help="async sort service driven by JSON lines on stdin",
@@ -810,15 +779,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_serve.add_argument("--seed", type=int, default=0)
     p_serve.set_defaults(func=cmd_serve)
-
-    p_bsvc = sub.add_parser(
-        "bench-service",
-        help="closed-loop sort-service throughput benchmark",
-    )
-    from repro.bench.service import add_bench_service_args
-
-    add_bench_service_args(p_bsvc)
-    p_bsvc.set_defaults(func=cmd_bench_service)
 
     p_chaos = sub.add_parser(
         "chaos",

@@ -3,8 +3,8 @@
 The analytical model in :mod:`repro.cost.calibration` prices plans
 with the paper's §6 Titan X constants (369 GB/s effective bandwidth).
 That reproduces the paper's *reasoning*, but on a NumPy host it
-over-predicts throughput by ~400×: ``BENCH_wallclock.json`` used to
-record ``predicted_seconds: 0.0007`` against a measured 0.37 s.
+over-predicts throughput by 200–300×: without a profile,
+``repro.sort`` of 2²¹ uint32 keys plans 0.05 ms and takes 10–14 ms.
 Stehle & Jacobsen's own methodology points the way out — the model's
 *shape* (pass counts, traffic multipliers) comes from the algorithm,
 only the *constants* are per-device — so ``repro calibrate`` measures

@@ -33,7 +33,8 @@ plan layer as its scheduling currency:
   :class:`~repro.service.stats.ServiceStats` aggregates them.
 
 ``python -m repro serve`` drives a service from JSON lines on stdin;
-:mod:`repro.bench.service` measures its throughput.
+perfbench's ``service`` workload times it against a same-run NumPy
+sort of the same requests.
 """
 
 from repro.service.admission import AdmissionController

@@ -87,9 +87,8 @@ def typed_keys(
     """Generate ``n`` keys of any supported sort dtype.
 
     The dtype-generic front door the file generator (``repro gen-file``)
-    uses; the CLI ``sort`` command and the wall-clock bench cases
-    delegate here too, so there is exactly one distribution-name
-    dispatch.  32/64-bit unsigned keys support every named distribution
+    uses; the CLI ``sort`` command delegates here too, so there is
+    exactly one distribution-name dispatch.  32/64-bit unsigned keys support every named distribution
     (``uniform``, ``zipf``, ``constant``, ``presorted``, ``reverse``,
     ``staircase``, ``andK``).  Other dtypes reshape a same-width
     unsigned sample of the requested distribution:

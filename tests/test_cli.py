@@ -2,9 +2,15 @@
 
 from __future__ import annotations
 
+import argparse
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+REPO_ROOT = Path(__file__).resolve().parents[1]
 
 
 class TestSortCommand:
@@ -47,6 +53,27 @@ class TestSortCommand:
         rc = main(["sort", "--n", "30000", "--pairs", "--workers", "2"])
         assert rc == 0
         assert "sorted          : yes" in capsys.readouterr().out
+
+    def test_zero_simulated_time_is_not_blamed_on_the_host(self, capsys):
+        # One record runs the simulated hybrid engine (native="never"):
+        # it carries a trace whose simulated time is zero.
+        rc = main(["sort", "--n", "1"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        assert "simulated time  : 0.000 ms" in out
+        assert "runs on the host" not in out
+        assert "GB/s" not in out
+
+    def test_host_engine_reports_no_simulated_time(self, capsys):
+        from repro.native.build import native_status
+
+        rc = main(["sort", "--n", "2000", "--engine", "native"])
+        out = capsys.readouterr().out
+        assert rc == 0
+        if native_status(warn=False).available:
+            assert "simulated time  : n/a (native runs on the host)" in out
+        else:  # the hybrid engine stands in and simulates the sort
+            assert "simulated rate" in out
 
     def test_packing_flag(self, capsys):
         for packing in ("index", "fused", "off"):
@@ -185,22 +212,6 @@ class TestCalibrateCommand:
         assert os.path.exists(path)
 
 
-class TestBenchWallclockCommand:
-    def test_cases_and_workers_flags(self, capsys, tmp_path, monkeypatch):
-        import json
-
-        monkeypatch.chdir(tmp_path)
-        rc = main(
-            ["bench-wallclock", "--quick", "--workers", "2",
-             "--cases", "pairs32-uniform", "--output", "report.json"]
-        )
-        assert rc == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert report["workers"] == 2
-        assert report["cases"] == ["pairs32-uniform"]
-        assert [r["name"] for r in report["results"]] == ["pairs32-uniform"]
-
-
 class TestInfoCommand:
     def test_info_output(self, capsys):
         rc = main(["info", "--n", "1000000"])
@@ -223,7 +234,31 @@ class TestSweepCommand:
         assert len(out.strip().splitlines()) == 14
 
 
+def _registered_verbs() -> list[str]:
+    parser = build_parser()
+    (subparsers,) = [
+        action for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return sorted(subparsers.choices)
+
+
 class TestParser:
+    def test_docstring_lists_every_verb(self):
+        import repro.cli
+
+        doc = repro.cli.__doc__
+        section = doc[doc.index("Commands\n"):doc.index("Examples::")]
+        listed = re.findall(r"^``([a-z-]+)``$", section, flags=re.MULTILINE)
+        assert sorted(listed) == _registered_verbs()
+
+    def test_readme_table_lists_every_verb(self):
+        readme = (REPO_ROOT / "README.md").read_text()
+        listed = re.findall(
+            r"^\| `repro ([a-z-]+)` \|", readme, flags=re.MULTILINE
+        )
+        assert sorted(listed) == _registered_verbs()
+
     def test_requires_command(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
