@@ -259,20 +259,38 @@ def native_traffic(
 ) -> tuple[int, int]:
     """``(counting passes, bytes moved)`` of one native sort.
 
-    Each counting pass reads the records for its histogram and reads
-    and writes them for its scatter (3x traffic); buckets that finish
-    in an insertion sort read and write them once more.  ``pairs``
-    selects the pairs kernel's schedule
-    (:func:`native_pairs_pass_plan`).  The planner prices native steps
-    with it and the host profile's native probe divides by it, so the
+    The u32/u64 kernels move the records through DRAM on every pass:
+    each counting pass reads them for its histogram and reads and
+    writes them for its scatter (3x traffic), and buckets that finish
+    in an insertion sort read and write them once more.
+
+    The pairs kernel (``pairs``, schedule :func:`native_pairs_pass_plan`)
+    reads its input only in the MSD partition: a histogram read, then
+    a scatter read and write of the records into the output (3x).
+    Each bucket is then read and written once more (2x); its further
+    splits and its finish run in a scratch buffer the size of the
+    largest bucket, which stays in cache.  An input the kernel does not
+    partition is one bucket (2x).  The pass count still counts every
+    pass of the schedule.  The planner prices native steps with these
+    bytes and the host profile's native probe divides by them, so the
     two agree by construction.
+
+    >>> native_traffic(64, 1 << 21, 16, pairs=True)   # 2^21 i64 pairs
+    (2, 167772160)
+    >>> native_traffic(64, 32, 16, pairs=True)   # one insertion sort
+    (0, 1024)
+    >>> native_traffic(32, 1 << 12, 4)   # partition + insertion sorts
+    (1, 81920)
     """
     if pairs:
         msd_width, splits, inner = native_pairs_pass_plan(sort_bits, n)
+        per_record = (3 if msd_width else 0) + 2
     else:
         (msd_width, inner), splits = native_pass_plan(sort_bits, n), ()
+        per_record = 3 * ((1 if msd_width else 0) + len(inner)) + (
+            0 if inner else 2
+        )
     passes = (1 if msd_width else 0) + len(splits) + len(inner)
-    per_record = 3 * passes + (0 if inner else 2)
     return passes, per_record * n * record_bytes
 
 

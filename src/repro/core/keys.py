@@ -10,8 +10,18 @@ counting sort pass" (§4.6, citing Herf's radix tricks [19]):
 * floats — flip *all* bits if the sign bit is set, otherwise flip only
   the sign bit.
 
-NaNs sort after all numbers (their flipped patterns exceed +inf's), which
-matches what a database engine typically wants for NULL-like payloads.
+``-0.0`` sorts before ``+0.0``.  A NaN sorts by its sign bit: one with
+the sign bit clear (NumPy's ``np.nan``) maps above ``+inf`` and sorts
+after every number, but one with the sign bit set is fully flipped like
+any negative float, maps below ``-inf`` and sorts *first*:
+
+>>> keys = np.array([1.0, -np.inf, np.nan, 0.0, -0.0, 0.0, np.inf])
+>>> keys.view(np.uint64)[3] = 0xFFF8000000000001   # a NaN, sign bit set
+>>> order = np.argsort(to_sortable_bits(keys), kind="stable")
+>>> keys[order].tolist()
+[nan, -inf, -0.0, 0.0, 1.0, inf, nan]
+>>> np.signbit(keys[order]).tolist()
+[True, True, True, False, False, False, False]
 """
 
 from __future__ import annotations
@@ -84,14 +94,28 @@ def to_sortable_bits(keys: np.ndarray) -> np.ndarray:
     sign = udtype.type(_sign_bit(dtype.itemsize))
     if dtype.kind == "i":
         return raw ^ sign
-    # Floats: if the sign bit is set flip everything, else flip the sign.
-    is_negative = (raw & sign) != 0
-    all_ones = udtype.type(2 ** (dtype.itemsize * 8) - 1)
-    return np.where(is_negative, raw ^ all_ones, raw ^ sign)
+    # Floats, branch-free: an arithmetic shift smears the sign bit into
+    # a mask of all ones (negative) or zeros, ``| sign`` adds the sign
+    # bit, and one xor flips all bits or only the sign.
+    width = dtype.itemsize * 8
+    mask = np.right_shift(keys.view(f"i{dtype.itemsize}"), width - 1)
+    mask = mask.view(udtype)
+    mask |= sign
+    mask ^= raw
+    return mask
 
 
-def from_sortable_bits(bits: np.ndarray, dtype: np.dtype) -> np.ndarray:
-    """Invert :func:`to_sortable_bits` back to ``dtype``."""
+def from_sortable_bits(
+    bits: np.ndarray, dtype: np.dtype, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Invert :func:`to_sortable_bits` back to ``dtype``.
+
+    Returns a fresh array, unless ``out`` is given: an array of
+    ``dtype`` or of its bits dtype, shaped like ``bits``, that receives
+    the keys and is returned viewed as ``dtype``.  ``out`` may be
+    ``bits`` itself, so an engine that owns its sorted bits inverts
+    them in place (for unsigned keys that is a free view).
+    """
     dtype = np.dtype(dtype)
     if dtype not in SUPPORTED_DTYPES:
         raise UnsupportedDtypeError(
@@ -99,13 +123,21 @@ def from_sortable_bits(bits: np.ndarray, dtype: np.dtype) -> np.ndarray:
         )
     udtype = bits_dtype_for(dtype)
     bits = np.asarray(bits, dtype=udtype)
+    if out is None:
+        out = np.empty_like(bits)
+    target = out.view(udtype)
     if dtype.kind == "u":
-        return bits.copy().view(dtype)
+        if out is not bits:
+            np.copyto(target, bits)
+        return out.view(dtype)
     sign = udtype.type(_sign_bit(dtype.itemsize))
     if dtype.kind == "i":
-        return (bits ^ sign).view(dtype)
-    # Floats: mapped-negative values (top bit clear) were fully flipped.
-    was_negative = (bits & sign) == 0
-    all_ones = udtype.type(2 ** (dtype.itemsize * 8) - 1)
-    raw = np.where(was_negative, bits ^ all_ones, bits ^ sign)
-    return raw.view(dtype)
+        np.bitwise_xor(bits, sign, out=target)
+        return out.view(dtype)
+    # Floats: flip the sign bit back.  A key whose top bit is then set
+    # was negative and had every bit flipped, so flip its other bits
+    # too; ``where=`` keeps the only temporary to one bool per key.
+    np.bitwise_xor(bits, sign, out=target)
+    negative = target.view(f"i{dtype.itemsize}") < 0
+    np.bitwise_xor(target, ~sign, out=target, where=negative)
+    return out.view(dtype)

@@ -9,8 +9,8 @@ index-packed pairs at every size from 2^8 to 2^21
 layouts here:
 
 * **keys only** — :func:`~repro.core.keys.to_sortable_bits`, one
-  in-place ``np.sort``, and the inverse bijection (a free view for
-  unsigned dtypes).
+  in-place ``np.sort``, and the inverse bijection in place on the
+  sorted bits (a free view for unsigned dtypes).
 * **pairs whose keys index-pack** (at most 32 bits) — key bits and row
   index pack into one ``uint64`` word
   (:func:`~repro.core.pairs.pack_key_index`), the words sort, and the
@@ -111,10 +111,7 @@ def library_sort(
         packed.sort()
         bits, perm = unpack_key_index(packed, key_bits)
         sorted_values = values[perm]
-    if keys.dtype.kind == "u":
-        out_keys = bits.view(keys.dtype)
-    else:
-        out_keys = from_sortable_bits(bits, keys.dtype)
+    out_keys = from_sortable_bits(bits, keys.dtype, out=bits)
     return SortResult(
         keys=out_keys, values=sorted_values, meta={"engine": "library"}
     )

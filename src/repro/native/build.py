@@ -2,7 +2,7 @@
 
 The C source below is the paper's counting sort pass (§4: per-chunk
 histogram → exclusive scan → scatter) compiled to machine code via
-cffi's API mode.  Two design points lift it from "NumPy in C" to a
+cffi's API mode.  Three design points lift it from "NumPy in C" to a
 bandwidth-shaped kernel:
 
 * **MSD partition first.**  Wide words take one 11-bit MSD partition
@@ -17,6 +17,15 @@ bandwidth-shaped kernel:
   bursts, the Wassenberg–Sanders technique.  Random single-element
   stores into a large region cost several× a streaming burst; the WC
   buffers turn 2048-way scattered traffic into sequential line writes.
+* **The §4.6 bijection inside the passes.**  The pairs kernel
+  (``repro_native_sort_pairs``) reads the caller's raw key and value
+  lanes as ``const`` and maps each key (unsigned, signed or IEEE
+  float) "during the scattering step of the first counting sort", as
+  §4.6 puts it.  Each MSD bucket finishes in a scratch buffer the size
+  of the largest bucket, which stays in cache, and its keys map back
+  to raw bits as it is written back, so the map costs no pass of its
+  own and the kernel reads the input once for the histogram and once
+  for the scatter, then reads and writes each bucket once more.
 
 Build policy
 ------------
@@ -63,9 +72,9 @@ int repro_native_sort_u32(uint32_t *a, uint32_t *b, int64_t n,
                           int lo_bit);
 int repro_native_sort_u64(uint64_t *a, uint64_t *b, int64_t n,
                           int lo_bit);
-int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
-                                uint64_t *v, uint64_t *vt,
-                                int64_t n, int lo_bit);
+int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
+                            uint64_t *ok, uint64_t *ov, int64_t n,
+                            int kind, int lo_bit);
 """
 
 C_SOURCE = r"""
@@ -506,58 +515,145 @@ static int msd_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
     return inner_pairs(k, kt, v, vt, n, lo, bits);
 }
 
-/* Sort (k, v) pairs by bits [lo_bit, 64) of k, v riding along: the
- * MSD partition, then msd_pairs per bucket.
- * Returns 0 if the result is in (k, v), 1 if in (kt, vt), negative on
- * error. */
-int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
-                                uint64_t *v, uint64_t *vt,
-                                int64_t n, int lo_bit)
+/* The §4.6 bijection of a 64-bit key word, for key kind KEY_UNSIGNED,
+ * KEY_SIGNED or KEY_FLOAT, as two masks: map(x) = x ^ ((smear(x) &
+ * flip) | sign), where smear(x) copies the top bit into every bit.
+ * Unsigned keys have flip = sign = 0; signed keys flip the sign bit
+ * (sign = SIGN64); IEEE floats also flip every other bit of a negative
+ * key (flip = all ones).  unmap inverts it: a mapped float with its
+ * top bit set was positive. */
+#define KEY_UNSIGNED 0
+#define KEY_SIGNED 1
+#define KEY_FLOAT 2
+#define SIGN64 ((uint64_t)1 << 63)
+
+static inline uint64_t smear(uint64_t x)
+{
+    return (uint64_t)0 - (x >> 63);
+}
+
+static inline uint64_t map_key(uint64_t x, uint64_t flip, uint64_t sign)
+{
+    return x ^ ((smear(x) & flip) | sign);
+}
+
+static inline uint64_t unmap_key(uint64_t m, uint64_t flip, uint64_t sign)
+{
+    return m ^ ((~smear(m) & flip) | sign);
+}
+
+/* Finish one bucket of c mapped records at (bk, bv) on bits
+ * [lo, lo+bits), with msd_pairs when `split`, else inner_pairs: both
+ * ping-pong between the bucket and the scratch (sk, sv), which holds
+ * at least c records and stays in cache.  The keys are unmapped into
+ * bk as they are written back. */
+static void finish_bucket(uint64_t *bk, uint64_t *bv, uint64_t *sk,
+                          uint64_t *sv, int64_t c, int lo, int bits,
+                          int split, uint64_t flip, uint64_t sign)
+{
+    int64_t i;
+    if (c > 1 && (split ? msd_pairs : inner_pairs)(bk, sk, bv, sv, c, lo,
+                                                   bits) != 0) {
+        for (i = 0; i < c; i++)
+            bk[i] = unmap_key(sk[i], flip, sign);
+        memcpy(bv, sv, (size_t)c * 8);
+    } else if (flip | sign) {
+        for (i = 0; i < c; i++)
+            bk[i] = unmap_key(bk[i], flip, sign);
+    }
+}
+
+/* Stably sort the records (k[i], v[i]) by bits [lo_bit, 64) of the
+ * mapped key map(k[i]) into (ok, ov): ok gets the raw key words back,
+ * ov the payload, and k and v are only read.  A payload of 0..n-1
+ * comes back as the stable sorting permutation of the keys.
+ *
+ * DRAM traffic, counted by repro.core.digits.native_traffic: the MSD
+ * partition reads the keys for its histogram, then reads the records
+ * and writes them into (ok, ov) through the write-combining buffers;
+ * each bucket is then read and written once more, its further splits
+ * and its finish running in a scratch buffer the size of the largest
+ * bucket.  When the partition would not split the input (a narrow sort
+ * range, at most LOCAL_SORT_MAX records, or one bucket holding them
+ * all), the mapped records are copied into (ok, ov) and finish there
+ * as one bucket.
+ * Returns 0 on success, negative on error. */
+int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
+                            uint64_t *ok, uint64_t *ov, int64_t n,
+                            int kind, int lo_bit)
 {
     int64_t hist[MSD_RADIX], start[MSD_RADIX], pos[MSD_RADIX];
-    int msd_lo = 64 - MSD_BITS;
+    int msd_lo = 64 - MSD_BITS, bits = 64 - lo_bit, partition, split = 0;
     int d;
-    int64_t i, base;
+    int64_t i, base, big;
+    uint64_t flip, sign, *sk;
     uint64_t (*wck)[WC_KEYS64], (*wcv)[WC_KEYS64];
     int *wc_n;
-    if (n < 0 || lo_bit < 0 || lo_bit >= 64)
+    if (n < 0 || lo_bit < 0 || lo_bit >= 64 || kind < KEY_UNSIGNED
+        || kind > KEY_FLOAT)
         return -1;
-    if (n <= 1)
+    if (n <= 1) {
+        if (n == 1) {
+            ok[0] = k[0];
+            ov[0] = v[0];
+        }
         return 0;
-    if (64 - lo_bit <= MSD_BITS + INNER_BITS || n <= LOCAL_SORT_MAX)
-        return inner_pairs(k, kt, v, vt, n, lo_bit, 64 - lo_bit);
-    memset(hist, 0, sizeof(hist));
-    for (i = 0; i < n; i++)
-        hist[k[i] >> msd_lo]++;
-    base = 0;
-    for (d = 0; d < MSD_RADIX; d++) {
-        start[d] = base;
-        base += hist[d];
     }
-    if (base != n)
-        return -1;
-    for (d = 0; d < MSD_RADIX; d++)
-        if (hist[d] == n)
-            return msd_pairs(k, kt, v, vt, n, lo_bit, msd_lo - lo_bit);
+    flip = kind == KEY_FLOAT ? ~(uint64_t)0 : 0;
+    sign = kind == KEY_UNSIGNED ? 0 : SIGN64;
+    partition = bits > MSD_BITS + INNER_BITS && n > LOCAL_SORT_MAX;
+    big = n;
+    memset(hist, 0, sizeof(hist));
+    if (partition) {
+        for (i = 0; i < n; i++)
+            hist[map_key(k[i], flip, sign) >> msd_lo]++;
+        big = 0;
+        for (d = 0; d < MSD_RADIX; d++)
+            if (hist[d] > big)
+                big = hist[d];
+        if (big == n) {
+            /* one bucket holds everything: skip the constant digit */
+            partition = 0;
+            split = 1;
+            bits = msd_lo - lo_bit;
+        }
+    }
+    sk = malloc((size_t)big * 16);
+    if (sk == NULL)
+        return -2;
+    if (!partition) {
+        for (i = 0; i < n; i++)
+            ok[i] = map_key(k[i], flip, sign);
+        memcpy(ov, v, (size_t)n * 8);
+        finish_bucket(ok, ov, sk, sk + big, n, lo_bit, bits, split, flip,
+                      sign);
+        free(sk);
+        return 0;
+    }
     wck = malloc(MSD_RADIX * WC_LINE_BYTES);
     wcv = malloc(MSD_RADIX * WC_LINE_BYTES);
     wc_n = calloc(MSD_RADIX, sizeof(int));
     if (wck == NULL || wcv == NULL || wc_n == NULL) {
+        free(sk);
         free(wck);
         free(wcv);
         free(wc_n);
         return -2;
     }
-    memcpy(pos, start, sizeof(pos));
+    base = 0;
+    for (d = 0; d < MSD_RADIX; d++) {
+        start[d] = pos[d] = base;
+        base += hist[d];
+    }
     for (i = 0; i < n; i++) {
-        uint64_t x = k[i];
+        uint64_t x = map_key(k[i], flip, sign);
         unsigned dg = (unsigned)(x >> msd_lo);
         int c = wc_n[dg];
         wck[dg][c] = x;
         wcv[dg][c] = v[i];
         if (c == WC_KEYS64 - 1) {
-            memcpy(kt + pos[dg], wck[dg], WC_LINE_BYTES);
-            memcpy(vt + pos[dg], wcv[dg], WC_LINE_BYTES);
+            memcpy(ok + pos[dg], wck[dg], WC_LINE_BYTES);
+            memcpy(ov + pos[dg], wcv[dg], WC_LINE_BYTES);
             pos[dg] += WC_KEYS64;
             wc_n[dg] = 0;
         } else
@@ -565,23 +661,17 @@ int repro_native_sort_u64_pairs(uint64_t *k, uint64_t *kt,
     }
     for (d = 0; d < MSD_RADIX; d++)
         if (wc_n[d]) {
-            memcpy(kt + pos[d], wck[d], (size_t)wc_n[d] * 8);
-            memcpy(vt + pos[d], wcv[d], (size_t)wc_n[d] * 8);
+            memcpy(ok + pos[d], wck[d], (size_t)wc_n[d] * 8);
+            memcpy(ov + pos[d], wcv[d], (size_t)wc_n[d] * 8);
         }
     free(wck);
     free(wcv);
     free(wc_n);
-    for (d = 0; d < MSD_RADIX; d++) {
-        int64_t c = hist[d], s0 = start[d];
-        if (c <= 1)
-            continue;
-        if (msd_pairs(kt + s0, k + s0, vt + s0, v + s0, c,
-                      lo_bit, msd_lo - lo_bit) != 0) {
-            memcpy(kt + s0, k + s0, (size_t)c * 8);
-            memcpy(vt + s0, v + s0, (size_t)c * 8);
-        }
-    }
-    return 1;
+    for (d = 0; d < MSD_RADIX; d++)
+        finish_bucket(ok + start[d], ov + start[d], sk, sk + big, hist[d],
+                      lo_bit, msd_lo - lo_bit, 1, flip, sign);
+    free(sk);
+    return 0;
 }
 """
 

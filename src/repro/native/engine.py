@@ -17,15 +17,17 @@ compiled C kernels of :mod:`repro.native.build`:
     pipeline — the same proof the NumPy packed engine rests on.
 ``split`` layout (64-bit keys)
     The hybrid engine's two-stage split composes to a full 64-bit
-    stable sort, so the native side runs the dual-array pairs kernel
-    over the whole word with the values (widened to 8 bytes when
-    narrower) in the payload lane, and returns both sorted lanes.
+    stable sort, so the native side hands the raw key and value lanes
+    to the pairs kernel, which applies the §4.6 bijection for the key
+    kind inside its own passes and fills two fresh output lanes.
+    Values narrower than 8 bytes widen into its payload lane.
 ``fused`` packing
     The fused word (key high, value low) sorts whole, matching the
     hybrid engine's by-value tie-break.
 ``decomposed``
-    The dual-array pairs kernel scatters the payload lane alongside the
-    keys — the paper's §2.3 decomposed layout, stable by construction.
+    The pairs kernel scatters a row-index payload alongside the keys —
+    the paper's §2.3 decomposed layout, stable by construction — and
+    the permutation gathers both lanes.
 
 Every mode is property-tested byte-identical to the hybrid oracle
 (``tests/native/``).  The engine raises
@@ -56,6 +58,10 @@ from repro.native.build import load_native
 from repro.types import SortResult
 
 __all__ = ["NativeRadixEngine"]
+
+#: ``dtype.kind`` → the pairs kernel's key kind (``KEY_UNSIGNED``,
+#: ``KEY_SIGNED``, ``KEY_FLOAT`` in :data:`repro.native.build.C_SOURCE`).
+_KEY_KINDS = {"u": 0, "i": 1, "f": 2}
 
 
 class NativeRadixEngine:
@@ -106,17 +112,30 @@ class NativeRadixEngine:
             raise ConfigurationError(
                 "the native tier does not support explicit sort_bits"
             )
-        bits = to_sortable_bits(keys)
-        mode = self._packing_mode(config, bits.size, values)
-
-        if bits.size <= 1:
+        mode = self._packing_mode(config, keys.size, values)
+        if keys.size <= 1:
             return self._result(
-                from_sortable_bits(bits.copy(), keys.dtype),
+                keys.copy(),
                 None if values is None else values.copy(),
                 config,
                 mode,
             )
+        if mode == "split":
+            # The hybrid split (high-word packed sort + low-word
+            # refinement) composes to the full 64-bit stable sort,
+            # whatever sort_bits says.  The kernel maps the raw keys
+            # itself, so only values narrower than its 8-byte payload
+            # lane are copied (widened) here.
+            raw = values.view(f"u{values.dtype.itemsize}")
+            payload = raw if raw.itemsize == 8 else raw.astype(np.uint64)
+            out_keys, out_payload = self._pairs_kernel(keys, payload, 0)
+            if raw.itemsize != 8:
+                out_payload = out_payload.astype(raw.dtype)
+            return self._result(
+                out_keys, out_payload.view(values.dtype), config, mode
+            )
 
+        bits = to_sortable_bits(keys)
         sort_bits = config.key_bits
         if values is None:
             sorted_bits = self._sort_keys_only(bits, sort_bits)
@@ -138,12 +157,6 @@ class NativeRadixEngine:
             sorted_bits, sorted_values = unpack_key_value(
                 sorted_packed, config.key_bits, values.dtype
             )
-        elif mode == "split":
-            # The hybrid split (high-word packed sort + low-word
-            # refinement) composes to the full 64-bit stable sort,
-            # whatever sort_bits says — mirror that exactly, with the
-            # values riding the payload lane: no permutation, no gather.
-            sorted_bits, sorted_values = self._sort_pairs(bits, values)
         else:  # mode == "decomposed" with values present
             shifted = bits.astype(np.uint64)
             shifted <<= np.uint64(64 - config.key_bits)
@@ -152,13 +165,9 @@ class NativeRadixEngine:
             )
             sorted_bits = bits[perm]
             sorted_values = values[perm]
-        # ``sorted_bits`` is always a fresh engine-owned buffer, so the
-        # unsigned inverse bijection (a defensive copy in the shared
-        # helper) collapses to a free reinterpreting view here.
-        if keys.dtype.kind == "u":
-            out_keys = sorted_bits.view(keys.dtype)
-        else:
-            out_keys = from_sortable_bits(sorted_bits, keys.dtype)
+        # ``sorted_bits`` is always a fresh engine-owned buffer: invert
+        # it in place (a free view for unsigned keys).
+        out_keys = from_sortable_bits(sorted_bits, keys.dtype, out=sorted_bits)
         return self._result(out_keys, sorted_values, config, mode)
 
     # ------------------------------------------------------------------
@@ -270,19 +279,6 @@ class NativeRadixEngine:
             )
         return a if rc == 0 else b
 
-    def _sort_pairs(
-        self, bits: np.ndarray, values: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Stable sort of 64-bit key ``bits`` with ``values`` riding the
-        payload lane; returns the sorted ``(bits, values)``."""
-        width = values.dtype.itemsize
-        raw = values.view(f"u{width}")
-        payload = raw.astype(np.uint64)  # a fresh lane, widened if narrow
-        keys, payload = self._run_pairs(bits, payload, 0)
-        if width != 8:
-            payload = payload.astype(raw.dtype)
-        return keys, payload.view(values.dtype)
-
     def _stable_argsort(
         self, key_words: np.ndarray, lo_bit: int
     ) -> np.ndarray:
@@ -291,30 +287,35 @@ class NativeRadixEngine:
         The payload lane carries 0..n-1; because the kernel is stable,
         the sorted payload *is* the stable sorting permutation.
         """
-        _, perm = self._run_pairs(
-            key_words, np.arange(key_words.size, dtype=np.uint64), lo_bit
+        _, perm = self._pairs_kernel(
+            key_words, np.arange(key_words.size, dtype=np.int64), lo_bit
         )
-        return perm.astype(np.int64)
+        return perm
 
-    def _run_pairs(
-        self, key_words: np.ndarray, payload: np.ndarray, lo_bit: int
+    def _pairs_kernel(
+        self, keys: np.ndarray, payload: np.ndarray, lo_bit: int
     ) -> tuple[np.ndarray, np.ndarray]:
-        # As for _run_u64, both lanes are engine-owned: the kernel may
-        # ping-pong in place.
-        k = np.ascontiguousarray(key_words, dtype=np.uint64)
-        kt = np.empty_like(k)
-        v = payload
-        vt = np.empty_like(v)
-        rc = self._lib.repro_native_sort_u64_pairs(
-            self._ffi.cast("uint64_t *", k.ctypes.data),
-            self._ffi.cast("uint64_t *", kt.ctypes.data),
-            self._ffi.cast("uint64_t *", v.ctypes.data),
-            self._ffi.cast("uint64_t *", vt.ctypes.data),
-            k.size,
+        """Stable sort of 64-bit ``keys`` on bits ``[lo_bit, 64)`` of
+        their §4.6 bits, the 8-byte ``payload`` riding along.
+
+        The kernel only reads both lanes and writes fresh sorted ones
+        of the same dtypes, the keys as raw words again.
+        """
+        keys = np.ascontiguousarray(keys)
+        payload = np.ascontiguousarray(payload)
+        out_keys = np.empty_like(keys)
+        out_payload = np.empty_like(payload)
+        rc = self._lib.repro_native_sort_pairs(
+            self._ffi.cast("const uint64_t *", keys.ctypes.data),
+            self._ffi.cast("const uint64_t *", payload.ctypes.data),
+            self._ffi.cast("uint64_t *", out_keys.ctypes.data),
+            self._ffi.cast("uint64_t *", out_payload.ctypes.data),
+            keys.size,
+            _KEY_KINDS[keys.dtype.kind],
             lo_bit,
         )
         if rc < 0:
             raise NativeExecutionError(
-                f"repro_native_sort_u64_pairs returned {rc}"
+                f"repro_native_sort_pairs returned {rc}"
             )
-        return (k, v) if rc == 0 else (kt, vt)
+        return out_keys, out_payload

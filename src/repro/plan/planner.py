@@ -530,20 +530,16 @@ class Planner:
             merge_seconds = self.host.external_merge_seconds(total)
         else:
             disk_seconds = 2 * total / HOST_DISK_BANDWIDTH
-            # Every run but the last is run_records long, so price one
-            # full run and the tail instead of O(n_runs) evaluations.
-            if run_plan.n_runs == 0:
-                sort_seconds = 0.0
-            else:
-                tail_records = run_plan.bounds[-1] - run_plan.bounds[-2]
-                full_seconds = self._run_sort_seconds(
-                    descriptor, engine, run_plan.run_records
-                )
-                tail_seconds = self._run_sort_seconds(
-                    descriptor, engine, tail_records
-                )
-                sort_seconds = (
-                    full_seconds * (run_plan.n_runs - 1) + tail_seconds
+            # Runs are cut evenly: each holds run_records or one record
+            # fewer, so price the two sizes instead of every run.
+            n_runs, longest = run_plan.n_runs, run_plan.run_records
+            long_runs = descriptor.n - n_runs * (longest - 1)
+            sort_seconds = long_runs * self._run_sort_seconds(
+                descriptor, engine, longest
+            )
+            if long_runs < n_runs:
+                sort_seconds += (n_runs - long_runs) * self._run_sort_seconds(
+                    descriptor, engine, longest - 1
                 )
             spill_seconds = disk_seconds + sort_seconds
             merge_seconds = (

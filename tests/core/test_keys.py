@@ -103,3 +103,101 @@ class TestRejections:
     def test_unsupported_bits_dtype(self):
         with pytest.raises(UnsupportedDtypeError):
             bits_dtype_for(np.float16)
+
+
+# The ``np.where`` formulas the branch-free bijection replaced, kept as
+# the reference it must match bit for bit.
+def _where_to_bits(keys):
+    udtype = bits_dtype_for(keys.dtype)
+    raw = keys.view(udtype)
+    sign = udtype.type(1 << (keys.dtype.itemsize * 8 - 1))
+    if keys.dtype.kind == "u":
+        return raw.copy()
+    if keys.dtype.kind == "i":
+        return raw ^ sign
+    all_ones = udtype.type(2 ** (keys.dtype.itemsize * 8) - 1)
+    return np.where((raw & sign) != 0, raw ^ all_ones, raw ^ sign)
+
+
+def _where_from_bits(bits, dtype):
+    dtype = np.dtype(dtype)
+    udtype = bits_dtype_for(dtype)
+    sign = udtype.type(1 << (dtype.itemsize * 8 - 1))
+    if dtype.kind == "u":
+        return bits.copy().view(dtype)
+    if dtype.kind == "i":
+        return (bits ^ sign).view(dtype)
+    all_ones = udtype.type(2 ** (dtype.itemsize * 8) - 1)
+    was_negative = (bits & sign) == 0
+    return np.where(was_negative, bits ^ all_ones, bits ^ sign).view(dtype)
+
+
+def _patterns(width, rng):
+    """Random ``width``-bit patterns plus every float class of that width:
+    quiet and signalling NaNs with payloads, of both signs, ±inf, ±0,
+    subnormals and the extreme integers."""
+    mant = 52 if width == 64 else 23
+    exp_all = ((1 << (width - 1 - mant)) - 1) << mant
+    quiet = 1 << (mant - 1)
+    sign = 1 << (width - 1)
+    classes = []
+    for s in (0, sign):
+        classes += [
+            s | exp_all | quiet,                 # canonical quiet NaN
+            s | exp_all | quiet | 12345,         # quiet NaN, payload
+            s | exp_all | 1,                     # signalling NaN
+            s | exp_all | (quiet - 1),           # signalling, max payload
+            s | exp_all | ((1 << mant) - 1),     # all-ones payload
+            s | exp_all,                         # infinity
+            s,                                   # zero
+            s | 1,                               # smallest subnormal
+            s | ((1 << mant) - 1),               # largest subnormal
+        ]
+    classes += [(1 << width) - 1, sign - 1]
+    udtype = np.dtype(f"u{width // 8}")
+    body = rng.integers(0, 1 << width, 4000, dtype=np.uint64).astype(udtype)
+    return np.concatenate((np.array(classes, dtype=udtype), body))
+
+
+@pytest.mark.parametrize(
+    "dtype",
+    [np.float32, np.float64, np.int32, np.int64, np.uint32, np.uint64],
+    ids=str,
+)
+class TestBranchFreeBijection:
+    def test_matches_the_where_formulas(self, dtype, rng):
+        keys = _patterns(np.dtype(dtype).itemsize * 8, rng).view(dtype)
+        mapped = _where_to_bits(keys)
+        assert to_sortable_bits(keys).tobytes() == mapped.tobytes()
+        assert (
+            from_sortable_bits(mapped, dtype).tobytes()
+            == _where_from_bits(mapped, dtype).tobytes()
+            == keys.tobytes()
+        )
+
+    def test_out_writes_into_the_array_it_is_given(self, dtype, rng):
+        keys = _patterns(np.dtype(dtype).itemsize * 8, rng).view(dtype)
+        mapped = _where_to_bits(keys)
+        for out in (np.empty_like(keys), np.empty_like(mapped)):
+            result = from_sortable_bits(mapped, dtype, out=out)
+            assert result.dtype == np.dtype(dtype)
+            assert np.shares_memory(result, out)
+            assert out.tobytes() == keys.tobytes()
+        # In place on the bits themselves, as the library and native
+        # rungs invert their sorted buffers.
+        owned = mapped.copy()
+        result = from_sortable_bits(owned, dtype, out=owned)
+        assert np.shares_memory(result, owned)
+        assert owned.tobytes() == keys.tobytes()
+
+    def test_strided_views(self, dtype, rng):
+        keys = _patterns(np.dtype(dtype).itemsize * 8, rng).view(dtype)
+        assert (
+            to_sortable_bits(keys[::3]).tobytes()
+            == _where_to_bits(keys[::3]).tobytes()
+        )
+        mapped = _where_to_bits(keys)
+        out = np.zeros_like(keys)
+        from_sortable_bits(mapped[::2], dtype, out=out[::2])
+        assert out[::2].tobytes() == keys[::2].tobytes()
+        assert not out[1::2].view(mapped.dtype).any()

@@ -1,17 +1,24 @@
 """The native kernels under AddressSanitizer and UBSan.
 
 Compiles :data:`repro.native.build.C_SOURCE` together with a small C
-driver under ``gcc -fsanitize=address,undefined`` and runs the u32,
-u64 and pairs kernels over sizes around every schedule boundary (the
-insertion-sort cutoff, one full 11-bit digit, the old native floor,
-one benchmark run) and five key shapes, plus 2^18 uniform 64-bit
-pairs, past the pairs kernel's further split.  Each output is compared with
-a stable merge sort of the same input whose payload is the input
-index, which checks order and stability at once; every buffer is
-allocated to its exact size, so a write past a bucket or a flush tail
-is a sanitizer error.  The driver also prints the kernel's LSD digit
-width and its pairs-bucket split width for a grid of bucket sizes,
-which must equal the Python mirror.
+driver under ``gcc -fsanitize=address,undefined``, with warnings as
+errors (``-Wcast-qual`` catches a cast that drops the pairs kernel's
+``const`` input), and runs the u32, u64 and pairs kernels over sizes
+around every schedule boundary (the insertion-sort cutoff, one full
+11-bit digit, the old native floor, one benchmark run) and five key
+shapes.  The pairs kernel runs for all three key kinds (unsigned,
+signed, IEEE float) and also on edge bit patterns (NaN payloads of
+both signs, ±0.0, ±inf, INT64_MIN/MAX, 0, UINT64_MAX) and around 2^18
+records, past its further split and with a one-bucket input whose
+scratch must hold it all.  Each output is compared with a stable merge
+sort of the same input (over the driver's own §4.6 map for the pairs
+kernel) whose payload is the input index, which checks order and
+stability at once, and the pairs kernel's input lanes must come back
+byte-unchanged; every buffer is allocated to its exact size, so a
+write past a bucket, a flush tail or the scratch is a sanitizer error.
+The driver also prints the kernel's LSD digit width and its
+pairs-bucket split width for a grid of bucket sizes, which must equal
+the Python mirror.
 
 The build is test-only; the test skips where gcc or the sanitizer
 runtime is missing.
@@ -33,6 +40,10 @@ from repro.core.digits import (
 from repro.native.build import C_SOURCE
 
 FLAGS = [
+    "-Wall",
+    "-Wextra",
+    "-Wcast-qual",
+    "-Werror",
     "-fsanitize=address,undefined",
     "-fno-sanitize-recover=all",
     "-fno-omit-frame-pointer",
@@ -167,33 +178,72 @@ static void check_u64(int64_t n, int shape, int lo)
     free(a); free(b); free(rk); free(rv);
 }
 
-/* (k, v) pairs: v is the input index, so it is the stable permutation. */
-static void check_pairs(int64_t n, int shape, int lo)
+/* The driver's own §4.6 map of a 64-bit key of the given kind
+ * (0 unsigned, 1 signed, 2 IEEE float), written with a branch. */
+static uint64_t ref_map(uint64_t x, int kind)
 {
-    uint64_t *k = malloc((size_t)n * 8), *kt = malloc((size_t)n * 8);
-    uint64_t *v = malloc((size_t)n * 8), *vt = malloc((size_t)n * 8);
+    uint64_t sign = 0x8000000000000000ULL;
+    if (kind == 0)
+        return x;
+    if (kind == 1 || !(x & sign))
+        return x ^ sign;
+    return ~x;
+}
+
+/* Edge bit patterns: NaN payloads of both signs (quiet and signalling),
+ * +-0.0, +-inf, INT64_MIN/MAX, 0 and UINT64_MAX, some ones and a few
+ * ordinary numbers. */
+static const uint64_t edges[] = {
+    0x7ff8000000000001ULL, 0xfff8000000000001ULL, 0x7ff0000000000001ULL,
+    0xfff0000000000001ULL, 0x7fffffffffffffffULL, 0xffffffffffffffffULL,
+    0x0000000000000000ULL, 0x8000000000000000ULL, 0x7ff0000000000000ULL,
+    0xfff0000000000000ULL, 0x0000000000000001ULL, 0x8000000000000001ULL,
+    0x3ff0000000000000ULL, 0xbff0000000000000ULL,
+};
+#define EDGE_SHAPE SHAPES
+#define N_EDGES (sizeof(edges) / sizeof(edges[0]))
+
+/* (k, v) records through the pairs kernel for one key kind.  v is the
+ * input index, so the reference's sorted payload is the stable
+ * permutation: the kernel must return (k[rv[i]], rv[i]).  Both input
+ * lanes must come back byte-unchanged. */
+static void check_pairs(int64_t n, int shape, int lo, int kind)
+{
+    uint64_t *k = calloc((size_t)n, 8), *v = calloc((size_t)n, 8);
+    uint64_t *ok = malloc((size_t)n * 8), *ov = malloc((size_t)n * 8);
+    uint64_t *kc = malloc((size_t)(n ? n : 1) * 8);
+    uint64_t *vc = malloc((size_t)(n ? n : 1) * 8);
     uint64_t *rk = malloc((size_t)(n ? n : 1) * 8);
     uint64_t *rv = malloc((size_t)(n ? n : 1) * 8);
-    uint64_t *ok, *ov;
     int64_t i;
     int rc;
     for (i = 0; i < n; i++) {
-        k[i] = rk[i] = draw(shape);
-        v[i] = rv[i] = (uint64_t)i;
+        if (shape == EDGE_SHAPE)
+            k[i] = next_u64() % 3 ? edges[next_u64() % N_EDGES] : next_u64();
+        else
+            k[i] = draw(shape);
+        v[i] = (uint64_t)i;
+        rk[i] = ref_map(k[i], kind);
+        rv[i] = (uint64_t)i;
     }
-    rc = repro_native_sort_u64_pairs(k, kt, v, vt, n, lo);
+    if (n) {
+        memcpy(kc, k, (size_t)n * 8);
+        memcpy(vc, v, (size_t)n * 8);
+    }
+    rc = repro_native_sort_pairs(k, v, ok, ov, n, kind, lo);
     ref_sort(rk, rv, n, lo);
-    ok = rc == 0 ? k : kt;
-    ov = rc == 0 ? v : vt;
     if (rc < 0)
         fail("pairs rc", n, shape, lo, rc);
+    else if (n && (memcmp(k, kc, (size_t)n * 8) || memcmp(v, vc, (size_t)n * 8)))
+        fail("pairs input changed", n, shape, lo, kind);
     else
         for (i = 0; i < n; i++)
-            if (ok[i] != rk[i] || ov[i] != rv[i]) {
+            if (ov[i] != rv[i] || ok[i] != k[rv[i]]) {
                 fail("pairs", n, shape, lo, i);
                 break;
             }
-    free(k); free(kt); free(v); free(vt); free(rk); free(rv);
+    free(k); free(v); free(ok); free(ov); free(kc); free(vc);
+    free(rk); free(rv);
 }
 
 int main(void)
@@ -201,20 +251,33 @@ int main(void)
     static const int64_t sizes[] = { SIZES };
     static const int64_t width_sizes[] = { WIDTH_SIZES };
     size_t s;
-    int shape, bits;
+    int64_t n;
+    int shape, bits, kind;
     for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
         for (shape = 0; shape < SHAPES; shape++) {
-            int64_t n = sizes[s];
+            n = sizes[s];
             check_u32(n, shape, 0);   /* MSD partition + finish */
             check_u32(n, shape, 9);   /* partition, index-tagged */
             check_u32(n, shape, 17);  /* plain LSD, full index */
             check_u64(n, shape, 0);
             check_u64(n, shape, 32);  /* the packed key|index layout */
-            check_pairs(n, shape, 0);
-            check_pairs(n, shape, 40);
-            check_pairs(n, shape, 48);
         }
-    check_pairs(1 << 18, 0, 0);  /* 128-key buckets: one more split */
+    for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
+        for (shape = 0; shape <= EDGE_SHAPE; shape++)
+            for (kind = 0; kind < 3; kind++) {
+                check_pairs(sizes[s], shape, 0, kind);
+                check_pairs(sizes[s], shape, 40, kind);
+                check_pairs(sizes[s], shape, 48, kind);
+            }
+    /* Around 2^18: 128-key buckets take one more split; shape 4's keys
+     * share their top 40 bits, so one bucket (and the scratch) holds
+     * the whole input. */
+    for (n = (1 << 18) - 1; n <= (1 << 18) + 1; n++)
+        for (kind = 0; kind < 3; kind++) {
+            check_pairs(n, 0, 0, kind);
+            check_pairs(n, 4, 0, kind);
+            check_pairs(n, EDGE_SHAPE, 0, kind);
+        }
     for (s = 0; s < sizeof(width_sizes) / sizeof(width_sizes[0]); s++)
         for (bits = 1; bits <= 64; bits++)
             printf("width %lld %d %d %d\n", (long long)width_sizes[s],

@@ -177,6 +177,17 @@ class TestPassPlanMirror:
         assert step.params["inner_widths"] == "insertion"
         assert step.bytes_moved == bytes_moved == 5 * (1 << 12) * 4
 
+    def test_plan_prices_the_pairs_kernels_dram_passes(self):
+        # The MSD partition (histogram read, scatter read and write)
+        # and one read and write per bucket; the further split runs in
+        # the kernel's cache-sized scratch and moves no DRAM bytes.
+        n = 1 << 20
+        (step,) = Planner(native="always").plan(pairs64_descriptor(n)).steps
+        passes, bytes_moved = native_traffic(64, n, 16, pairs=True)
+        assert step.params["split_widths"] == "9"
+        assert step.params["expected_passes"] == passes == 2
+        assert step.bytes_moved == bytes_moved == 5 * n * 16
+
 
 def fake_available(monkeypatch):
     monkeypatch.setattr(
@@ -254,10 +265,16 @@ class TestExternalRunEngine:
         from repro.plan.planner import HOST_DISK_BANDWIDTH
 
         fake_available(monkeypatch)
-        desc = self.native_sized(tmp_path, FileLayout(np.uint32))
+        # Runs of at most 32 records: the kernel finishes them in one
+        # insertion sort, which native_traffic prices below the hybrid
+        # engine's one analytical counting pass.
+        desc = self.file_descriptor(
+            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 3 * 32, FileLayout(np.uint32)
+        )
         plan = Planner(native="always", profile=None).plan(desc)
         assert plan.step("spill-runs").params["engine"] == "native"
         run_plan = plan.run_plan
+        assert run_plan.run_records == NATIVE_LOCAL_SORT_MAX
         sort_bytes = sum(
             native_traffic(32, hi - lo, 4)[1]
             for lo, hi in zip(run_plan.bounds, run_plan.bounds[1:])
