@@ -598,7 +598,7 @@ class Planner:
         keys get :meth:`_native_choice`.
         ``RunWriter`` carries the choice out, with the native
         executor's inline fallback to the hybrid engine;
-        :meth:`ExternalSorter.resume` asks again for the runs its
+        :meth:`ExternalSorter.resume` asks again for the run size its
         manifest recorded.
         """
         run = InputDescriptor(

@@ -174,17 +174,22 @@ def test_service_budget_never_changes_the_bytes(cases):
         assert _bytes(result) == _bytes(_sort(keys, values, config))
 
 
-@pytest.mark.parametrize("pairs", [False, True], ids=["keys32", "pairs32"])
+@pytest.mark.parametrize("layout", ["keys32", "pairs32", "keys-f64"])
 @pytest.mark.parametrize("fraction", [0.75, 0.25])
-def test_merge_temporaries_fit_the_budget(pairs, fraction):
+def test_merge_temporaries_fit_the_budget(layout, fraction):
     # Beyond one staged copy of the sorted chunks and the output, a
     # budgeted sort allocates at most its budget (plus interpreter
     # slack): the chunk sorts work on budget/3-sized chunks and the
-    # merge sizes its blocks from the round's temporaries.
+    # merge sizes its blocks from the round's temporaries.  float64
+    # keys of both signs also buffer their bits and take the inverse
+    # map's bool per key.
     n = 1 << 18
     rng = np.random.default_rng(7)
-    keys = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
-    values = np.arange(n, dtype=np.uint32) if pairs else None
+    if layout == "keys-f64":
+        keys = rng.standard_normal(n)
+    else:
+        keys = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
+    values = np.arange(n, dtype=np.uint32) if layout == "pairs32" else None
     nbytes = keys.nbytes + (0 if values is None else values.nbytes)
     budget = int(nbytes * fraction)
     # A first call's imports are not the sort's allocations.
