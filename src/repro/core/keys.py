@@ -73,13 +73,27 @@ def _sign_bit(width_bytes: int) -> int:
     return 1 << (width_bytes * 8 - 1)
 
 
-def to_sortable_bits(keys: np.ndarray) -> np.ndarray:
+def to_sortable_bits(
+    keys: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
     """Map ``keys`` to unsigned bit patterns with the same order.
 
     The result compares with unsigned integer comparison exactly as the
-    inputs compare under their native ordering.  It is always a freshly
-    allocated array that shares no memory with ``keys`` — callers (the
-    hybrid sorter's double buffering) rely on being able to mutate it.
+    inputs compare under their native ordering.  By default it is a
+    freshly allocated array that shares no memory with ``keys`` —
+    callers (the hybrid sorter's double buffering) rely on being able
+    to mutate it.
+
+    ``out`` mirrors :func:`from_sortable_bits`: an array of the keys'
+    dtype or of their bits dtype, shaped like ``keys``, that receives
+    the bits and is returned viewed as the bits dtype.  ``out`` may be
+    ``keys`` itself, so a sort that owns its keys maps them in place;
+    the float map then holds one bool per key.
+
+    >>> keys = np.array([1.5, -2.0, 0.0])
+    >>> bits = to_sortable_bits(keys, out=keys)
+    >>> bits.dtype, np.shares_memory(bits, keys), np.argsort(bits).tolist()
+    (dtype('uint64'), True, [1, 2, 0])
     """
     keys = np.asarray(keys)
     dtype = keys.dtype
@@ -89,6 +103,8 @@ def to_sortable_bits(keys: np.ndarray) -> np.ndarray:
         )
     udtype = bits_dtype_for(dtype)
     raw = keys.view(udtype)
+    if out is not None:
+        return _map_into(keys, raw, out.view(udtype), out is keys)
     if dtype.kind == "u":
         return raw.copy()
     sign = udtype.type(_sign_bit(dtype.itemsize))
@@ -103,6 +119,29 @@ def to_sortable_bits(keys: np.ndarray) -> np.ndarray:
     mask |= sign
     mask ^= raw
     return mask
+
+
+def _map_into(
+    keys: np.ndarray, raw: np.ndarray, target: np.ndarray, in_place: bool
+) -> np.ndarray:
+    """:func:`to_sortable_bits` into ``target`` (``raw`` is the keys'
+    bits view; ``in_place`` when ``target`` is the keys themselves)."""
+    dtype = keys.dtype
+    if dtype.kind == "u":
+        if not in_place:
+            np.copyto(target, raw)
+        return target
+    sign = target.dtype.type(_sign_bit(dtype.itemsize))
+    if dtype.kind == "i":
+        np.bitwise_xor(raw, sign, out=target)
+        return target
+    # Floats: read the signs before ``target`` (perhaps the keys)
+    # changes, flip the sign bit of every key, then the other bits of
+    # the negative ones.
+    negative = keys.view(f"i{dtype.itemsize}") < 0
+    np.bitwise_xor(raw, sign, out=target)
+    np.bitwise_xor(target, ~sign, out=target, where=negative)
+    return target
 
 
 def from_sortable_bits(

@@ -11,8 +11,10 @@ absorbs all of those decisions into a single code path that maps an
 :class:`~repro.plan.descriptor.InputDescriptor` to a
 :class:`~repro.plan.ir.SortPlan`:
 
-* **file inputs** spill memory-budgeted runs and k-way merge them
-  (the out-of-core realisation of §5, executed by ``ExternalSorter``);
+* **file inputs** spill memory-budgeted runs, sized by what each run
+  sort holds (:func:`repro.external.runs.run_footprint`), and k-way
+  merge them (the out-of-core realisation of §5, executed by
+  ``ExternalSorter``);
 * **arrays that exceed the memory budget** sort budget-sized chunks
   (three-buffer in-place replacement accounting, Figure 5) on the
   engine a file's runs would use, and merge them in memory with the
@@ -505,22 +507,32 @@ class Planner:
     def plan_external(self, descriptor: InputDescriptor) -> SortPlan:
         """The spill-to-disk strategy for file inputs.
 
-        Run sizing delegates to :func:`repro.external.runs.plan_runs`
-        — which itself prices the three-buffer accounting through
-        :func:`repro.hetero.chunking.plan_chunks` — so the external and
-        chunked strategies share one budget code path.  The in-memory
-        engine every run sort uses is chosen once, for the run size and
-        the descriptor's ``pair_packing``, by :meth:`run_engine`; the
-        ``spill-runs`` step records it and why.
+        Run sizing delegates to :func:`repro.external.runs.plan_runs`.
+        The in-memory engine every run sort uses is chosen once, by
+        :meth:`run_engine`, for the descriptor's ``pair_packing`` and
+        the run size of §5's three-buffer rule — the radix engines'
+        footprint, so the native floor sees the runs they would sort.
+        The runs are then cut by that engine's footprint
+        (:func:`repro.external.runs.run_footprint`), with the
+        descriptor's ``workers`` runs in flight sharing the budget; the
+        ``spill-runs`` step records the engine, why, and the footprint
+        in bytes per record.
         """
-        from repro.external.runs import plan_runs
+        from repro.external.format import FileLayout
+        from repro.external.runs import plan_runs, run_footprint
         from repro.external.sorter import DEFAULT_MEMORY_BUDGET
 
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
-        run_plan = plan_runs(descriptor.n, descriptor.record_bytes, budget)
+        n, record_bytes = descriptor.n, descriptor.record_bytes
+        workers = descriptor.workers
         engine, engine_note = self.run_engine(
-            descriptor, run_plan.run_records
+            descriptor,
+            plan_runs(n, record_bytes, budget, workers=workers).run_records,
         )
+        footprint = run_footprint(
+            FileLayout(descriptor.key_dtype, descriptor.value_dtype), engine
+        )
+        run_plan = plan_runs(n, record_bytes, budget, footprint, workers)
         total = descriptor.total_bytes
         if self.host is not None:
             # The spill probe folds sort cost into the measured
@@ -556,9 +568,10 @@ class Planner:
                 "n_runs": run_plan.n_runs,
                 "run_records": run_plan.run_records,
                 "memory_budget": budget,
-                "workers": descriptor.workers,
+                "workers": workers,
                 "engine": engine,
                 "engine_note": engine_note,
+                "footprint_bytes": footprint,
                 "run_plan": run_plan,
             },
             predicted_seconds=spill_seconds,

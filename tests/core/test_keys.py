@@ -190,6 +190,28 @@ class TestBranchFreeBijection:
         assert np.shares_memory(result, owned)
         assert owned.tobytes() == keys.tobytes()
 
+    def test_forward_out_writes_into_the_array_it_is_given(self, dtype, rng):
+        keys = _patterns(np.dtype(dtype).itemsize * 8, rng).view(dtype)
+        mapped = _where_to_bits(keys)
+        for out in (np.empty_like(keys), np.empty_like(mapped)):
+            result = to_sortable_bits(keys, out=out)
+            assert result.dtype == mapped.dtype
+            assert np.shares_memory(result, out)
+            assert out.tobytes() == mapped.tobytes()
+        # In place on the keys themselves, as a run sort maps the run
+        # it owns; the keys given are left as the bits.
+        owned = keys.copy()
+        result = to_sortable_bits(owned, out=owned)
+        assert np.shares_memory(result, owned)
+        assert owned.tobytes() == mapped.tobytes()
+        # Into another view of the same buffer: the key half of a
+        # record into its other half, as strided views.
+        halves = np.zeros((keys.size, 2), dtype=mapped.dtype)
+        halves[:, 0] = keys.view(mapped.dtype)
+        to_sortable_bits(halves[:, 0].view(dtype), out=halves[:, 1])
+        assert halves[:, 1].tobytes() == mapped.tobytes()
+        assert halves[:, 0].tobytes() == keys.tobytes()
+
     def test_strided_views(self, dtype, rng):
         keys = _patterns(np.dtype(dtype).itemsize * 8, rng).view(dtype)
         assert (

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
-from repro.external.runs import plan_runs
+from repro.external.runs import plan_runs, run_footprint
 from repro.hetero.chunking import plan_chunks
 from repro.plan import (
     PAPER_CROSSOVER_KEYS,
@@ -148,7 +148,11 @@ class TestBudgetLogicUnification:
             path, FileLayout(np.uint32), memory_budget=16_384
         )
         plan = Planner().plan(desc)
-        assert plan.run_plan == plan_runs(9_999, 4, 16_384)
+        # uint32 key runs sort in place on the library rung: their
+        # footprint is the record itself.
+        footprint = run_footprint(FileLayout(np.uint32), "library")
+        assert plan.step("spill-runs").params["footprint_bytes"] == footprint
+        assert plan.run_plan == plan_runs(9_999, 4, 16_384, footprint)
 
     def test_larger_budget_never_needs_more_runs(self, tmp_path):
         path = tmp_path / "in.bin"

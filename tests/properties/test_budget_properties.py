@@ -174,7 +174,9 @@ def test_service_budget_never_changes_the_bytes(cases):
         assert _bytes(result) == _bytes(_sort(keys, values, config))
 
 
-@pytest.mark.parametrize("layout", ["keys32", "pairs32", "keys-f64"])
+@pytest.mark.parametrize(
+    "layout", ["keys32", "pairs32", "keys-f64", "pairs-i32", "pairs-f32"]
+)
 @pytest.mark.parametrize("fraction", [0.75, 0.25])
 def test_merge_temporaries_fit_the_budget(layout, fraction):
     # Beyond one staged copy of the sorted chunks and the output, a
@@ -182,14 +184,20 @@ def test_merge_temporaries_fit_the_budget(layout, fraction):
     # slack): the chunk sorts work on budget/3-sized chunks and the
     # merge sizes its blocks from the round's temporaries.  float64
     # keys of both signs also buffer their bits and take the inverse
-    # map's bool per key.
+    # map's bool per key; 8-byte pair rounds sort in place as words,
+    # and int32 and float32 pair keys buffer their bits too.
     n = 1 << 18
     rng = np.random.default_rng(7)
     if layout == "keys-f64":
         keys = rng.standard_normal(n)
+    elif layout == "pairs-f32":
+        keys = rng.standard_normal(n).astype(np.float32)
     else:
         keys = rng.integers(0, 2**32, n, dtype=np.uint64).astype(np.uint32)
-    values = np.arange(n, dtype=np.uint32) if layout == "pairs32" else None
+    if layout == "pairs-i32":
+        keys = keys.view(np.int32)
+    pairs = layout.startswith("pairs")
+    values = np.arange(n, dtype=np.uint32) if pairs else None
     nbytes = keys.nbytes + (0 if values is None else values.nbytes)
     budget = int(nbytes * fraction)
     # A first call's imports are not the sort's allocations.

@@ -127,8 +127,9 @@ def _gate_passes(jq: str, values: dict[str, float], failed: int = 0) -> bool:
 #: A healthy last line for each gated run: the README's same-run
 #: ``vs_numpy`` medians, and the routes of today's planner (only
 #: ``pairs-i64``, one of six bulk cases, runs native; out-of-core runs
-#: and merges never call the compiled tier; 15 of 16 service requests
-#: batch), with every tracer target found.
+#: and merges never call the compiled tier, and a file sort makes 5
+#: runs; 15 of 16 service requests batch), with every tracer target
+#: found.
 _HEALTHY = {
     ("bulk", 0): {"vs_numpy": 2.53},
     ("bulk", 1): {
@@ -137,7 +138,11 @@ _HEALTHY = {
         "trace.absent_targets": 0.0,
     },
     ("outofcore", 0): {"vs_numpy": 0.315},
-    ("outofcore", 1): {"native.calls": 0.0, "trace.absent_targets": 0.0},
+    ("outofcore", 1): {
+        "native.calls": 0.0,
+        "external.runs": 5.0,
+        "trace.absent_targets": 0.0,
+    },
     ("service", 0): {"vs_numpy": 0.316},
     ("service", 1): {
         "plan.route.hybrid": 0.0,
@@ -206,6 +211,12 @@ class TestPerfbenchGateFilters:
         # shows the tracer went blind.
         values = dict(_HEALTHY[workload, 1], **{"trace.absent_targets": 1.0})
         assert not _gate_passes(_gate(workload, 1), values)
+
+    def test_three_buffer_runs_fail_the_outofcore_gate(self):
+        # Library-rung runs cut by the three-buffer rule, as radix runs
+        # are: 13 runs per file sort instead of 5.
+        values = dict(_HEALTHY["outofcore", 1], **{"external.runs": 13.0})
+        assert not _gate_passes(_gate("outofcore", 1), values)
 
     def test_hybrid_route_fails_the_service_gate(self):
         values = dict(_HEALTHY["service", 1], **{"plan.route.hybrid": 0.0625})
