@@ -125,6 +125,24 @@ def _no_host_profile(monkeypatch, tmp_path):
 
 
 @pytest.fixture
+def tier(monkeypatch):
+    """Switch the native tier on (the host's build) or off
+    (``REPRO_NATIVE=0``), with a fresh probe each way."""
+    from repro.native import build
+
+    def use(native: bool) -> None:
+        if native:
+            monkeypatch.delenv("REPRO_NATIVE", raising=False)
+        else:
+            monkeypatch.setenv("REPRO_NATIVE", "0")
+        build._reset_status_cache()
+
+    yield use
+    monkeypatch.delenv("REPRO_NATIVE", raising=False)
+    build._reset_status_cache()
+
+
+@pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(0xD1CE)
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -74,6 +76,63 @@ class TestModuleNaming:
     def test_cache_dir_override(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_NATIVE_CACHE", str(tmp_path / "cache"))
         assert build._cache_dir() == tmp_path / "cache"
+
+
+#: cffi compiles through setuptools (distutils before Python 3.12).
+needs_build_chain = pytest.mark.skipif(
+    importlib.util.find_spec("cffi") is None
+    or importlib.util.find_spec("setuptools") is None,
+    reason="cffi or setuptools not installed",
+)
+
+
+@needs_build_chain
+class TestChildBuild:
+    """A cold probe compiles in a child interpreter: cffi's build chain
+    never loads into the caller."""
+
+    def _probe(self, tmp_path, code: str, **env_extra):
+        env = dict(
+            os.environ,
+            PYTHONPATH=REPO_SRC,
+            REPRO_NATIVE="1",
+            REPRO_NATIVE_CACHE=str(tmp_path / "cache"),
+        )
+        env.update(env_extra)
+        subprocess.run(
+            [
+                sys.executable,
+                "-c",
+                "import sys; from repro.native import build;"
+                "status = build.native_status(warn=False);" + code,
+            ],
+            env=env,
+            check=True,
+            timeout=300,
+        )
+
+    def test_cold_probe_keeps_the_build_chain_out(self, tmp_path):
+        if shutil.which("gcc") is None:
+            pytest.skip("gcc not installed")
+        self._probe(
+            tmp_path,
+            "assert status.available, status.reason;"
+            "assert 'setuptools' not in sys.modules;"
+            "assert 'distutils' not in sys.modules;"
+            "assert build.crc32_kernel() is None"
+            "    or build.load_native()[1].repro_native_crc32_fast()",
+        )
+
+    def test_a_failed_compile_reports_the_childs_error(self, tmp_path):
+        # The build chain honours CC; a compiler that fails at once.
+        self._probe(
+            tmp_path,
+            "assert not status.available;"
+            "assert 'compile failed' in status.reason, status.reason;"
+            "assert '/bin/false' in status.reason, status.reason;"
+            "assert build.crc32_kernel() is None",
+            CC="/bin/false",
+        )
 
 
 class TestImportSafety:

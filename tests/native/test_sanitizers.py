@@ -16,7 +16,10 @@ kernel) whose payload is the input index, which checks order and
 stability at once, and the pairs kernel's input lanes must come back
 byte-unchanged; every buffer is allocated to its exact size, so a
 write past a bucket, a flush tail or the scratch is a sanitizer error.
-The driver also prints the kernel's LSD digit width and its
+The CRC-32 kernel runs on every length up to 1,100 bytes at offsets
+0-15 and on one 2^18+5-byte buffer, each allocated to its exact size,
+and must equal the driver's own bitwise CRC-32 from a varying start
+value.  The driver also prints the kernel's LSD digit width and its
 pairs-bucket split width for a grid of bucket sizes, which must equal
 the Python mirror.
 
@@ -246,6 +249,38 @@ static void check_pairs(int64_t n, int shape, int lo, int kind)
     free(rk); free(rv);
 }
 
+/* The driver's own CRC-32 (zlib's: reflected 0xEDB88320, the register
+ * inverted in and out), one bit at a time with a branch. */
+static uint32_t ref_crc(uint32_t crc, const uint8_t *buf, int64_t n)
+{
+    int64_t i;
+    int k;
+    crc = ~crc;
+    for (i = 0; i < n; i++)
+        for (k = 0; k < 8; k++) {
+            int bit = ((crc ^ (buf[i] >> k)) & 1u) != 0;
+            crc >>= 1;
+            if (bit)
+                crc ^= 0xEDB88320u;
+        }
+    return ~crc;
+}
+
+/* repro_native_crc32 over n bytes at offset off of a buffer allocated
+ * to exactly off + n bytes, chained from a start value that varies. */
+static void check_crc(int64_t n, int off)
+{
+    uint8_t *buf = malloc((size_t)(off + n ? off + n : 1));
+    uint32_t start = (uint32_t)(n * 16 + off) * 0x9e3779b9u, got;
+    int64_t i;
+    for (i = 0; i < off + n; i++)
+        buf[i] = (uint8_t)next_u64();
+    got = repro_native_crc32(buf + off, n, start);
+    if (got != ref_crc(start, buf + off, n))
+        fail("crc32", n, off, (int)start, got);
+    free(buf);
+}
+
 int main(void)
 {
     static const int64_t sizes[] = { SIZES };
@@ -278,6 +313,12 @@ int main(void)
             check_pairs(n, 4, 0, kind);
             check_pairs(n, EDGE_SHAPE, 0, kind);
         }
+    /* Every fold step and tail length, at every alignment, and one
+     * buffer of many 64-byte steps. */
+    for (n = 0; n <= 1100; n++)
+        for (shape = 0; shape < 16; shape++)
+            check_crc(n, shape);
+    check_crc((1 << 18) + 5, 3);
     for (s = 0; s < sizeof(width_sizes) / sizeof(width_sizes[0]); s++)
         for (bits = 1; bits <= 64; bits++)
             printf("width %lld %d %d %d\n", (long long)width_sizes[s],

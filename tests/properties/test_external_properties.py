@@ -168,23 +168,6 @@ needs_native = pytest.mark.skipif(
 )
 
 
-@pytest.fixture
-def tier(monkeypatch):
-    """Switch the native tier on (the host's build) or off
-    (``REPRO_NATIVE=0``), with a fresh probe each way."""
-
-    def use(native: bool) -> None:
-        if native:
-            monkeypatch.delenv("REPRO_NATIVE", raising=False)
-        else:
-            monkeypatch.setenv("REPRO_NATIVE", "0")
-        build._reset_status_cache()
-
-    yield use
-    monkeypatch.delenv("REPRO_NATIVE", raising=False)
-    build._reset_status_cache()
-
-
 def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
     """About four runs at the native floor: (layout, input path, budget)."""
     layout = FileLayout(key_dtype, value_dtype)

@@ -46,11 +46,11 @@ _GATED_RUN = re.compile(
 )
 
 
-def _perfbench_job() -> str:
+def _job(name: str) -> str:
     match = re.search(
-        _JOB.format(name="perfbench"), CI.read_text(), re.MULTILINE | re.DOTALL
+        _JOB.format(name=name), CI.read_text(), re.MULTILINE | re.DOTALL
     )
-    assert match, "ci.yml has no perfbench job"
+    assert match, f"ci.yml has no {name} job"
     return match["body"]
 
 
@@ -58,7 +58,7 @@ def _gated_runs(workload: str) -> list[tuple[str, str]]:
     """(arguments, jq filter) of every gated run of ``workload``."""
     return [
         (m["args"], " ".join(m["filter"].split()))
-        for m in _GATED_RUN.finditer(_perfbench_job())
+        for m in _GATED_RUN.finditer(_job("perfbench"))
         if m["workload"] == workload
     ]
 
@@ -92,7 +92,7 @@ class TestPerfbenchGates:
         # default shell would let jq's status hide perfbench's exit 1.
         assert re.search(
             r"^    defaults:\n      run:\n(\s+#.*\n)*\s+shell: bash$",
-            _perfbench_job(),
+            _job("perfbench"),
             re.MULTILINE,
         )
 
@@ -221,6 +221,53 @@ class TestPerfbenchGateFilters:
     def test_hybrid_route_fails_the_service_gate(self):
         values = dict(_HEALTHY["service", 1], **{"plan.route.hybrid": 0.0625})
         assert not _gate_passes(_gate("service", 1), values)
+
+
+def _job_step(job: str, name: str) -> str:
+    """The text of ``job``'s step named ``name``, up to the next step."""
+    step = re.search(
+        rf"^      - name: {re.escape(name)}\n(?P<body>.*?)(?=^      - |\Z)",
+        _job(job),
+        re.MULTILINE | re.DOTALL,
+    )
+    assert step, f"the {job} job has no step {name!r}"
+    return step["body"]
+
+
+class TestNativeBuildStep:
+    STEP = "Build the native extension (fails loudly, not via fallback)"
+
+    def test_fails_unless_runs_checksum_by_carry_less_multiply(self):
+        body = _job_step("native", self.STEP)
+        build = re.search(
+            r"^\s*PYTHONPATH=src python -m repro\.native\.build(?P<rest>.*)$",
+            body,
+            re.MULTILINE,
+        )
+        assert build, body
+        # Without pipefail a pipe would report grep's status, not the
+        # build's: the output must go to a file.
+        assert "|" not in build["rest"], build["rest"]
+        out = re.fullmatch(r"\s*>\s*(\S+)\s*", build["rest"])
+        assert out, build["rest"]
+        assert re.search(
+            rf'^\s*grep -q "\^crc32 \*: carry-less multiply\$" '
+            rf"{re.escape(out[1])}\s*$",
+            body,
+            re.MULTILINE,
+        ), body
+
+    def test_the_checked_line_is_what_the_build_prints(self, capsys):
+        from repro.native import build
+
+        pattern = re.compile(r"^crc32 *: carry-less multiply$", re.MULTILINE)
+        build._main()
+        printed = capsys.readouterr().out
+        assert re.search(r"^crc32 *: (carry-less multiply|zlib)$", printed,
+                         re.MULTILINE), printed
+        assert bool(pattern.search(printed)) == (
+            build.crc32_kernel() is not None
+        )
 
 
 def _load_check_calibration():
