@@ -261,9 +261,11 @@ def sort(
     is byte-identical for any worker count.
 
     ``native=`` is the engine policy (``"auto"``, the default, sends
-    keys and pairs of at most 32-bit keys — in memory or as a file's
-    run sorts — to the library rung, and other pairs to the compiled
-    tier when the extension is available; ``"never"`` pins the
+    keys and pairs of at most 32-bit keys under any ``pair_packing`` —
+    in memory, as a budgeted array's chunks or as a file's run sorts,
+    where 8/16-bit keys qualify too — to the library rung, and
+    64-bit-key pairs to the compiled tier when the extension is
+    available; ``"never"`` pins the
     simulated NumPy engines — the ones that produce a trace and
     simulated seconds, and the choice ``"auto"`` makes when a
     ``device=`` is given; ``"always"`` forces the native tier, which

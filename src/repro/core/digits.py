@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro._util import as_uint, narrow_uint_dtype
-from repro.core.pairs import index_packable
 from repro.errors import ConfigurationError
 
 __all__ = [
@@ -27,10 +26,8 @@ __all__ = [
     "NATIVE_INNER_BITS",
     "NATIVE_LOCAL_SORT_MAX",
     "native_finish_widths",
-    "native_pass_plan",
     "native_pairs_pass_plan",
     "native_split_width",
-    "native_runs_pairs_kernel",
     "native_traffic",
 ]
 
@@ -156,40 +153,8 @@ def native_finish_widths(n: int, bits: int) -> tuple[int, ...]:
     return tuple(widths)
 
 
-def native_pass_plan(sort_bits: int, n: int) -> tuple[int, tuple[int, ...]]:
-    """Digit schedule of the native C kernel for ``n`` keys, in Python.
-
-    Returns ``(msd_width, inner_widths)``: the width of the MSD
-    partition digit (0 when the kernel skips the partition because the
-    whole range fits in ``NATIVE_MSD_BITS + NATIVE_INNER_BITS`` bits,
-    or the input is no larger than one insertion sort) and
-    :func:`native_finish_widths` of a bucket — the whole input without
-    a partition, else one of ``2**msd_width`` buckets of uniform keys.
-    Keeping the schedule here lets plans and docs state exactly which
-    passes the compiled side will run without parsing C.
-
-    >>> native_pass_plan(32, 1 << 24)
-    (11, (11, 10))
-    >>> native_pass_plan(32, 1 << 12)   # 2-key buckets: insertion sorts
-    (11, ())
-    >>> native_pass_plan(16, 1 << 20)
-    (0, (8, 8))
-    """
-    if not 1 <= sort_bits <= 64:
-        raise ConfigurationError("sort_bits must be in [1, 64]")
-    if n < 0:
-        raise ConfigurationError("n must be non-negative")
-    partition = (
-        sort_bits > NATIVE_MSD_BITS + NATIVE_INNER_BITS
-        and n > NATIVE_LOCAL_SORT_MAX
-    )
-    msd_width = NATIVE_MSD_BITS if partition else 0
-    bucket = -(-n >> msd_width)
-    return msd_width, native_finish_widths(bucket, sort_bits - msd_width)
-
-
 def native_split_width(n: int, bits: int) -> int:
-    """Width of one further MSD split of a pairs-kernel bucket.
+    """Width of one further MSD split of a native kernel bucket.
 
     The smallest ``w`` with ``2**w >= n`` — sub-buckets of uniform keys
     then hold about one key — capped at :data:`NATIVE_INNER_BITS` and
@@ -209,16 +174,20 @@ def native_split_width(n: int, bits: int) -> int:
 def native_pairs_pass_plan(
     sort_bits: int, n: int
 ) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """Digit schedule of the native *pairs* kernel for ``n`` records.
+    """Digit schedule of the native kernel for ``n`` records, in Python.
 
-    Returns ``(msd_width, split_widths, inner_widths)``.  The pairs
-    kernel partitions like the others (:func:`native_pass_plan`), then
-    splits a bucket further by MSD digits of
-    :func:`native_split_width` bits while it holds more than
-    :data:`NATIVE_LOCAL_SORT_MAX` keys and has more than
-    :data:`NATIVE_INNER_BITS` bits left, and finishes the sub-bucket
-    with :func:`native_finish_widths` — the paper's §4 recursion.
-    Bucket sizes are those of uniform keys.
+    Returns ``(msd_width, split_widths, inner_widths)``.  The kernel
+    partitions once by a :data:`NATIVE_MSD_BITS` digit, unless the
+    whole range fits in ``NATIVE_MSD_BITS + NATIVE_INNER_BITS`` bits or
+    the input is no larger than one insertion sort (``msd_width`` 0:
+    the input finishes as one bucket, with no splits).  It then splits
+    a bucket further by MSD digits of :func:`native_split_width` bits
+    while it holds more than :data:`NATIVE_LOCAL_SORT_MAX` keys and has
+    more than :data:`NATIVE_INNER_BITS` bits left, and finishes the
+    sub-bucket with :func:`native_finish_widths` — the paper's §4
+    recursion.  Bucket sizes are those of uniform keys.  Keeping the
+    schedule here lets plans and docs state exactly which passes the
+    compiled side will run without parsing C.
 
     >>> native_pairs_pass_plan(64, 1 << 21)   # 1024-key buckets
     (11, (10,), ())
@@ -227,71 +196,57 @@ def native_pairs_pass_plan(
     >>> native_pairs_pass_plan(16, 1 << 20)
     (0, (), (8, 8))
     """
-    msd_width, inner = native_pass_plan(sort_bits, n)
-    if not msd_width:
-        return 0, (), inner
-    bucket, bits, splits = -(-n >> msd_width), sort_bits - msd_width, []
+    if not 1 <= sort_bits <= 64:
+        raise ConfigurationError("sort_bits must be in [1, 64]")
+    if n < 0:
+        raise ConfigurationError("n must be non-negative")
+    if (
+        sort_bits <= NATIVE_MSD_BITS + NATIVE_INNER_BITS
+        or n <= NATIVE_LOCAL_SORT_MAX
+    ):
+        return 0, (), native_finish_widths(n, sort_bits)
+    bucket, splits = -(-n >> NATIVE_MSD_BITS), []
+    bits = sort_bits - NATIVE_MSD_BITS
     while bucket > NATIVE_LOCAL_SORT_MAX and bits > NATIVE_INNER_BITS:
         w = native_split_width(bucket, bits)
         splits.append(w)
         bits -= w
         bucket = -(-bucket >> w)
-    return msd_width, tuple(splits), native_finish_widths(bucket, bits)
+    return NATIVE_MSD_BITS, tuple(splits), native_finish_widths(bucket, bits)
 
 
-def native_runs_pairs_kernel(
-    key_bits: int, n: int, has_values: bool, pair_packing: str = "auto"
-) -> bool:
-    """Whether a native sort of this layout runs the pairs kernel.
-
-    Pairs that neither index-pack nor fuse — 64-bit keys, or packing
-    ``"off"`` — ride the dual-array kernel (the ``split`` and
-    ``decomposed`` modes of ``NativeRadixEngine``); everything else
-    sorts one word array through the u32/u64 kernels.
-    """
-    if not has_values or pair_packing == "fused":
-        return False
-    return pair_packing == "off" or not index_packable(key_bits, n)
+#: Bytes of one record in the native kernel's lanes: a 64-bit key word
+#: beside a 64-bit payload word, for every layout the engine sorts.
+_KERNEL_RECORD_BYTES = 16
 
 
-def native_traffic(
-    sort_bits: int, n: int, record_bytes: int, pairs: bool = False
-) -> tuple[int, int]:
+def native_traffic(sort_bits: int, n: int) -> tuple[int, int]:
     """``(counting passes, bytes moved)`` of one native sort.
 
-    The u32/u64 kernels move the records through DRAM on every pass:
-    each counting pass reads them for its histogram and reads and
-    writes them for its scatter (3x traffic), and buckets that finish
-    in an insertion sort read and write them once more.
+    The kernel (schedule :func:`native_pairs_pass_plan`) reads its
+    input only in the MSD partition: a histogram read, then a scatter
+    read and write of the records into the output (3x).  Each bucket
+    is then read and written once more (2x); its further splits and its
+    finish run in a scratch buffer the size of the largest bucket,
+    which stays in cache.  An input the kernel does not partition is
+    one bucket (2x).  A record is the kernel's two 8-byte lanes, 16
+    bytes whatever the layout: the engine widens narrower keys, words
+    and values into them.  The pass count still counts every pass of
+    the schedule.  The planner prices native steps with these bytes
+    and the host profile's native probe divides by them, so the two
+    agree by construction.
 
-    The pairs kernel (``pairs``, schedule :func:`native_pairs_pass_plan`)
-    reads its input only in the MSD partition: a histogram read, then
-    a scatter read and write of the records into the output (3x).
-    Each bucket is then read and written once more (2x); its further
-    splits and its finish run in a scratch buffer the size of the
-    largest bucket, which stays in cache.  An input the kernel does not
-    partition is one bucket (2x).  The pass count still counts every
-    pass of the schedule.  The planner prices native steps with these
-    bytes and the host profile's native probe divides by them, so the
-    two agree by construction.
-
-    >>> native_traffic(64, 1 << 21, 16, pairs=True)   # 2^21 i64 pairs
+    >>> native_traffic(64, 1 << 21)   # 2^21 records
     (2, 167772160)
-    >>> native_traffic(64, 32, 16, pairs=True)   # one insertion sort
+    >>> native_traffic(64, 32)   # one insertion sort
     (0, 1024)
-    >>> native_traffic(32, 1 << 12, 4)   # partition + insertion sorts
-    (1, 81920)
+    >>> native_traffic(32, 1 << 12)   # partition + insertion sorts
+    (1, 327680)
     """
-    if pairs:
-        msd_width, splits, inner = native_pairs_pass_plan(sort_bits, n)
-        per_record = (3 if msd_width else 0) + 2
-    else:
-        (msd_width, inner), splits = native_pass_plan(sort_bits, n), ()
-        per_record = 3 * ((1 if msd_width else 0) + len(inner)) + (
-            0 if inner else 2
-        )
+    msd_width, splits, inner = native_pairs_pass_plan(sort_bits, n)
+    per_record = (3 if msd_width else 0) + 2
     passes = (1 if msd_width else 0) + len(splits) + len(inner)
-    return passes, per_record * n * record_bytes
+    return passes, per_record * n * _KERNEL_RECORD_BYTES
 
 
 def extract_digit(

@@ -69,7 +69,7 @@ __all__ = [
 
 #: Version of the on-disk profile layout.  Readers reject any other
 #: value (a schema bump means the probes changed meaning).
-PROFILE_SCHEMA = 1
+PROFILE_SCHEMA = 2
 
 #: Environment variable overriding the default profile location.
 PROFILE_ENV_VAR = "REPRO_HOST_PROFILE"
@@ -404,7 +404,7 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
     status = native_status(warn=False)
     if not status.available:
         return {"native_bandwidth": {}}
-    from repro.core.digits import native_runs_pairs_kernel, native_traffic
+    from repro.core.digits import native_traffic
     from repro.native.engine import NativeRadixEngine
 
     table: dict[str, float] = {}
@@ -412,9 +412,7 @@ def probe_native(n: int, repeats: int, rng: np.random.Generator) -> dict:
         keys, values = _probe_arrays(rng, n, key_bits, value_bits)
         engine = NativeRadixEngine()
         seconds = _best_seconds(lambda: engine.sort(keys, values), repeats)
-        record_bytes = key_bits // 8 + value_bits // 8
-        pairs = native_runs_pairs_kernel(key_bits, n, value_bits > 0)
-        _, bytes_moved = native_traffic(key_bits, n, record_bytes, pairs)
+        _, bytes_moved = native_traffic(key_bits, n)
         table[layout_key(key_bits, value_bits)] = bytes_moved / seconds
     return {"native_bandwidth": table}
 

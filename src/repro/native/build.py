@@ -2,30 +2,33 @@
 
 The C source below is the paper's counting sort pass (§4: per-chunk
 histogram → exclusive scan → scatter) compiled to machine code via
-cffi's API mode.  Three design points lift it from "NumPy in C" to a
-bandwidth-shaped kernel:
+cffi's API mode, as one kernel: ``repro_native_sort_pairs`` stably
+sorts 64-bit keys beside a 64-bit payload lane.  Every layout the
+engine serves goes through it — keys, ``key|index`` and ``key|value``
+words ride at the top of the key lane, narrower words shifted up —
+so there is one schedule to mirror, price and sanitize.  Three design
+points lift it from "NumPy in C" to a bandwidth-shaped kernel:
 
-* **MSD partition first.**  Wide words take one 11-bit MSD partition
-  pass (2048 buckets), after which every bucket is small enough that
-  the remaining LSD passes scatter into a cache-resident region.  This
-  is the paper's own MSD-then-finish structure collapsed to two levels;
-  the pairs kernel keeps partitioning a bucket by MSD digits until it
-  fits a local sort or one LSD digit, as the paper's §4 hybrid does.
+* **MSD partition first.**  Wide keys take one 11-bit MSD partition
+  pass (2048 buckets), after which every bucket is small enough to
+  finish in a cache-resident scratch buffer: the kernel keeps
+  partitioning a bucket by MSD digits until it fits a local sort or
+  one LSD digit, as the paper's §4 hybrid does.
 * **Software write-combining.**  The one scatter that *does* span the
   full output array — the MSD partition — goes through per-bucket
   write-combining buffers flushed in cache-line-multiple (128-byte)
   bursts, the Wassenberg–Sanders technique.  Random single-element
   stores into a large region cost several× a streaming burst; the WC
   buffers turn 2048-way scattered traffic into sequential line writes.
-* **The §4.6 bijection inside the passes.**  The pairs kernel
-  (``repro_native_sort_pairs``) reads the caller's raw key and value
-  lanes as ``const`` and maps each key (unsigned, signed or IEEE
-  float) "during the scattering step of the first counting sort", as
-  §4.6 puts it.  Each MSD bucket finishes in a scratch buffer the size
-  of the largest bucket, which stays in cache, and its keys map back
-  to raw bits as it is written back, so the map costs no pass of its
-  own and the kernel reads the input once for the histogram and once
-  for the scatter, then reads and writes each bucket once more.
+* **The §4.6 bijection inside the passes.**  The kernel reads the
+  caller's raw key and value lanes as ``const`` and maps each key
+  (unsigned, signed or IEEE float) "during the scattering step of the
+  first counting sort", as §4.6 puts it.  Each MSD bucket finishes in
+  a scratch buffer the size of the largest bucket, which stays in
+  cache, and its keys map back to raw bits as it is written back, so
+  the map costs no pass of its own and the kernel reads the input once
+  for the histogram and once for the scatter, then reads and writes
+  each bucket once more.
 
 The tier also carries the CRC-32 that guards the external sort's
 spilled runs (``repro_native_crc32``, chosen by :func:`crc32_kernel`).
@@ -79,10 +82,6 @@ __all__ = [
 
 
 CDEF = """
-int repro_native_sort_u32(uint32_t *a, uint32_t *b, int64_t n,
-                          int lo_bit);
-int repro_native_sort_u64(uint64_t *a, uint64_t *b, int64_t n,
-                          int lo_bit);
 int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
                             uint64_t *ok, uint64_t *ov, int64_t n,
                             int kind, int lo_bit);
@@ -95,10 +94,12 @@ C_SOURCE = r"""
 #include <stdlib.h>
 #include <string.h>
 
-/* Digit schedule (mirrored by repro.core.digits.native_pass_plan):
- * words whose sort range exceeds MSD_BITS + INNER_BITS take one MSD
- * partition pass on the word's top MSD_BITS bits, then every bucket
- * finishes by its size (the inner_* functions):
+/* Digit schedule (mirrored by repro.core.digits.native_pairs_pass_plan):
+ * keys whose sort range exceeds MSD_BITS + INNER_BITS take one MSD
+ * partition pass on the key's top MSD_BITS bits.  Each bucket then
+ * splits further by MSD digits of about log2(bucket) bits (msd_pairs)
+ * until a sub-bucket fits LOCAL_SORT_MAX keys or INNER_BITS bits, and
+ * finishes by its size (inner_pairs):
  *
  *   - at most LOCAL_SORT_MAX keys: one stable insertion sort -- a
  *     bucket at or below the local-sort threshold finishes in one
@@ -109,16 +110,13 @@ C_SOURCE = r"""
  *     (11-bit digits from a few hundred keys up).
  *
  * Narrower ranges, and inputs of at most LOCAL_SORT_MAX keys, skip the
- * partition and finish the same way.  The pairs kernel, whose buckets
- * carry 64-bit keys and a payload lane, first splits a bucket further
- * by MSD digits of about log2(bucket) bits (msd_pairs, mirrored by
- * repro.core.digits.native_pairs_pass_plan) and finishes as above
- * only once a sub-bucket fits LOCAL_SORT_MAX or INNER_BITS.
+ * partition and finish the same way, with no further splits.
  *
- * All kernels sort bits [lo_bit, width) of the word and are *stable*:
+ * The kernel sorts bits [lo_bit, 64) of a 64-bit key and is *stable*:
  * equal keys keep their input order, which is what lets the Python
  * side prove byte-identity against NumPy's stable sort and reuse the
- * payload lane as a stable argsort permutation.
+ * payload lane as a stable argsort permutation.  Narrower words sort
+ * at the top of the key lane, lo_bit = 64 - their width.
  *
  * Reentrancy: cffi releases the GIL around these calls and the service
  * layer sorts on worker threads, so every scrap of state is function-
@@ -133,7 +131,6 @@ C_SOURCE = r"""
  * beats per-element stores; doubling the burst halves flush overhead
  * for +128KB of buffer, still far inside L2. */
 #define WC_LINE_BYTES 128
-#define WC_KEYS32 (WC_LINE_BYTES / 4)
 #define WC_KEYS64 (WC_LINE_BYTES / 8)
 
 /* Digit width for an LSD finish of `bits` bits over n keys: w =
@@ -156,260 +153,12 @@ static int finish_width(int64_t n, int bits)
     return best;
 }
 
-/* The inner_* finishers sort bits [lo, lo+bits) of n words whose bits
- * above lo+bits are all equal (the word top, or the caller's MSD
- * bucket), so comparing x >> lo orders them exactly. */
-
-/* Stable insertion sort of u32 words on x >> lo, in place. */
-static void insertion_u32(uint32_t *a, int64_t n, int lo)
-{
-    int64_t i, j;
-    for (i = 1; i < n; i++) {
-        uint32_t x = a[i], kx = x >> lo;
-        for (j = i; j > 0 && (a[j - 1] >> lo) > kx; j--)
-            a[j] = a[j - 1];
-        a[j] = x;
-    }
-}
-
-/* Stable LSD counting sort of bits [lo, lo+bits) of 32-bit words.
- * Ping-pongs between src and tmp; returns whichever buffer holds the
- * result.  A pass whose digit is constant (one count == n) is skipped
- * entirely -- the scatter would be a straight copy. */
-static uint32_t *inner_u32(uint32_t *src, uint32_t *tmp, int64_t n,
-                           int lo, int bits)
-{
-    int64_t cnt[INNER_RADIX];
-    uint32_t *bufs[2] = { src, tmp };
-    int cur = 0, width;
-    if (n <= LOCAL_SORT_MAX) {
-        insertion_u32(src, n, lo);
-        return src;
-    }
-    width = finish_width(n, bits);
-    while (bits > 0) {
-        int w = bits < width ? bits : width;
-        unsigned radix = 1u << w, mask = radix - 1, d;
-        const uint32_t *s = bufs[cur];
-        uint32_t *dst = bufs[1 - cur];
-        int64_t i, base = 0;
-        int trivial = 0;
-        memset(cnt, 0, radix * sizeof(int64_t));
-        for (i = 0; i < n; i++)
-            cnt[(s[i] >> lo) & mask]++;
-        for (d = 0; d < radix; d++) {
-            int64_t c = cnt[d];
-            if (c == n)
-                trivial = 1;
-            cnt[d] = base;
-            base += c;
-        }
-        if (!trivial) {
-            for (i = 0; i < n; i++) {
-                uint32_t x = s[i];
-                dst[cnt[(x >> lo) & mask]++] = x;
-            }
-            cur ^= 1;
-        }
-        lo += w;
-        bits -= w;
-    }
-    return bufs[cur];
-}
-
-/* Sort bits [lo_bit, 32) of a[0..n) using b as scratch.
- * Returns 0 if the result is in a, 1 if in b, negative on error. */
-int repro_native_sort_u32(uint32_t *a, uint32_t *b, int64_t n, int lo_bit)
-{
-    int64_t hist[MSD_RADIX], start[MSD_RADIX], pos[MSD_RADIX];
-    int msd_lo = 32 - MSD_BITS;
-    int d;
-    int64_t i, base;
-    uint32_t (*wc)[WC_KEYS32];
-    int *wc_n;
-    if (n < 0 || lo_bit < 0 || lo_bit >= 32)
-        return -1;
-    if (n <= 1)
-        return 0;
-    if (32 - lo_bit <= MSD_BITS + INNER_BITS || n <= LOCAL_SORT_MAX)
-        return inner_u32(a, b, n, lo_bit, 32 - lo_bit) == a ? 0 : 1;
-    memset(hist, 0, sizeof(hist));
-    for (i = 0; i < n; i++)
-        hist[a[i] >> msd_lo]++;
-    base = 0;
-    for (d = 0; d < MSD_RADIX; d++) {
-        start[d] = base;
-        base += hist[d];
-    }
-    if (base != n)
-        return -1;
-    for (d = 0; d < MSD_RADIX; d++)
-        if (hist[d] == n) {
-            /* one bucket holds everything: the partition would be a
-             * straight copy, so sort the remaining bits in place */
-            return inner_u32(a, b, n, lo_bit, msd_lo - lo_bit) == a
-                       ? 0 : 1;
-        }
-    wc = malloc(MSD_RADIX * WC_LINE_BYTES);
-    wc_n = calloc(MSD_RADIX, sizeof(int));
-    if (wc == NULL || wc_n == NULL) {
-        free(wc);
-        free(wc_n);
-        return -2;
-    }
-    memcpy(pos, start, sizeof(pos));
-    for (i = 0; i < n; i++) {
-        uint32_t x = a[i];
-        unsigned dg = x >> msd_lo;
-        int k = wc_n[dg];
-        wc[dg][k] = x;
-        if (k == WC_KEYS32 - 1) {
-            memcpy(b + pos[dg], wc[dg], WC_LINE_BYTES);
-            pos[dg] += WC_KEYS32;
-            wc_n[dg] = 0;
-        } else
-            wc_n[dg] = k + 1;
-    }
-    for (d = 0; d < MSD_RADIX; d++)
-        if (wc_n[d])
-            memcpy(b + pos[d], wc[d], (size_t)wc_n[d] * 4);
-    free(wc);
-    free(wc_n);
-    for (d = 0; d < MSD_RADIX; d++) {
-        int64_t c = hist[d], s0 = start[d];
-        uint32_t *out;
-        if (c <= 1)
-            continue;
-        out = inner_u32(b + s0, a + s0, c, lo_bit, msd_lo - lo_bit);
-        if (out != b + s0)
-            memcpy(b + s0, out, (size_t)c * 4);
-    }
-    return 1;
-}
-
-static void insertion_u64(uint64_t *a, int64_t n, int lo)
-{
-    int64_t i, j;
-    for (i = 1; i < n; i++) {
-        uint64_t x = a[i], kx = x >> lo;
-        for (j = i; j > 0 && (a[j - 1] >> lo) > kx; j--)
-            a[j] = a[j - 1];
-        a[j] = x;
-    }
-}
-
-static uint64_t *inner_u64(uint64_t *src, uint64_t *tmp, int64_t n,
-                           int lo, int bits)
-{
-    int64_t cnt[INNER_RADIX];
-    uint64_t *bufs[2] = { src, tmp };
-    int cur = 0, width;
-    if (n <= LOCAL_SORT_MAX) {
-        insertion_u64(src, n, lo);
-        return src;
-    }
-    width = finish_width(n, bits);
-    while (bits > 0) {
-        int w = bits < width ? bits : width;
-        unsigned radix = 1u << w, d;
-        uint64_t mask = radix - 1;
-        const uint64_t *s = bufs[cur];
-        uint64_t *dst = bufs[1 - cur];
-        int64_t i, base = 0;
-        int trivial = 0;
-        memset(cnt, 0, radix * sizeof(int64_t));
-        for (i = 0; i < n; i++)
-            cnt[(s[i] >> lo) & mask]++;
-        for (d = 0; d < radix; d++) {
-            int64_t c = cnt[d];
-            if (c == n)
-                trivial = 1;
-            cnt[d] = base;
-            base += c;
-        }
-        if (!trivial) {
-            for (i = 0; i < n; i++) {
-                uint64_t x = s[i];
-                dst[cnt[(x >> lo) & mask]++] = x;
-            }
-            cur ^= 1;
-        }
-        lo += w;
-        bits -= w;
-    }
-    return bufs[cur];
-}
-
-/* Sort bits [lo_bit, 64) of a[0..n) using b as scratch.
- * Returns 0 if the result is in a, 1 if in b, negative on error. */
-int repro_native_sort_u64(uint64_t *a, uint64_t *b, int64_t n, int lo_bit)
-{
-    int64_t hist[MSD_RADIX], start[MSD_RADIX], pos[MSD_RADIX];
-    int msd_lo = 64 - MSD_BITS;
-    int d;
-    int64_t i, base;
-    uint64_t (*wc)[WC_KEYS64];
-    int *wc_n;
-    if (n < 0 || lo_bit < 0 || lo_bit >= 64)
-        return -1;
-    if (n <= 1)
-        return 0;
-    if (64 - lo_bit <= MSD_BITS + INNER_BITS || n <= LOCAL_SORT_MAX)
-        return inner_u64(a, b, n, lo_bit, 64 - lo_bit) == a ? 0 : 1;
-    memset(hist, 0, sizeof(hist));
-    for (i = 0; i < n; i++)
-        hist[a[i] >> msd_lo]++;
-    base = 0;
-    for (d = 0; d < MSD_RADIX; d++) {
-        start[d] = base;
-        base += hist[d];
-    }
-    if (base != n)
-        return -1;
-    for (d = 0; d < MSD_RADIX; d++)
-        if (hist[d] == n)
-            return inner_u64(a, b, n, lo_bit, msd_lo - lo_bit) == a
-                       ? 0 : 1;
-    wc = malloc(MSD_RADIX * WC_LINE_BYTES);
-    wc_n = calloc(MSD_RADIX, sizeof(int));
-    if (wc == NULL || wc_n == NULL) {
-        free(wc);
-        free(wc_n);
-        return -2;
-    }
-    memcpy(pos, start, sizeof(pos));
-    for (i = 0; i < n; i++) {
-        uint64_t x = a[i];
-        unsigned dg = (unsigned)(x >> msd_lo);
-        int k = wc_n[dg];
-        wc[dg][k] = x;
-        if (k == WC_KEYS64 - 1) {
-            memcpy(b + pos[dg], wc[dg], WC_LINE_BYTES);
-            pos[dg] += WC_KEYS64;
-            wc_n[dg] = 0;
-        } else
-            wc_n[dg] = k + 1;
-    }
-    for (d = 0; d < MSD_RADIX; d++)
-        if (wc_n[d])
-            memcpy(b + pos[d], wc[d], (size_t)wc_n[d] * 8);
-    free(wc);
-    free(wc_n);
-    for (d = 0; d < MSD_RADIX; d++) {
-        int64_t c = hist[d], s0 = start[d];
-        uint64_t *out;
-        if (c <= 1)
-            continue;
-        out = inner_u64(b + s0, a + s0, c, lo_bit, msd_lo - lo_bit);
-        if (out != b + s0)
-            memcpy(b + s0, out, (size_t)c * 8);
-    }
-    return 1;
-}
-
-/* Dual-array variant: the payload lane rides every scatter, so a
- * payload of 0..n-1 comes back as the stable sorting permutation of
- * the keys (the decomposed layout of the paper's §2.3). */
+/* The finishers sort bits [lo, lo+bits) of n records whose key bits
+ * above lo+bits are all equal (the key top, or the caller's MSD
+ * bucket), so comparing x >> lo orders them exactly.  The payload lane
+ * rides every move, so a payload of 0..n-1 comes back as the stable
+ * sorting permutation of the keys (the decomposed layout of the
+ * paper's §2.3). */
 static void insertion_pairs(uint64_t *k, uint64_t *v, int64_t n, int lo)
 {
     int64_t i, j;
@@ -936,21 +685,51 @@ def _load_module(path: Path):
     return module
 
 
+#: Key bit patterns the self-test sorts as int64 and as float64 keys:
+#: INT64_MIN (-0.0), INT64_MAX (a NaN), 0 (+0.0), +-inf, NaN of both
+#: signs, +-1.0 and a small integer.  Repeated, they make ties.
+_SELF_TEST_KEYS = (
+    0x8000000000000000, 0x7FFFFFFFFFFFFFFF, 0x0000000000000000,
+    0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000001,
+    0xFFF8000000000001, 0x3FF0000000000000, 0xBFF0000000000000, 5,
+)
+
+
 def _self_test(ffi, lib) -> None:
-    """Tiny smoke sort; a miscompiled kernel must not become a tier."""
+    """Sort and checksum known inputs; a miscompiled kernel must not
+    become a tier.
+
+    The pairs kernel sorts :data:`_SELF_TEST_KEYS`, repeated past one
+    insertion sort, as int64 and as float64 keys beside distinct
+    payloads, and must return their bits-space stable order: a wrong
+    §4.6 key map, partition or finish fails it.
+    """
     import numpy as np
 
-    a = np.array([3, 1, 2, 1, 0], dtype=np.uint32)
-    b = np.empty_like(a)
-    rc = lib.repro_native_sort_u32(
-        ffi.cast("uint32_t *", a.ctypes.data),
-        ffi.cast("uint32_t *", b.ctypes.data),
-        a.size,
-        0,
-    )
-    out = a if rc == 0 else b
-    if rc < 0 or not np.array_equal(out, np.array([0, 1, 1, 2, 3])):
-        raise RuntimeError("native self-test produced wrong bytes")
+    from repro.core.keys import to_sortable_bits
+
+    keys = np.resize(np.array(_SELF_TEST_KEYS, dtype=np.uint64), 100)
+    payload = np.arange(keys.size, dtype=np.uint64)
+    for kind, dtype in ((1, np.int64), (2, np.float64)):
+        out_keys, out_payload = np.empty_like(keys), np.empty_like(payload)
+        rc = lib.repro_native_sort_pairs(
+            ffi.cast("const uint64_t *", keys.ctypes.data),
+            ffi.cast("const uint64_t *", payload.ctypes.data),
+            ffi.cast("uint64_t *", out_keys.ctypes.data),
+            ffi.cast("uint64_t *", out_payload.ctypes.data),
+            keys.size,
+            kind,
+            0,
+        )
+        order = np.argsort(to_sortable_bits(keys.view(dtype)), kind="stable")
+        if rc < 0 or not (
+            np.array_equal(out_keys, keys[order])
+            and np.array_equal(out_payload, order)
+        ):
+            raise RuntimeError(
+                f"native self-test: {np.dtype(dtype)} pairs are not in "
+                f"their bits-space stable order"
+            )
     # The CRC-32 over the folded body and the bitwise tail, chained
     data = (np.arange(1000, dtype=np.uint32) * 2654435761 >> 24).astype(
         np.uint8

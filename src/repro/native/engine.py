@@ -3,12 +3,15 @@
 The engine mirrors :class:`repro.core.hybrid_sort.HybridRadixSorter`'s
 public surface (``sort(keys, values)`` → :class:`SortResult`) and its
 pair-layout dispatch exactly, but executes every counting pass in the
-compiled C kernels of :mod:`repro.native.build`:
+one compiled kernel of :mod:`repro.native.build`,
+``repro_native_sort_pairs``: a stable sort of 64-bit keys beside a
+64-bit payload lane.  Each layout becomes a word sort or a key sort
+for it:
 
 ``keys only``
-    Bit patterns (via the §4.6 bijection) sort in place through the
-    u32/u64 kernel; 8/16-bit keys widen into the top of a u32 word so
-    the kernel sorts only their significant bits.
+    Bit patterns (via the §4.6 bijection) sort as words at the top of
+    the key lane, so the kernel sorts only their significant bits
+    (8/16/32-bit keys shift up, 64-bit keys fill it).
 ``index`` packing
     Keys ≤ 32 bits pack with their row index into one u64 word
     (:func:`repro.core.pairs.pack_key_index`); the kernel stably sorts
@@ -18,18 +21,20 @@ compiled C kernels of :mod:`repro.native.build`:
 ``split`` layout (64-bit keys)
     The hybrid engine's two-stage split composes to a full 64-bit
     stable sort, so the native side hands the raw key and value lanes
-    to the pairs kernel, which applies the §4.6 bijection for the key
-    kind inside its own passes and fills two fresh output lanes.
-    Values narrower than 8 bytes widen into its payload lane.
+    to the kernel, which applies the §4.6 bijection for the key kind
+    inside its own passes and fills two fresh output lanes.  Values
+    narrower than 8 bytes widen into its payload lane.
 ``fused`` packing
     The fused word (key high, value low) sorts whole, matching the
     hybrid engine's by-value tie-break.
 ``decomposed``
-    The pairs kernel scatters a row-index payload alongside the keys —
-    the paper's §2.3 decomposed layout, stable by construction — and
-    the permutation gathers both lanes.
+    A row-index payload rides beside the shifted keys — the paper's
+    §2.3 decomposed layout, stable by construction — and the
+    permutation gathers both lanes.
 
-Every mode is property-tested byte-identical to the hybrid oracle
+A word sort hands the kernel the words as their own payload lane (it
+only reads its inputs), and drops the sorted payload.  Every mode is
+property-tested byte-identical to the hybrid oracle
 (``tests/native/``).  The engine raises
 :class:`repro.errors.NativeUnavailableError` when the tier is not
 usable; planner/executors catch that and degrade to the NumPy tier.
@@ -136,32 +141,30 @@ class NativeRadixEngine:
             )
 
         bits = to_sortable_bits(keys)
-        sort_bits = config.key_bits
+        key_bits = config.key_bits
         if values is None:
-            sorted_bits = self._sort_keys_only(bits, sort_bits)
+            sorted_bits = self._sort_words(bits, key_bits)
             sorted_values = None
         elif mode == "index":
-            packed = pack_key_index(bits, config.key_bits)
-            sorted_packed = self._run_u64(packed, 64 - sort_bits)
+            packed = pack_key_index(bits, key_bits)
             sorted_bits, perm = unpack_key_index(
-                sorted_packed, config.key_bits
+                self._sort_words(packed, key_bits), key_bits
             )
             sorted_values = values[perm]
         elif mode == "fused":
-            packed = pack_key_value(bits, values, config.key_bits)
-            word_bits = packed.dtype.itemsize * 8
-            if word_bits == 32:
-                sorted_packed = self._run_u32(packed, 0)
-            else:
-                sorted_packed = self._run_u64(packed, 0)
+            packed = pack_key_value(bits, values, key_bits)
             sorted_bits, sorted_values = unpack_key_value(
-                sorted_packed, config.key_bits, values.dtype
+                self._sort_words(packed, packed.dtype.itemsize * 8),
+                key_bits,
+                values.dtype,
             )
         else:  # mode == "decomposed" with values present
             shifted = bits.astype(np.uint64)
-            shifted <<= np.uint64(64 - config.key_bits)
-            perm = self._stable_argsort(
-                shifted, 64 - sort_bits
+            shifted <<= np.uint64(64 - key_bits)
+            _, perm = self._pairs_kernel(
+                shifted,
+                np.arange(shifted.size, dtype=np.int64),
+                64 - key_bits,
             )
             sorted_bits = bits[perm]
             sorted_values = values[perm]
@@ -231,66 +234,24 @@ class NativeRadixEngine:
     # ------------------------------------------------------------------
     # Kernel drivers
     # ------------------------------------------------------------------
-    def _sort_keys_only(
-        self, bits: np.ndarray, sort_bits: int
-    ) -> np.ndarray:
-        word_bits = bits.dtype.itemsize * 8
-        if word_bits == 64:
-            return self._run_u64(bits, 64 - sort_bits)
-        if word_bits == 32:
-            return self._run_u32(bits, 32 - sort_bits)
-        # 8/16-bit keys: widen into the *top* of a u32 word so the
-        # kernel's [lo_bit, 32) range covers exactly the key's digits.
-        widened = bits.astype(np.uint32)
-        widened <<= np.uint32(32 - word_bits)
-        sorted_w = self._run_u32(widened, 32 - sort_bits)
-        sorted_w >>= np.uint32(32 - word_bits)
-        return sorted_w.astype(bits.dtype)
+    def _sort_words(self, words: np.ndarray, sort_bits: int) -> np.ndarray:
+        """Stable sort of unsigned ``words`` on their top ``sort_bits``
+        bits, into a fresh array of their dtype.
 
-    def _run_u32(self, words: np.ndarray, lo_bit: int) -> np.ndarray:
-        # Callers hand over freshly-owned arrays (bijection output or
-        # packed words), so the kernel may ping-pong in place.
-        a = np.ascontiguousarray(words, dtype=np.uint32)
-        b = np.empty_like(a)
-        rc = self._lib.repro_native_sort_u32(
-            self._ffi.cast("uint32_t *", a.ctypes.data),
-            self._ffi.cast("uint32_t *", b.ctypes.data),
-            a.size,
-            lo_bit,
-        )
-        if rc < 0:
-            raise NativeExecutionError(
-                f"repro_native_sort_u32 returned {rc}"
-            )
-        return a if rc == 0 else b
-
-    def _run_u64(self, words: np.ndarray, lo_bit: int) -> np.ndarray:
-        a = np.ascontiguousarray(words, dtype=np.uint64)
-        b = np.empty_like(a)
-        rc = self._lib.repro_native_sort_u64(
-            self._ffi.cast("uint64_t *", a.ctypes.data),
-            self._ffi.cast("uint64_t *", b.ctypes.data),
-            a.size,
-            lo_bit,
-        )
-        if rc < 0:
-            raise NativeExecutionError(
-                f"repro_native_sort_u64 returned {rc}"
-            )
-        return a if rc == 0 else b
-
-    def _stable_argsort(
-        self, key_words: np.ndarray, lo_bit: int
-    ) -> np.ndarray:
-        """Stable argsort of u64 ``key_words`` via the pairs kernel.
-
-        The payload lane carries 0..n-1; because the kernel is stable,
-        the sorted payload *is* the stable sorting permutation.
+        Words narrower than the kernel's 64-bit key lane widen into its
+        top (and narrow back), so the sort range stays the words'
+        significant bits; the lane is also the payload, which the
+        kernel only reads.
         """
-        _, perm = self._pairs_kernel(
-            key_words, np.arange(key_words.size, dtype=np.int64), lo_bit
-        )
-        return perm
+        word_bits = words.dtype.itemsize * 8
+        lane = words.astype(np.uint64, copy=word_bits < 64)
+        if word_bits < 64:
+            lane <<= np.uint64(64 - word_bits)
+        out, _ = self._pairs_kernel(lane, lane, 64 - sort_bits)
+        if word_bits < 64:
+            out >>= np.uint64(64 - word_bits)
+            return out.astype(words.dtype)
+        return out
 
     def _pairs_kernel(
         self, keys: np.ndarray, payload: np.ndarray, lo_bit: int

@@ -48,8 +48,8 @@ class InputDescriptor:
         Never affects the plan's output — only its wall-clock.
     pair_packing:
         A file sort's pair packing policy (``"auto"``, ``"index"``,
-        ``"fused"`` or ``"off"``), which decides the engine its run
-        sorts can use; ``None`` leaves it to the planner's
+        ``"fused"`` or ``"off"``), which decides how its run sorts
+        order equal keys; ``None`` leaves it to the planner's
         configuration (how in-memory sorts set it).
     spec:
         The simulated device the cost annotations are priced against.

@@ -27,7 +27,7 @@ STEP_KINDS = MappingProxyType({
     "spill-runs": "memory-budgeted sorted runs spilled to disk",
     "kway-merge": "k-way merge of sorted runs",
     "native-lsd": "compiled counting-scatter passes (§4 in C, WC buffers)",
-    "library-sort": "one np.sort over the §4.6 bits (index-packed pairs)",
+    "library-sort": "one np.sort over the §4.6 bits (packed-word pairs)",
 })
 
 

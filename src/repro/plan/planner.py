@@ -22,7 +22,7 @@ absorbs all of those decisions into a single code path that maps an
 * **small arrays under an adaptive policy** fall back to the LSD
   baseline (§6.1's case distinction — the crossover constants live
   here and ``AdaptiveSorter`` delegates to them);
-* **keys, and pairs whose keys index-pack,** run the library rung:
+* **keys, and pairs of at most 32-bit keys,** run the library rung:
   one ``np.sort`` over the §4.6 bits (:mod:`repro.core.library`);
 * **everything else** is one in-memory radix sort: the compiled
   counting-scatter (:mod:`repro.native`) when it is built, else the
@@ -124,18 +124,18 @@ class Planner:
         the Figure 5 layout, four without.
     native:
         Engine policy for in-memory inputs.  ``"auto"`` (default)
-        sends every layout the library rung serves (keys, and pairs
-        whose keys index-pack) to ``np.sort`` over the §4.6 bits — in
-        memory and as a file's run sorts alike — and prefers the
-        compiled counting-scatter for the rest (64-bit-key pairs,
-        ``"fused"``/``"off"`` packing, a file's 8/16-bit keys) from
-        :data:`NATIVE_MIN_KEYS` records up, when the once-per-process
-        availability probe succeeds and the configuration is one the
-        tier supports; ``"never"`` keeps every plan on the simulated
-        NumPy engines; ``"always"`` plans the native tier for any
-        in-memory input or run regardless of the probe (the executor
-        degrades typed when the tier is missing — what
-        ``repro sort --engine native`` relies on).
+        sends every layout the library rung serves (keys, a file's
+        8/16-bit keys among them, and pairs of at most 32-bit keys
+        under any packing) to ``np.sort`` over the §4.6 bits — in
+        memory, as a budgeted array's chunks and as a file's run sorts
+        alike — and prefers the compiled counting-scatter for the rest
+        (64-bit-key pairs) from :data:`NATIVE_MIN_KEYS` records up,
+        when the once-per-process availability probe succeeds and the
+        configuration is one the tier supports; ``"never"`` keeps every
+        plan on the simulated NumPy engines; ``"always"`` plans the
+        native tier for any in-memory input or run regardless of the
+        probe (the executor degrades typed when the tier is missing —
+        what ``repro sort --engine native`` relies on).
     profile:
         Host-calibration policy.  ``"auto"`` (default) loads the
         calibrated :class:`~repro.cost.hostprofile.HostProfile` from
@@ -241,16 +241,19 @@ class Planner:
             return self._plan_native(descriptor, note)
         return self._plan_hybrid(descriptor, note)
 
-    def _library_choice(self, descriptor: InputDescriptor) -> bool:
-        """Whether an in-memory plan runs on the library rung.
+    def _library_choice(
+        self, descriptor: InputDescriptor, narrow_keys: bool = False
+    ) -> bool:
+        """Whether an in-memory plan, or a file's run (``narrow_keys``:
+        8/16-bit keys qualify), runs on the library rung.
 
         Under ``native="auto"`` every layout the rung serves
-        byte-identically goes there (keys, and pairs whose keys
-        index-pack under ``"auto"``/``"index"`` packing), compiled
-        tier built or not: ``np.sort`` outran the native kernel on
-        those layouts at every size measured (docs/performance.md,
-        "Routing").  An explicit ``sort_bits`` and a pinned ``native=``
-        policy keep today's engines.
+        byte-identically goes there (keys, and pairs of at most 32-bit
+        keys under any packing), compiled tier built or not:
+        ``np.sort`` outran the native kernel on those layouts at every
+        size measured (docs/performance.md, "Routing").  An explicit
+        ``sort_bits`` and a pinned ``native=`` policy keep today's
+        engines.
         """
         from repro.core.library import library_serves
 
@@ -262,6 +265,7 @@ class Planner:
             descriptor.n,
             descriptor.has_values,
             config.pair_packing,
+            narrow_keys,
         )
 
     def _native_choice(
@@ -362,22 +366,24 @@ class Planner:
         )
 
     def _plan_library(self, descriptor: InputDescriptor) -> SortPlan:
-        """One ``np.sort`` over the §4.6 bits (index-packed for pairs)."""
+        """One ``np.sort`` over the §4.6 bits (packed words for pairs)."""
         n = descriptor.n
         bytes_moved = 2 * descriptor.total_bytes
         if self.host is not None:
             seconds = self.host.library_seconds(descriptor, bytes_moved)
         else:
             seconds = bytes_moved / descriptor.spec.effective_bandwidth
-        packing = "index" if descriptor.has_values else "keys"
+        if not descriptor.has_values:
+            packing, words = "keys", "key bits"
+        elif self._config_for(descriptor).pair_packing == "fused":
+            packing, words = "fused", "key|value words"
+        else:
+            packing, words = "index", "key|row-index words"
         step = PlanStep(
             kind="library-sort",
             params={"n": n, "packing": packing},
             predicted_seconds=seconds,
             bytes_moved=bytes_moved,
-        )
-        words = (
-            "key|row-index words" if descriptor.has_values else "key bits"
         )
         return SortPlan(
             descriptor=descriptor,
@@ -530,7 +536,9 @@ class Planner:
             plan_runs(n, record_bytes, budget, workers=workers).run_records,
         )
         footprint = run_footprint(
-            FileLayout(descriptor.key_dtype, descriptor.value_dtype), engine
+            FileLayout(descriptor.key_dtype, descriptor.value_dtype),
+            engine,
+            self._config_for(descriptor).pair_packing,
         )
         run_plan = plan_runs(n, record_bytes, budget, footprint, workers)
         total = descriptor.total_bytes
@@ -606,9 +614,9 @@ class Planner:
         choice an in-memory array of ``run_records`` records of the
         file's layout would get.  The library rung takes every layout
         :func:`~repro.core.library.library_serves` accepts under the
-        sort's ``pair_packing`` (``descriptor.pair_packing``);
-        ``"fused"``/``"off"`` packing, 64-bit-key pairs and 8/16-bit
-        keys get :meth:`_native_choice`.
+        sort's ``pair_packing`` (``descriptor.pair_packing``), a
+        file's 8/16-bit keys included; 64-bit-key pairs get
+        :meth:`_native_choice`.
         ``RunWriter`` carries the choice out, with the native
         executor's inline fallback to the hybrid engine;
         :meth:`ExternalSorter.resume` asks again for the run size its
@@ -621,7 +629,7 @@ class Planner:
             pair_packing=descriptor.pair_packing,
             spec=descriptor.spec,
         )
-        if self._library_choice(run):
+        if self._library_choice(run, descriptor.source == "file"):
             return "library", (
                 "library rung selected: np.sort outruns the compiled "
                 "tier at this run size"
@@ -698,44 +706,27 @@ class Planner:
         :func:`repro.core.digits.native_traffic`, the Python mirror of
         the kernel's size-adapted schedule.
         """
-        from repro.core.digits import (
-            native_pairs_pass_plan,
-            native_pass_plan,
-            native_runs_pairs_kernel,
-            native_traffic,
-        )
+        from repro.core.digits import native_pairs_pass_plan, native_traffic
 
         # The engine sorts the key field of whichever word layout the
         # pair packing selects; the schedule over the key bits is the
-        # same either way, so price that — with the pairs kernel's
-        # further bucket splits when the layout runs it.
-        config = self._config_for(descriptor)
-        key_bits = config.key_bits
-        pairs = native_runs_pairs_kernel(
-            key_bits, n, descriptor.has_values, config.pair_packing
-        )
-        if pairs:
-            msd_width, splits, inner = native_pairs_pass_plan(key_bits, n)
-        else:
-            msd_width, inner = native_pass_plan(key_bits, n)
-        passes, bytes_moved = native_traffic(
-            key_bits, n, descriptor.record_bytes, pairs=pairs
-        )
+        # same either way, so price that.
+        key_bits = self._config_for(descriptor).key_bits
+        msd_width, splits, inner = native_pairs_pass_plan(key_bits, n)
+        passes, bytes_moved = native_traffic(key_bits, n)
         if self.host is not None:
             seconds = self.host.native_seconds(descriptor, bytes_moved)
         else:
             seconds = self._stream_seconds(descriptor, bytes_moved)
-        params = {
-            "n": n,
-            "expected_passes": passes,
-            "msd_bits": msd_width,
-            "inner_widths": "+".join(str(w) for w in inner) or "insertion",
-        }
-        if pairs:
-            params["split_widths"] = "+".join(str(w) for w in splits) or "none"
         return PlanStep(
             kind="native-lsd",
-            params=params,
+            params={
+                "n": n,
+                "expected_passes": passes,
+                "msd_bits": msd_width,
+                "split_widths": "+".join(map(str, splits)) or "none",
+                "inner_widths": "+".join(map(str, inner)) or "insertion",
+            },
             predicted_seconds=seconds,
             bytes_moved=bytes_moved,
         )

@@ -106,7 +106,7 @@ SITES: dict[str, str] = {
     ),
     "engine.library": (
         "executor registry: the np.sort library rung (keys and "
-        "index-packable pairs; degrades to hybrid)"
+        "pairs of at most 32-bit keys; degrades to hybrid)"
     ),
 }
 

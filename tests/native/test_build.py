@@ -2,15 +2,19 @@
 
 from __future__ import annotations
 
+import ctypes
 import importlib.util
 import os
 import shutil
 import subprocess
 import sys
 import warnings
+import zlib
 
+import numpy as np
 import pytest
 
+from repro.core.keys import to_sortable_bits
 from repro.errors import NativeUnavailableError
 from repro.native import build
 
@@ -63,6 +67,51 @@ class TestUnavailableBehaviour:
         monkeypatch.setenv("REPRO_NATIVE", "0")
         with pytest.raises(NativeUnavailableError, match="REPRO_NATIVE=0"):
             build.load_native()
+
+
+class _StubFFI:
+    """Casts leave the address as it is, for :class:`_StubLib`."""
+
+    @staticmethod
+    def cast(ctype, address):
+        return address
+
+
+class _StubLib:
+    """The compiled functions the self-test calls, in NumPy and zlib
+    over raw addresses; ``swap`` exchanges the first and last records
+    the pairs kernel writes."""
+
+    def __init__(self, swap: bool) -> None:
+        self.swap = swap
+
+    def repro_native_sort_pairs(self, k, v, ok, ov, n, kind, lo_bit):
+        keys, payload, out_keys, out_payload = (
+            np.ctypeslib.as_array((ctypes.c_uint64 * n).from_address(a))
+            for a in (k, v, ok, ov)
+        )
+        dtype = (np.uint64, np.int64, np.float64)[kind]
+        bits = to_sortable_bits(keys.view(dtype)) >> np.uint64(lo_bit)
+        order = np.argsort(bits, kind="stable")
+        out_keys[:], out_payload[:] = keys[order], payload[order]
+        if self.swap:
+            out_keys[[0, -1]] = out_keys[[-1, 0]]
+            out_payload[[0, -1]] = out_payload[[-1, 0]]
+        return 0
+
+    def repro_native_crc32(self, buf, n, crc):
+        return zlib.crc32(ctypes.string_at(buf, n), crc)
+
+
+class TestSelfTest:
+    """The probe's self-test sorts through the kernel the tier runs."""
+
+    def test_a_correct_kernel_passes(self):
+        build._self_test(_StubFFI(), _StubLib(swap=False))
+
+    def test_two_swapped_records_keep_the_tier_off(self):
+        with pytest.raises(RuntimeError, match="bits-space stable order"):
+            build._self_test(_StubFFI(), _StubLib(swap=True))
 
 
 class TestModuleNaming:

@@ -3,19 +3,21 @@
 Compiles :data:`repro.native.build.C_SOURCE` together with a small C
 driver under ``gcc -fsanitize=address,undefined``, with warnings as
 errors (``-Wcast-qual`` catches a cast that drops the pairs kernel's
-``const`` input), and runs the u32, u64 and pairs kernels over sizes
-around every schedule boundary (the insertion-sort cutoff, one full
-11-bit digit, the old native floor, one benchmark run) and five key
-shapes.  The pairs kernel runs for all three key kinds (unsigned,
-signed, IEEE float) and also on edge bit patterns (NaN payloads of
-both signs, ±0.0, ±inf, INT64_MIN/MAX, 0, UINT64_MAX) and around 2^18
-records, past its further split and with a one-bucket input whose
-scratch must hold it all.  Each output is compared with a stable merge
-sort of the same input (over the driver's own §4.6 map for the pairs
-kernel) whose payload is the input index, which checks order and
-stability at once, and the pairs kernel's input lanes must come back
-byte-unchanged; every buffer is allocated to its exact size, so a
-write past a bucket, a flush tail or the scratch is a sanitizer error.
+``const`` input), and runs the pairs kernel over sizes around every
+schedule boundary (the insertion-sort cutoff, one full 11-bit digit,
+the old native floor, one benchmark run) and five key shapes, for all
+three key kinds (unsigned, signed, IEEE float), and also on edge bit
+patterns (NaN payloads of both signs, ±0.0, ±inf, INT64_MIN/MAX, 0,
+UINT64_MAX) and around 2^18 records, past its further split and with
+a one-bucket input whose scratch must hold it all.  It sorts from
+``lo_bit`` 0 (64-bit keys), 32, 48 and 56 (the 32-, 16- and 8-bit
+words the engine shifts to the top of the key lane) and 40.  Each
+output is compared with a stable merge sort of the same input (over
+the driver's own §4.6 map) whose payload is the input index, which
+checks order and stability at once, and the kernel's input lanes must
+come back byte-unchanged; every buffer is allocated to its exact size,
+so a write past a bucket, a flush tail or the scratch is a sanitizer
+error.
 The CRC-32 kernel runs on every length up to 1,100 bytes at offsets
 0-15 and on one 2^18+5-byte buffer, each allocated to its exact size,
 and must equal the driver's own bitwise CRC-32 from a varying start
@@ -123,62 +125,6 @@ static void fail(const char *kernel, int64_t n, int shape, int lo, int64_t i)
     printf("FAIL %s n=%lld shape=%d lo=%d at %lld\n", kernel,
            (long long)n, shape, lo, (long long)i);
     failures++;
-}
-
-/* u32 words: key bits from the draw, the low lo bits carry the index. */
-static void check_u32(int64_t n, int shape, int lo)
-{
-    uint32_t *a = malloc((size_t)n * 4), *b = malloc((size_t)n * 4), *out;
-    uint64_t *rk = malloc((size_t)(n ? n : 1) * 8);
-    uint64_t *rv = malloc((size_t)(n ? n : 1) * 8);
-    uint32_t low = lo ? (1u << lo) - 1 : 0;
-    int64_t i;
-    int rc;
-    for (i = 0; i < n; i++) {
-        a[i] = ((uint32_t)(draw(shape) >> 32) & ~low) | ((uint32_t)i & low);
-        rk[i] = a[i];
-        rv[i] = (uint64_t)i;
-    }
-    rc = repro_native_sort_u32(a, b, n, lo);
-    ref_sort(rk, rv, n, lo);
-    out = rc == 0 ? a : b;
-    if (rc < 0)
-        fail("u32 rc", n, shape, lo, rc);
-    else
-        for (i = 0; i < n; i++)
-            if (out[i] != (uint32_t)rk[i]) {
-                fail("u32", n, shape, lo, i);
-                break;
-            }
-    free(a); free(b); free(rk); free(rv);
-}
-
-/* u64 words: key bits from the draw, the low lo bits carry the index. */
-static void check_u64(int64_t n, int shape, int lo)
-{
-    uint64_t *a = malloc((size_t)n * 8), *b = malloc((size_t)n * 8), *out;
-    uint64_t *rk = malloc((size_t)(n ? n : 1) * 8);
-    uint64_t *rv = malloc((size_t)(n ? n : 1) * 8);
-    uint64_t low = lo ? (1ULL << lo) - 1 : 0;
-    int64_t i;
-    int rc;
-    for (i = 0; i < n; i++) {
-        a[i] = (draw(shape) & ~low) | ((uint64_t)i & low);
-        rk[i] = a[i];
-        rv[i] = (uint64_t)i;
-    }
-    rc = repro_native_sort_u64(a, b, n, lo);
-    ref_sort(rk, rv, n, lo);
-    out = rc == 0 ? a : b;
-    if (rc < 0)
-        fail("u64 rc", n, shape, lo, rc);
-    else
-        for (i = 0; i < n; i++)
-            if (out[i] != rk[i]) {
-                fail("u64", n, shape, lo, i);
-                break;
-            }
-    free(a); free(b); free(rk); free(rv);
 }
 
 /* The driver's own §4.6 map of a 64-bit key of the given kind
@@ -289,20 +235,13 @@ int main(void)
     int64_t n;
     int shape, bits, kind;
     for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
-        for (shape = 0; shape < SHAPES; shape++) {
-            n = sizes[s];
-            check_u32(n, shape, 0);   /* MSD partition + finish */
-            check_u32(n, shape, 9);   /* partition, index-tagged */
-            check_u32(n, shape, 17);  /* plain LSD, full index */
-            check_u64(n, shape, 0);
-            check_u64(n, shape, 32);  /* the packed key|index layout */
-        }
-    for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
         for (shape = 0; shape <= EDGE_SHAPE; shape++)
             for (kind = 0; kind < 3; kind++) {
                 check_pairs(sizes[s], shape, 0, kind);
+                check_pairs(sizes[s], shape, 32, kind);  /* 32-bit words */
                 check_pairs(sizes[s], shape, 40, kind);
-                check_pairs(sizes[s], shape, 48, kind);
+                check_pairs(sizes[s], shape, 48, kind);  /* 16-bit words */
+                check_pairs(sizes[s], shape, 56, kind);  /* 8-bit words */
             }
     /* Around 2^18: 128-key buckets take one more split; shape 4's keys
      * share their top 40 bits, so one bucket (and the scratch) holds

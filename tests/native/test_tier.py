@@ -19,7 +19,7 @@ from repro.core.digits import (
     NATIVE_LOCAL_SORT_MAX,
     NATIVE_MSD_BITS,
     native_finish_widths,
-    native_pass_plan,
+    native_pairs_pass_plan,
     native_traffic,
 )
 from repro.errors import ConfigurationError
@@ -112,14 +112,69 @@ class TestPlannerChoice:
         plan = Planner().plan(InputDescriptor(n=1 << 20, key_dtype=np.uint16))
         assert plan.strategy != "library"
 
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
     @pytest.mark.parametrize("packing", ["fused", "off"])
-    def test_fused_and_off_packing_keep_the_radix_engines(self, packing):
+    def test_fused_and_off_packing_take_the_library(
+        self, fresh_probe, monkeypatch, packing, built
+    ):
+        # Equal fused words are identical records, and "off" orders
+        # ties by position as "auto" does: np.sort serves both
+        # byte-identically, in memory and as a budgeted array's chunks,
+        # whether or not the compiled tier is built.
+        use_tier(monkeypatch, built)
         config = replace(SortConfig.for_layout(32, 32), pair_packing=packing)
+        planner = Planner(config=config)
         descriptor = InputDescriptor(
             n=1 << 20, key_dtype=np.uint32, value_dtype=np.uint32
         )
-        plan = Planner(config=config).plan(descriptor)
-        assert plan.strategy == ("native" if NATIVE_AVAILABLE else "hybrid")
+        plan = planner.plan(descriptor)
+        assert plan.strategy == "library"
+        assert plan.step("library-sort").params["packing"] == (
+            "fused" if packing == "fused" else "index"
+        )
+        budgeted = planner.plan(replace(descriptor, memory_budget=1 << 20))
+        assert budgeted.step("chunked-pipeline").params["engine"] == "library"
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 300])
+    def test_records_too_wide_to_fuse_fail_as_on_every_engine(self, n):
+        # Fewer than two records need no tie order, so no rung refuses
+        # them; more 32/64-bit records fuse into no word on any rung.
+        import repro
+
+        config = replace(SortConfig.for_layout(32, 64), pair_packing="fused")
+        keys = np.arange(n, dtype=np.uint32)[::-1].copy()
+        values = np.arange(n, dtype=np.uint64)
+        for native in ("auto", "never"):
+            if n < 2:
+                result = repro.sort_pairs(
+                    keys, values, config=config, native=native
+                )
+                assert result.keys.tobytes() == keys.tobytes()
+            else:
+                with pytest.raises(ConfigurationError):
+                    repro.sort_pairs(
+                        keys, values, config=config, native=native
+                    )
+
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.uint16], ids=str)
+    def test_narrow_arrays_stay_off_the_library_on_both_tiers(
+        self, fresh_probe, monkeypatch, dtype, built
+    ):
+        # Only a file's runs take narrow keys to the library rung; an
+        # array of them, budgeted or not, still fails.
+        import repro
+
+        use_tier(monkeypatch, built)
+        keys = np.arange(1 << 12, dtype=dtype)
+        for budget in (None, keys.nbytes // 4):
+            plan = repro.plan_for(keys, memory_budget=budget)
+            assert plan.strategy != "library"
+            if budget is not None:
+                step = plan.step("chunked-pipeline")
+                assert step.params["engine"] != "library"
+            with pytest.raises(ConfigurationError):
+                repro.sort(keys, memory_budget=budget)
 
     def test_always_keeps_keys_on_the_native_tier(self):
         assert Planner(native="always").plan(big_descriptor()).strategy == (
@@ -145,20 +200,25 @@ class TestPlannerChoice:
 class TestPassPlanMirror:
     def test_mirrors_kernel_digit_schedule(self):
         big = 1 << 24
-        assert native_pass_plan(32, big) == (11, (11, 10))
-        assert native_pass_plan(64, big) == (11, (11, 11, 11, 11, 9))
+        # 8192-key buckets split once more, into buckets of about 4
+        # keys that finish by insertion sorts.
+        assert native_pairs_pass_plan(32, big) == (11, (11,), ())
+        assert native_pairs_pass_plan(64, big) == (11, (11,), ())
         # Narrow ranges skip the MSD partition, like the C side, and
         # split their bits into equal digits.
-        assert native_pass_plan(16, big) == (0, (8, 8))
-        assert native_pass_plan(22, big) == (0, (11, 11))
+        assert native_pairs_pass_plan(16, big) == (0, (), (8, 8))
+        assert native_pairs_pass_plan(22, big) == (0, (), (11, 11))
 
     def test_small_buckets_finish_by_size(self):
         # 2-key buckets: the partition, then insertion sorts.
-        assert native_pass_plan(32, 1 << 12) == (11, ())
-        # ~37-key buckets (one benchmark run): three 7-bit passes.
-        assert native_pass_plan(32, 74_898) == (11, (7, 7, 7))
+        assert native_pairs_pass_plan(32, 1 << 12) == (11, (), ())
+        # ~37-key buckets (one benchmark run): a 6-bit split leaves
+        # about one key a sub-bucket.
+        assert native_pairs_pass_plan(32, 74_898) == (11, (6,), ())
         # No larger than one insertion sort: no partition either.
-        assert native_pass_plan(32, NATIVE_LOCAL_SORT_MAX) == (0, ())
+        assert native_pairs_pass_plan(32, NATIVE_LOCAL_SORT_MAX) == (
+            0, (), ()
+        )
         assert native_finish_widths(NATIVE_LOCAL_SORT_MAX + 1, 21)
 
     def test_python_constants_match_the_c_source(self):
@@ -170,12 +230,14 @@ class TestPassPlanMirror:
         assert int(defines["LOCAL_SORT_MAX"]) == NATIVE_LOCAL_SORT_MAX
 
     def test_plan_prices_the_size_adapted_schedule(self):
+        # uint32 keys ride in the kernel's 8-byte key lane beside an
+        # 8-byte payload lane: 16 bytes a record, not 4.
         plan = Planner(native="always").plan(big_descriptor(n=1 << 12))
         (step,) = plan.steps
-        passes, bytes_moved = native_traffic(32, 1 << 12, 4)
+        passes, bytes_moved = native_traffic(32, 1 << 12)
         assert step.params["expected_passes"] == passes == 1
         assert step.params["inner_widths"] == "insertion"
-        assert step.bytes_moved == bytes_moved == 5 * (1 << 12) * 4
+        assert step.bytes_moved == bytes_moved == 5 * (1 << 12) * 16
 
     def test_plan_prices_the_pairs_kernels_dram_passes(self):
         # The MSD partition (histogram read, scatter read and write)
@@ -183,7 +245,7 @@ class TestPassPlanMirror:
         # the kernel's cache-sized scratch and moves no DRAM bytes.
         n = 1 << 20
         (step,) = Planner(native="always").plan(pairs64_descriptor(n)).steps
-        passes, bytes_moved = native_traffic(64, n, 16, pairs=True)
+        passes, bytes_moved = native_traffic(64, n)
         assert step.params["split_widths"] == "9"
         assert step.params["expected_passes"] == passes == 2
         assert step.bytes_moved == bytes_moved == 5 * n * 16
@@ -195,6 +257,15 @@ def fake_available(monkeypatch):
         "_probe",
         lambda: build.NativeStatus(True, "compiled native kernel"),
     )
+
+
+def use_tier(monkeypatch, built: bool) -> None:
+    """Fake a built compiled tier, or switch it off (``REPRO_NATIVE=0``);
+    callers take ``fresh_probe``."""
+    if built:
+        fake_available(monkeypatch)
+    else:
+        monkeypatch.setenv("REPRO_NATIVE", "0")
 
 
 class TestExternalRunEngine:
@@ -266,8 +337,8 @@ class TestExternalRunEngine:
 
         fake_available(monkeypatch)
         # Runs of at most 32 records: the kernel finishes them in one
-        # insertion sort, which native_traffic prices below the hybrid
-        # engine's one analytical counting pass.
+        # insertion sort, which native_traffic prices apart from the
+        # hybrid engine's one analytical counting pass.
         desc = self.file_descriptor(
             tmp_path, 4 * NATIVE_MIN_KEYS + 17, 3 * 32, FileLayout(np.uint32)
         )
@@ -276,7 +347,7 @@ class TestExternalRunEngine:
         run_plan = plan.run_plan
         assert run_plan.run_records == NATIVE_LOCAL_SORT_MAX
         sort_bytes = sum(
-            native_traffic(32, hi - lo, 4)[1]
+            native_traffic(32, hi - lo)[1]
             for lo, hi in zip(run_plan.bounds, run_plan.bounds[1:])
         )
         expected = (
@@ -290,32 +361,43 @@ class TestExternalRunEngine:
             hybrid.step("spill-runs").predicted_seconds
         )
 
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
     @pytest.mark.parametrize(
-        "layout, packing, engine",
+        "layout, packing, library",
         [
-            (FileLayout(np.uint32), "auto", "library"),
-            (FileLayout(np.float64), "auto", "library"),
-            (FileLayout(np.uint32, np.uint32), "auto", "library"),
-            (FileLayout(np.int32, np.uint64), "index", "library"),
-            (FileLayout(np.uint32, np.uint32), "fused", "native"),
-            (FileLayout(np.uint32, np.uint32), "off", "native"),
-            (FileLayout(np.uint64, np.uint32), "auto", "native"),
-            (FileLayout(np.uint16), "auto", "native"),
+            (FileLayout(np.uint32), "auto", True),
+            (FileLayout(np.float64), "auto", True),
+            (FileLayout(np.uint32, np.uint32), "auto", True),
+            (FileLayout(np.int32, np.uint64), "index", True),
+            (FileLayout(np.uint32, np.uint32), "fused", True),
+            (FileLayout(np.uint32, np.uint32), "off", True),
+            (FileLayout(np.uint16, np.uint16), "fused", True),
+            (FileLayout(np.uint64, np.uint32), "auto", False),
+            (FileLayout(np.uint16), "auto", True),
+            (FileLayout(np.uint8), "auto", True),
+            (FileLayout(np.uint8, np.uint32), "auto", True),
         ],
+        ids=lambda v: v.describe() if isinstance(v, FileLayout) else str(v),
     )
     def test_runs_take_the_library_rung_where_it_serves(
-        self, tmp_path, fresh_probe, monkeypatch, layout, packing, engine
+        self, tmp_path, fresh_probe, monkeypatch, layout, packing, library,
+        built,
     ):
-        fake_available(monkeypatch)
+        # Every layout np.sort serves byte-identically, a file's
+        # 8/16-bit keys and fused/off packing included, on either tier;
+        # 64-bit-key pairs keep the radix engines.
+        use_tier(monkeypatch, built)
         desc = replace(
             self.native_sized(tmp_path, layout), pair_packing=packing
         )
         step = Planner().plan(desc).step("spill-runs")
-        assert step.params["engine"] == engine
-        if engine == "library":
+        if library:
+            assert step.params["engine"] == "library"
             assert step.params["engine_note"].startswith(
                 "library rung selected"
             )
+        else:
+            assert step.params["engine"] == ("native" if built else "hybrid")
 
 
 class TestExecutorDegradation:

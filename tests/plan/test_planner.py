@@ -214,7 +214,7 @@ class TestChunkedPlan:
         )
         assert plan.engine == f"{step.params['engine']} chunks + drain_cursors"
 
-    def test_fused_packing_keeps_chunks_off_the_library_rung(self):
+    def test_fused_packing_chunks_take_the_library_rung(self):
         from dataclasses import replace
 
         from repro.core.config import SortConfig
@@ -225,7 +225,7 @@ class TestChunkedPlan:
             memory_budget=1 << 20,
         )
         step = Planner(config=config).plan(desc).step("chunked-pipeline")
-        assert step.params["engine"] in ("native", "hybrid")
+        assert step.params["engine"] == "library"
 
     def test_chunks_priced_as_run_sorts(self):
         planner = Planner(native="never")

@@ -271,8 +271,9 @@ def test_library_rung_runs_exactly_where_it_serves(
     tmp_path, run_engines, key_dtype, value_dtype, pair_packing
 ):
     """``native="auto"`` plans and runs the library rung for exactly
-    the run layouts :func:`library_serves` accepts under the sort's
-    packing — never for ``fused``/``off`` — with identical bytes."""
+    the run layouts :func:`library_serves` accepts for a file under the
+    sort's packing — every key file, 8/16-bit keys included, and pairs
+    of at most 32-bit keys under any packing — with identical bytes."""
     tmpdir = str(tmp_path)
     layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
     got, engine = _sort_file(tmpdir, "auto", layout, path, budget, pair_packing)
@@ -280,10 +281,9 @@ def test_library_rung_runs_exactly_where_it_serves(
         layout.records_in(path), layout.record_bytes, budget
     ).run_records
     serves = library_serves(
-        layout.key_bits, run_records, layout.is_pairs, pair_packing
+        layout.key_bits, run_records, layout.is_pairs, pair_packing, True
     )
-    if layout.is_pairs and pair_packing in ("fused", "off"):
-        assert not serves
+    assert serves == (not layout.is_pairs or layout.key_bits <= 32)
     assert (engine == "library") == serves
     assert set(run_engines) == {engine}
     assert got == _reference(layout, path, pair_packing)
@@ -360,6 +360,43 @@ def test_resume_finishes_the_other_rungs_runs(
     on_rung[0] = not spill_library
     report = sorter.resume(path, out, layout)
     assert set(run_engines) == {second}
+    assert 0 < report.reused_runs < report.n_runs
+    with open(out, "rb") as fh:
+        assert fh.read() == _reference(layout, path, "auto")
+
+
+@pytest.mark.parametrize(
+    "key_dtype, value_dtype",
+    [(np.uint16, None), (np.uint8, None), (np.uint16, np.uint32)],
+    ids=["uint16-keys", "uint8-keys", "uint16-pairs"],
+)
+def test_resume_keeps_narrow_key_runs_on_the_library(
+    tmp_path, run_engines, key_dtype, value_dtype
+):
+    """A resumed file sort re-sorts a file's 8/16-bit-key runs on the
+    library rung that cut them, as its first attempt did: the radix
+    engines' sorts of those runs would outgrow the budget they were
+    cut by."""
+    tmpdir = str(tmp_path)
+    layout, path, _ = _file_input(tmpdir, key_dtype, value_dtype, seed=6)
+    footprint = run_footprint(layout, "library")
+    budget = (layout.records_in(path) // 4 + 1) * footprint
+    out = os.path.join(tmpdir, "out.bin")
+    spool = os.path.join(tmpdir, "spool")
+    sorter = ExternalSorter(
+        memory_budget=budget, spool_dir=spool, retry_policy=None
+    )
+    with inject(FaultPlan.single("external.merge_read")):
+        with pytest.raises(TransientError):
+            sorter.sort_file(path, out, layout)
+    assert set(run_engines) == {"library"}
+    runs = sorted(n for n in os.listdir(spool) if n.startswith("run-"))
+    assert len(runs) > 2
+    for name in runs[::2]:
+        os.unlink(os.path.join(spool, name))
+    run_engines.clear()
+    report = sorter.resume(path, out, layout)
+    assert set(run_engines) == {"library"}
     assert 0 < report.reused_runs < report.n_runs
     with open(out, "rb") as fh:
         assert fh.read() == _reference(layout, path, "auto")

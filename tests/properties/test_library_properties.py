@@ -1,16 +1,17 @@
 """The library rung against the bits-space reference, entry by entry.
 
-One property: for every in-memory dtype, keys or pairs, and
-``pair_packing`` ``"auto"`` or ``"index"``, ``repro.sort``,
-``repro.sort_pairs``, ``repro.sort_records`` and ``SortService``
-(single requests and micro-batched bursts) return exactly the bytes of
-the §4.6 reference: the keys' bit patterns in stable sorted order, the
-values carried along.  Inputs mix in the values that break bijections
-and size-driven dispatch: NaNs with payloads of both signs, ±0.0,
-±inf, the integer min and max, all-equal keys, and n ∈ {0, 1, 2,
-2^k ± 1}.  Layouts the library rung serves must also have been planned
-onto it; 64-bit-key pairs run the compiled tier's gather-free pairs
-path (or the hybrid engine) and are held to the same bytes.
+One property: for every in-memory dtype, keys or pairs, and every
+``pair_packing``, ``repro.sort``, ``repro.sort_pairs``,
+``repro.sort_records`` and ``SortService`` (single requests and
+micro-batched bursts) return exactly the bytes of the §4.6 reference:
+the keys' bit patterns in stable sorted order (ties by value bits
+under ``"fused"`` packing), the values carried along.  Inputs mix in
+the values that break bijections and size-driven dispatch: NaNs with
+payloads of both signs, ±0.0, ±inf, the integer min and max,
+all-equal keys, and n ∈ {0, 1, 2, 2^k ± 1}.  Layouts the library rung
+serves must also have been planned onto it; 64-bit-key pairs run the
+compiled tier's gather-free pairs path (or the hybrid engine) and are
+held to the same bytes.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.keys import to_sortable_bits
 from repro.core.library import library_serves, stable_argsort
-from repro.core.pairs import make_records
+from repro.core.pairs import fused_packable, make_records
 from repro.plan.planner import layout_preset
 from repro.service import SortService
 
@@ -81,12 +82,15 @@ def make_keys(dtype: np.dtype, n: int, shape: str, seed: int) -> np.ndarray:
     return keys
 
 
-def reference(keys: np.ndarray, values: np.ndarray | None):
-    """Stable order of the §4.6 bit patterns: the bytes to match."""
-    order = np.argsort(to_sortable_bits(keys), kind="stable")
-    return keys[order].tobytes(), (
-        None if values is None else values[order].tobytes()
-    )
+def reference_order(
+    keys: np.ndarray, values: np.ndarray | None, packing: str
+) -> np.ndarray:
+    """Stable order of the §4.6 bit patterns, ties by the values' raw
+    bits under ``"fused"`` packing: the order to match."""
+    bits = to_sortable_bits(keys)
+    if values is not None and packing == "fused":
+        return np.lexsort((values.view(f"u{values.itemsize}"), bits))
+    return np.argsort(bits, kind="stable")
 
 
 def as_bytes(result):
@@ -120,21 +124,27 @@ async def through_service(keys, values, config, micro_batching):
     n=st.sampled_from(SIZES),
     shape=st.sampled_from(["mixed", "all-equal"]),
     value_dtype=st.sampled_from((None,) + VALUE_DTYPES),
-    packing=st.sampled_from(["auto", "index"]),
+    packing=st.sampled_from(["auto", "index", "off", "fused"]),
     seed=st.integers(0, 2**16),
 )
 def test_every_entry_point_matches_the_bits_space_reference(
     dtype, n, shape, value_dtype, packing, seed
 ):
     keys = make_keys(dtype, n, shape, seed)
-    values = (
-        None
-        if value_dtype is None
-        else np.random.default_rng(seed).permutation(n).astype(value_dtype)
-    )
-    want = reference(keys, values)
     key_bits = dtype.itemsize * 8
-    value_bits = 0 if values is None else values.dtype.itemsize * 8
+    value_bits = 0 if value_dtype is None else value_dtype.itemsize * 8
+    if packing == "fused" and not fused_packable(key_bits, value_bits):
+        packing = "off"  # every engine refuses records too wide to fuse
+    values = None
+    if value_dtype is not None:
+        rng = np.random.default_rng(seed)
+        # Few distinct values, so fused ties order by value bits.
+        raw = rng.integers(0, 5, n) if packing == "fused" else rng.permutation(n)
+        values = raw.astype(value_dtype)
+    order = reference_order(keys, values, packing)
+    want = keys[order].tobytes(), (
+        None if values is None else values[order].tobytes()
+    )
     config = None
     if packing != "auto":
         config = replace(
@@ -154,9 +164,7 @@ def test_every_entry_point_matches_the_bits_space_reference(
     if values is not None:
         records = repro.sort_records(make_records(keys, values), config=config)
         assert as_bytes(records) == want
-        expected_records = make_records(keys, values)[
-            np.argsort(to_sortable_bits(keys), kind="stable")
-        ]
+        expected_records = make_records(keys, values)[order]
         assert records.meta["records"].tobytes() == expected_records.tobytes()
 
     for micro_batching in (False, True):

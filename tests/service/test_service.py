@@ -487,8 +487,10 @@ class TestFileRequests:
     def test_file_pair_packing_reaches_the_planner(
         self, tmp_path, rng, packing
     ):
-        # The packing decides the run sorts' rung: fused ties order by
-        # value bits, which the library rung (position ties) cannot do.
+        # The packing decides how the library rung's run sorts order
+        # ties: fused words by value bits (the record and its word,
+        # twice, while they pack and unpack), key|position words by
+        # input position, in place beside their values (1.5 records).
         from repro.external import FileLayout, write_records
 
         layout = FileLayout(np.uint32, np.uint32)
@@ -507,8 +509,11 @@ class TestFileRequests:
                 )
 
         report = run(main())
-        engine = report.plan.step("spill-runs").params["engine"]
-        assert (engine == "library") == (packing == "auto")
+        step = report.plan.step("spill-runs")
+        assert step.params["engine"] == "library"
+        assert step.params["footprint_bytes"] == (
+            32 if packing == "fused" else 12
+        )
         repro.sort(src, output=str(tmp_path / "direct.bin"), **kwargs)
         served = (tmp_path / "served.bin").read_bytes()
         assert served == (tmp_path / "direct.bin").read_bytes()
