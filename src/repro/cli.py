@@ -13,9 +13,6 @@ Commands
     analytical bounds for a given input size.
 ``sweep``
     A quick Figure 6-style entropy sweep at a chosen sample size.
-``calibrate``
-    Time micro-probes on this host and write the host profile the
-    planner prices plans with.
 ``gen-file``
     Write a flat binary workload file (keys-only or interleaved
     key-value records) for the out-of-core sorter.
@@ -480,54 +477,6 @@ def cmd_plan(args) -> int:
     return 0
 
 
-def cmd_calibrate(args) -> int:
-    """Measure host micro-probes and write the host profile."""
-    import time as _time
-
-    from repro.cost.hostprofile import (
-        default_profile_path,
-        run_probes,
-        save_profile,
-    )
-
-    path = args.output or default_profile_path()
-    profile = run_probes(
-        args.n,
-        args.repeats,
-        quick=args.quick,
-        seed=args.seed,
-        timestamp=_time.time(),
-    )
-
-    def rate(bytes_per_s: float) -> str:
-        return f"{bytes_per_s / 1e6:,.1f} MB/s"
-
-    for layout, bandwidth in sorted(profile["counting_bandwidth"].items()):
-        print(f"counting-scatter {layout:7s}: {rate(bandwidth)}")
-    native = profile["native_bandwidth"]
-    if native:
-        for layout, bandwidth in sorted(native.items()):
-            print(f"native tier {layout:12s}: {rate(bandwidth)}")
-    else:
-        print("native tier            : unavailable (probe skipped)")
-    for layout, bandwidth in sorted(profile["library_bandwidth"].items()):
-        print(f"library rung {layout:11s}: {rate(bandwidth)}")
-    print(
-        f"stable argsort         : "
-        f"{profile['local_sort_keys_per_s'] / 1e6:.2f} Mkeys/s"
-    )
-    print(f"pair pack/unpack       : {rate(profile['pack_bandwidth'])}")
-    print(f"external spill         : {rate(profile['spill_bandwidth'])}")
-    print(f"external merge         : {rate(profile['merge_bandwidth'])}")
-    print(
-        f"thread speedup x2      : "
-        f"{profile['thread_speedup']['2']:.2f}"
-    )
-    fingerprint = save_profile(profile, path)
-    print(f"wrote {path} (fingerprint {fingerprint})")
-    return 0
-
-
 def cmd_serve(args) -> int:
     """Run the async sort service over JSON lines (stdin or --input)."""
     import asyncio
@@ -638,42 +587,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="apply the §6.1 small-input fallback policy",
     )
     p_plan.set_defaults(func=cmd_plan)
-
-    p_cal = sub.add_parser(
-        "calibrate",
-        help="measure host micro-probes and write the host profile "
-        "the planner prices plans with",
-    )
-    p_cal.add_argument(
-        "--output",
-        default=None,
-        help="profile path (default: $REPRO_HOST_PROFILE or "
-        "~/.cache/repro-host-profile.json)",
-    )
-    p_cal.add_argument(
-        "--n",
-        type=int,
-        default=None,
-        help="records per probe (default 2^21, or 2^17 with --quick)",
-    )
-    p_cal.add_argument(
-        "--repeats",
-        type=int,
-        default=None,
-        help="timing repeats per probe, best-of (default 3, 1 with --quick)",
-    )
-    p_cal.add_argument(
-        "--quick",
-        action="store_true",
-        help="small probes for CI and smoke runs (seconds, not minutes)",
-    )
-    p_cal.add_argument(
-        "--seed",
-        type=int,
-        default=20170514,
-        help="probe data seed (probes are deterministic given the seed)",
-    )
-    p_cal.set_defaults(func=cmd_calibrate)
 
     p_gen = sub.add_parser(
         "gen-file", help="write a flat binary workload file"

@@ -232,9 +232,8 @@ def native_traffic(sort_bits: int, n: int) -> tuple[int, int]:
     one bucket (2x).  A record is the kernel's two 8-byte lanes, 16
     bytes whatever the layout: the engine widens narrower keys, words
     and values into them.  The pass count still counts every pass of
-    the schedule.  The planner prices native steps with these bytes
-    and the host profile's native probe divides by them, so the two
-    agree by construction.
+    the schedule.  The planner prices native steps with these bytes,
+    and the sort service's measured rates divide by them.
 
     >>> native_traffic(64, 1 << 21)   # 2^21 records
     (2, 167772160)

@@ -1,30 +1,20 @@
-"""Cost models: paper constants, host profiles, measured feedback.
+"""Cost models: paper constants and measured feedback.
 
-Three tiers of estimate, each overriding the one before when present:
+Two sources of predicted seconds:
 
 * :mod:`repro.cost.calibration` holds every tunable constant with the
   paper anchor it was fitted against; :mod:`repro.cost.model` applies
   them to hybrid-sort traces and to the baseline sorters' pass
-  structures.  Always available — the documented fallback.
-* :mod:`repro.cost.hostprofile` measures this host's real rates with
-  ``repro calibrate`` micro-probes; :mod:`repro.cost.hostmodel` prices
-  the same plan shapes with them.
-* :mod:`repro.cost.feedback` closes the loop from service telemetry:
-  measured execute times per request signature, blended into the
-  planner's predictions.
+  structures.  Every plan the planner builds is priced this way
+  (``"paper-analytical"``, the §6 Titan X).
+* :mod:`repro.cost.feedback` learns this host's rates from measured
+  executions: seconds per byte for each strategy, layout and size
+  class, which the sort service prices its time budget with
+  (``"measured-feedback"``).
 """
 
 from repro.cost.calibration import Calibration, DEFAULT_CALIBRATION
 from repro.cost.feedback import CostFeedback
-from repro.cost.hostmodel import HostCostModel
-from repro.cost.hostprofile import (
-    HostProfile,
-    ProfileError,
-    default_profile_path,
-    load_host_profile,
-    run_probes,
-    save_profile,
-)
 from repro.cost.model import CostModel, LSDCostPreset, MergeSortCostPreset
 
 __all__ = [
@@ -32,13 +22,6 @@ __all__ = [
     "CostFeedback",
     "CostModel",
     "DEFAULT_CALIBRATION",
-    "HostCostModel",
-    "HostProfile",
     "LSDCostPreset",
     "MergeSortCostPreset",
-    "ProfileError",
-    "default_profile_path",
-    "load_host_profile",
-    "run_probes",
-    "save_profile",
 ]

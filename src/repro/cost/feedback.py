@@ -1,136 +1,104 @@
-"""Measured-feedback cost estimates: the telemetry half of calibration.
+"""Measured prices: seconds per byte learned from real executions.
 
-A host profile prices plans from micro-probes taken once; a running
-service knows something better — how long *this exact request shape*
-actually took, every time it ran.  :class:`CostFeedback` keeps an
-exponentially-weighted moving average of measured execute seconds per
-descriptor signature (the same tuple the plan cache keys on) and
-blends it into the planner's analytical prediction:
+The paper's model prices a plan on its Titan X (§6); a host runs at
+other rates.  :class:`CostFeedback` learns them from the executions
+themselves.  It keeps one exponentially
+weighted moving average of measured seconds per byte moved for each
+*rate key* — the plan's strategy, its key and value dtypes, and the
+size class ``n.bit_length()`` — and prices any plan whose key has at
+least one observation as
 
-    estimate = (1 − w) · predicted  +  w · ewma_measured,
-    w = observations / (observations + confidence)
+    predicted seconds = bytes_moved × measured seconds per byte.
 
-The blend is *monotone*: with a stable workload, more observations
-move the estimate strictly toward the measured value, converging on
-it — repeated shapes reach ≤2× prediction error after a handful of
-requests regardless of how the analytical model started out.  One
-shared instance is thread-safe (a lock guards the table); the service
-owns one and feeds it from request timings.
+So a size the service has never run is priced from the runs of its
+size class, not only from exact repeats.  Until a key has its first
+observation, the plan keeps its ``"paper-analytical"`` price; there is
+no probe: the first execution of a key seeds it.  The sort service
+owns one instance and feeds it from its unbatched executions.
 """
 
 from __future__ import annotations
 
 import threading
+from dataclasses import replace
 
 __all__ = ["CostFeedback"]
 
 
+def rate_key(plan) -> tuple:
+    """The rate a plan is priced at: (strategy, key dtype, value
+    dtype, ``n.bit_length()``)."""
+    desc = plan.descriptor
+    return (
+        plan.strategy,
+        desc.key_dtype.str,
+        None if desc.value_dtype is None else desc.value_dtype.str,
+        desc.n.bit_length(),
+    )
+
+
 class CostFeedback:
-    """Per-signature EWMA of measured seconds, blended into plans.
+    """Per-rate-key EWMA of measured seconds per byte moved.
 
     Parameters
     ----------
     smoothing:
         EWMA weight of the newest observation (0 < smoothing ≤ 1).
-    confidence:
-        How many observations it takes for the measured average to
-        outweigh the analytical prediction (w = n / (n + confidence)).
     """
 
-    def __init__(self, smoothing: float = 0.3, confidence: float = 3.0):
+    def __init__(self, smoothing: float = 0.3):
         if not 0.0 < smoothing <= 1.0:
             raise ValueError("smoothing must be in (0, 1]")
-        if confidence <= 0:
-            raise ValueError("confidence must be positive")
         self.smoothing = smoothing
-        self.confidence = confidence
         self._lock = threading.Lock()
-        self._table: dict[tuple, tuple[int, float]] = {}
+        # rate key -> (observations, seconds per byte)
+        self._rates: dict[tuple, tuple[int, float]] = {}
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._rates)
 
-    # ------------------------------------------------------------------
-    # Recording
-    # ------------------------------------------------------------------
-    def observe(self, signature: tuple, measured_seconds: float) -> None:
-        """Fold one measured execute time into the signature's EWMA."""
-        if measured_seconds <= 0:
-            return
-        with self._lock:
-            count, ewma = self._table.get(signature, (0, 0.0))
-            if count == 0:
-                ewma = measured_seconds
-            else:
-                ewma += self.smoothing * (measured_seconds - ewma)
-            self._table[signature] = (count + 1, ewma)
+    def observe(self, plan, measured_seconds: float) -> bool:
+        """Fold one execution of ``plan`` into its rate key's EWMA.
 
-    def observations(self, signature: tuple) -> int:
-        """How many measurements this signature has accumulated."""
-        entry = self._table.get(signature)
-        return 0 if entry is None else entry[0]
-
-    def version(self, signature: tuple) -> int:
-        """Cache-staleness token: advances with every observation, so
-        a plan cached under an older version gets re-priced."""
-        return self.observations(signature)
-
-    # ------------------------------------------------------------------
-    # Estimating
-    # ------------------------------------------------------------------
-    def estimate(self, signature: tuple, predicted_seconds: float) -> float:
-        """Blend the analytical prediction with measured history."""
-        entry = self._table.get(signature)
-        if entry is None:
-            return predicted_seconds
-        count, ewma = entry
-        weight = count / (count + self.confidence)
-        return (1.0 - weight) * predicted_seconds + weight * ewma
-
-    def apply(self, plan, signature: tuple):
-        """Re-price a plan from measured history, when there is any.
-
-        Step costs scale proportionally so the total equals the
-        blended estimate and per-step shares stay meaningful; the
-        plan's ``cost_source`` flips to ``"measured-feedback"``.  A
-        signature with no observations returns the plan unchanged.
+        Returns whether it did: plans that move no bytes, and
+        non-positive times, say nothing about a rate and are skipped.
         """
-        from dataclasses import replace
+        bytes_moved = plan.bytes_moved
+        if measured_seconds <= 0 or bytes_moved <= 0:
+            return False
+        rate = measured_seconds / bytes_moved
+        key = rate_key(plan)
+        with self._lock:
+            count, ewma = self._rates.get(key, (0, rate))
+            ewma += self.smoothing * (rate - ewma)
+            self._rates[key] = (count + 1, ewma)
+        return True
 
-        entry = self._table.get(signature)
+    def observations(self, plan) -> int:
+        """How many executions priced ``plan``'s rate key."""
+        return self._rates.get(rate_key(plan), (0, 0.0))[0]
+
+    def seconds(self, plan) -> float:
+        """``plan``'s predicted seconds: its bytes at the measured rate,
+        or its own prediction while the rate key has no history."""
+        entry = self._rates.get(rate_key(plan))
+        if entry is None:
+            return plan.predicted_seconds
+        return plan.bytes_moved * entry[1]
+
+    def apply(self, plan):
+        """``plan`` re-priced at its measured rate, when there is one.
+
+        Each step costs its bytes at the rate, and ``cost_source``
+        becomes ``"measured-feedback"``; a rate key with no history
+        returns the plan itself.
+        """
+        entry = self._rates.get(rate_key(plan))
         if entry is None:
             return plan
-        base = plan.predicted_seconds
-        target = self.estimate(signature, base)
-        factor = target / base if base > 0 else 1.0
-        if base <= 0:
-            # A degenerate zero-cost plan: put the whole estimate on
-            # the first step rather than multiply nothing by something.
-            steps = tuple(
-                replace(step, predicted_seconds=target if i == 0 else 0.0)
-                for i, step in enumerate(plan.steps)
-            )
-        else:
-            steps = tuple(
-                replace(
-                    step, predicted_seconds=step.predicted_seconds * factor
-                )
-                for step in plan.steps
-            )
+        rate = entry[1]
+        steps = tuple(
+            replace(step, predicted_seconds=step.bytes_moved * rate)
+            for step in plan.steps
+        )
         return replace(plan, steps=steps, cost_source="measured-feedback")
-
-    def to_dict(self) -> dict:
-        """Telemetry snapshot: per-signature counts and averages."""
-        with self._lock:
-            return {
-                "signatures": len(self._table),
-                "observations": sum(c for c, _ in self._table.values()),
-                "entries": [
-                    {
-                        "signature": list(sig),
-                        "count": count,
-                        "ewma_seconds": ewma,
-                    }
-                    for sig, (count, ewma) in self._table.items()
-                ],
-            }

@@ -173,8 +173,7 @@ class InputDescriptor:
 
         Everything :meth:`Planner.plan` reads from the descriptor is
         in here; two descriptors with equal signatures always plan
-        identically.  The plan cache keys on it and the measured-
-        feedback loop accumulates execute times under it.
+        identically.  The plan cache keys on it.
         """
         return (
             self.n,

@@ -94,13 +94,10 @@ class SortPlan:
         without disturbing the strategy/reason contract.
     cost_source:
         Where ``predicted_seconds`` came from: ``"paper-analytical"``
-        (the §6 Titan X constants — the documented fallback),
-        ``"host-profile"`` (micro-probe constants from
-        ``repro calibrate``), or ``"measured-feedback"`` (blended with
-        this signature's measured execute times).
-    profile_fingerprint:
-        Content hash of the host profile that priced the plan, or
-        ``None`` when no profile was involved.
+        (the §6 Titan X constants, what the planner prices every plan
+        with) or ``"measured-feedback"`` (the plan's bytes at the rate
+        the sort service measured for its strategy, layout and size
+        class; see :class:`~repro.cost.feedback.CostFeedback`).
     """
 
     descriptor: object
@@ -110,7 +107,6 @@ class SortPlan:
     reason: str = ""
     notes: tuple[str, ...] = ()
     cost_source: str = "paper-analytical"
-    profile_fingerprint: str | None = None
 
     @property
     def predicted_seconds(self) -> float:
@@ -169,10 +165,7 @@ class SortPlan:
             f"predicted total : {self.predicted_seconds * 1e3:.3f} ms "
             f"({self.bytes_moved / 1e6:.1f} MB moved)"
         )
-        source = self.cost_source
-        if self.profile_fingerprint:
-            source += f" ({self.profile_fingerprint})"
-        lines.append(f"cost source     : {source}")
+        lines.append(f"cost source     : {self.cost_source}")
         for note in self.notes:
             lines.append(f"note            : {note}")
         return "\n".join(lines)
@@ -189,5 +182,4 @@ class SortPlan:
             "predicted_seconds": self.predicted_seconds,
             "bytes_moved": self.bytes_moved,
             "cost_source": self.cost_source,
-            "profile_fingerprint": self.profile_fingerprint,
         }

@@ -31,15 +31,14 @@ absorbs all of those decisions into a single code path that maps an
 
 Planning never touches input data: every decision is a function of the
 descriptor alone, so plans are deterministic, cheap, and serialisable.
-Cost annotations come from three tiers, best available wins — the
-paper-anchored models (:class:`~repro.core.analytical.AnalyticalModel`
-pass counts, the LSD baseline's
-:class:`~repro.cost.model.LSDCostPreset` pricing,
-:class:`~repro.hetero.merge.CpuMergeModel`), a measured
-:class:`~repro.cost.hostprofile.HostProfile` from ``repro calibrate``
-when one exists, and per-signature measured-execute feedback
-(:class:`~repro.cost.feedback.CostFeedback`) when a service supplies
-it.  Every plan records which tier priced it in ``cost_source``.
+Every plan is priced by the paper-anchored models
+(:class:`~repro.core.analytical.AnalyticalModel` pass counts, the LSD
+baseline's :class:`~repro.cost.model.LSDCostPreset` pricing,
+:class:`~repro.hetero.merge.CpuMergeModel`) in the §6 device's
+seconds, ``cost_source="paper-analytical"``; the sort service re-prices
+plans from its own measured executions
+(:class:`~repro.cost.feedback.CostFeedback`).  Prices never change a
+route.
 """
 
 from __future__ import annotations
@@ -48,8 +47,6 @@ from dataclasses import replace
 
 from repro.core.analytical import AnalyticalModel
 from repro.core.config import SortConfig
-from repro.cost.hostmodel import HostCostModel
-from repro.cost.hostprofile import HostProfile, load_host_profile
 from repro.errors import ConfigurationError
 from repro.hetero.chunking import max_chunk_bytes, plan_chunks
 from repro.hetero.merge import CpuMergeModel
@@ -119,9 +116,6 @@ class Planner:
     key_crossover / pair_crossover:
         The adaptive thresholds; defaults are the paper's measured
         worst-case crossovers.
-    in_place_replacement:
-        Chunk-buffer accounting for budgeted plans: three buffers with
-        the Figure 5 layout, four without.
     native:
         Engine policy for in-memory inputs.  ``"auto"`` (default)
         sends every layout the library rung serves (keys, a file's
@@ -136,20 +130,6 @@ class Planner:
         native tier for any in-memory input or run regardless of the
         probe (the executor degrades typed when the tier is missing —
         what ``repro sort --engine native`` relies on).
-    profile:
-        Host-calibration policy.  ``"auto"`` (default) loads the
-        calibrated :class:`~repro.cost.hostprofile.HostProfile` from
-        its configured path when one exists (missing file = paper
-        constants, silently); a :class:`HostProfile` instance or a
-        path string pins a specific profile; ``None`` disables
-        calibration so plans are priced exactly as before this layer
-        existed.  Profiles change predicted seconds, never a plan's
-        structure.
-    feedback:
-        Optional :class:`~repro.cost.feedback.CostFeedback` — measured
-        execute times per descriptor signature, blended into
-        predictions by :meth:`plan`.  The service wires one up; plain
-        planners run without.
     """
 
     def __init__(
@@ -158,10 +138,7 @@ class Planner:
         adaptive: bool = False,
         key_crossover: int = PAPER_CROSSOVER_KEYS,
         pair_crossover: int = PAPER_CROSSOVER_PAIRS,
-        in_place_replacement: bool = True,
         native: str = "auto",
-        profile: HostProfile | str | None = "auto",
-        feedback=None,
     ) -> None:
         if key_crossover < 0 or pair_crossover < 0:
             raise ConfigurationError("crossovers must be non-negative")
@@ -173,21 +150,7 @@ class Planner:
         self.adaptive = adaptive
         self.key_crossover = key_crossover
         self.pair_crossover = pair_crossover
-        self.in_place_replacement = in_place_replacement
         self.native = native
-        if profile == "auto":
-            profile = load_host_profile()
-        elif isinstance(profile, str):
-            profile = load_host_profile(profile)
-        self.profile = profile
-        self.host = None if profile is None else HostCostModel(profile)
-        self.feedback = feedback
-        self._cost_source = (
-            "paper-analytical" if self.host is None else "host-profile"
-        )
-        self._fingerprint = (
-            None if self.host is None else self.host.fingerprint or None
-        )
 
     # ------------------------------------------------------------------
     # The strategy decision
@@ -200,32 +163,17 @@ class Planner:
     def fits_in_memory(self, descriptor: InputDescriptor) -> bool:
         """Whether the input plus its double buffer fits the budget.
 
-        Uses the same three-buffer accounting the chunk planner applies
+        Uses the §5 three-buffer accounting the chunk planner applies
         (:func:`repro.hetero.chunking.max_chunk_bytes`), so "fits" here
         and "one chunk" there are the same statement.
         """
         if descriptor.memory_budget is None:
             return True
-        limit = max_chunk_bytes(
-            in_place_replacement=self.in_place_replacement,
-            budget_bytes=descriptor.memory_budget,
-        )
+        limit = max_chunk_bytes(budget_bytes=descriptor.memory_budget)
         return descriptor.total_bytes <= limit
 
     def plan(self, descriptor: InputDescriptor) -> SortPlan:
-        """Choose the strategy and lay out the steps for one input.
-
-        When a :class:`~repro.cost.feedback.CostFeedback` is attached
-        and has observed this signature, the plan's predicted seconds
-        are re-blended toward the measured history (structure and
-        strategy are untouched — feedback re-prices, it never re-routes).
-        """
-        plan = self._choose(descriptor)
-        if self.feedback is not None:
-            plan = self.feedback.apply(plan, descriptor.signature())
-        return plan
-
-    def _choose(self, descriptor: InputDescriptor) -> SortPlan:
+        """Choose the strategy and lay out the steps for one input."""
         if descriptor.source == "file":
             return self.plan_external(descriptor)
         if not self.fits_in_memory(descriptor):
@@ -316,14 +264,10 @@ class Planner:
         n = descriptor.n
         total = descriptor.total_bytes
         if n <= config.local_threshold:
-            if self.host is not None:
-                local_seconds = self.host.local_sort_seconds(n)
-            else:
-                local_seconds = self._stream_seconds(descriptor, 2 * total)
             step = PlanStep(
                 kind="local-sort",
                 params={"n": n, "capacity": config.local_threshold},
-                predicted_seconds=local_seconds,
+                predicted_seconds=self._stream_seconds(descriptor, 2 * total),
                 bytes_moved=2 * total,
             )
             reason = (
@@ -343,8 +287,6 @@ class Planner:
             steps=(step,),
             reason=reason,
             notes=() if native_note is None else (native_note,),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
         )
 
     def _plan_native(
@@ -361,18 +303,12 @@ class Planner:
                 f"counting-scatter with write-combined MSD partition"
             ),
             notes=(note,),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
         )
 
     def _plan_library(self, descriptor: InputDescriptor) -> SortPlan:
         """One ``np.sort`` over the §4.6 bits (packed words for pairs)."""
         n = descriptor.n
         bytes_moved = 2 * descriptor.total_bytes
-        if self.host is not None:
-            seconds = self.host.library_seconds(descriptor, bytes_moved)
-        else:
-            seconds = bytes_moved / descriptor.spec.effective_bandwidth
         if not descriptor.has_values:
             packing, words = "keys", "key bits"
         elif self._config_for(descriptor).pair_packing == "fused":
@@ -382,7 +318,7 @@ class Planner:
         step = PlanStep(
             kind="library-sort",
             params={"n": n, "packing": packing},
-            predicted_seconds=seconds,
+            predicted_seconds=self._stream_seconds(descriptor, bytes_moved),
             bytes_moved=bytes_moved,
         )
         return SortPlan(
@@ -398,8 +334,6 @@ class Planner:
                 "library rung selected: np.sort outruns the compiled "
                 "tier on this layout",
             ),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
         )
 
     def _plan_fallback(self, descriptor: InputDescriptor) -> SortPlan:
@@ -413,19 +347,13 @@ class Planner:
             else descriptor.value_dtype.itemsize
         )
         passes = fallback.preset.passes_for(descriptor.key_bits)
-        if self.host is not None:
-            # The executed fallback is one stable NumPy sort on this
-            # host, not a simulated GPU LSD — price it as such.
-            fallback_seconds = self.host.local_sort_seconds(descriptor.n)
-        else:
-            fallback_seconds = fallback.simulated_seconds(
-                descriptor.n, key_bytes, value_bytes
-            )
         step = PlanStep(
             kind="lsd-fallback",
             params={"n": descriptor.n, "passes": passes,
                     "baseline": fallback.preset.name},
-            predicted_seconds=fallback_seconds,
+            predicted_seconds=fallback.simulated_seconds(
+                descriptor.n, key_bytes, value_bytes
+            ),
             bytes_moved=3 * passes * descriptor.total_bytes,
         )
         threshold = (
@@ -442,8 +370,6 @@ class Planner:
                 f"{descriptor.n:,} records fall short of the §6.1 "
                 f"crossover ({threshold:,}); LSD baseline wins"
             ),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
         )
 
     def plan_chunked(self, descriptor: InputDescriptor) -> SortPlan:
@@ -463,9 +389,7 @@ class Planner:
                 "the chunked strategy needs a memory_budget"
             )
         chunk_plan = plan_chunks(
-            descriptor.total_bytes,
-            in_place_replacement=self.in_place_replacement,
-            budget_bytes=descriptor.memory_budget,
+            descriptor.total_bytes, budget_bytes=descriptor.memory_budget
         )
         n_chunks = chunk_plan.n_chunks
         # The executor cuts even chunks, none over this many records.
@@ -491,8 +415,10 @@ class Planner:
         merge_step = PlanStep(
             kind="kway-merge",
             params={"n_runs": n_chunks, "where": "host"},
-            predicted_seconds=self._merge_seconds(
-                total, n_chunks, descriptor.record_bytes
+            predicted_seconds=CpuMergeModel().merge_seconds(
+                total_bytes=total,
+                n_runs=n_chunks,
+                record_bytes=descriptor.record_bytes,
             ),
             bytes_moved=2 * total,
         )
@@ -506,8 +432,6 @@ class Planner:
                 f"sorted by the {engine} engine, then an in-memory "
                 f"k-way merge"
             ),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
         )
 
     def plan_external(self, descriptor: InputDescriptor) -> SortPlan:
@@ -516,9 +440,9 @@ class Planner:
         Run sizing delegates to :func:`repro.external.runs.plan_runs`.
         The in-memory engine every run sort uses is chosen once, by
         :meth:`run_engine`, for the descriptor's ``pair_packing`` and
-        the run size of §5's three-buffer rule — the radix engines'
-        footprint, so the native floor sees the runs they would sort.
-        The runs are then cut by that engine's footprint
+        the runs the native kernel's footprint would cut, so the native
+        floor sees the runs it would sort.  The runs are then cut by
+        the chosen engine's footprint
         (:func:`repro.external.runs.run_footprint`), with the
         descriptor's ``workers`` runs in flight sharing the budget; the
         ``spill-runs`` step records the engine, why, and the footprint
@@ -531,45 +455,38 @@ class Planner:
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
         n, record_bytes = descriptor.n, descriptor.record_bytes
         workers = descriptor.workers
+        layout = FileLayout(descriptor.key_dtype, descriptor.value_dtype)
+        packing = self._config_for(descriptor).pair_packing
+        native_runs = plan_runs(
+            n, record_bytes, budget,
+            run_footprint(layout, "native", packing), workers,
+        )
         engine, engine_note = self.run_engine(
-            descriptor,
-            plan_runs(n, record_bytes, budget, workers=workers).run_records,
+            descriptor, native_runs.run_records
         )
-        footprint = run_footprint(
-            FileLayout(descriptor.key_dtype, descriptor.value_dtype),
-            engine,
-            self._config_for(descriptor).pair_packing,
-        )
+        footprint = run_footprint(layout, engine, packing)
         run_plan = plan_runs(n, record_bytes, budget, footprint, workers)
         total = descriptor.total_bytes
-        if self.host is not None:
-            # The spill probe folds sort cost into the measured
-            # read+sort+write rate; the merge probe measured the
-            # single streaming k-way pass the executor actually runs.
-            spill_seconds = self.host.spill_seconds(total)
-            merge_seconds = self.host.external_merge_seconds(total)
-        else:
-            disk_seconds = 2 * total / HOST_DISK_BANDWIDTH
-            # Runs are cut evenly: each holds run_records or one record
-            # fewer, so price the two sizes instead of every run.
-            n_runs, longest = run_plan.n_runs, run_plan.run_records
-            long_runs = descriptor.n - n_runs * (longest - 1)
-            sort_seconds = long_runs * self._run_sort_seconds(
-                descriptor, engine, longest
+        # Runs are cut evenly: each holds run_records or one record
+        # fewer, so price the two sizes instead of every run.
+        n_runs, longest = run_plan.n_runs, run_plan.run_records
+        long_runs = descriptor.n - n_runs * (longest - 1)
+        sort_seconds = long_runs * self._run_sort_seconds(
+            descriptor, engine, longest
+        )
+        if long_runs < n_runs:
+            sort_seconds += (n_runs - long_runs) * self._run_sort_seconds(
+                descriptor, engine, longest - 1
             )
-            if long_runs < n_runs:
-                sort_seconds += (n_runs - long_runs) * self._run_sort_seconds(
-                    descriptor, engine, longest - 1
-                )
-            spill_seconds = disk_seconds + sort_seconds
-            merge_seconds = (
-                2 * total / HOST_DISK_BANDWIDTH
-                + CpuMergeModel().merge_seconds(
-                    total_bytes=total,
-                    n_runs=max(1, run_plan.n_runs),
-                    record_bytes=descriptor.record_bytes,
-                )
+        spill_seconds = 2 * total / HOST_DISK_BANDWIDTH + sort_seconds
+        merge_seconds = (
+            2 * total / HOST_DISK_BANDWIDTH
+            + CpuMergeModel().merge_seconds(
+                total_bytes=total,
+                n_runs=max(1, run_plan.n_runs),
+                record_bytes=descriptor.record_bytes,
             )
+        )
         runs_step = PlanStep(
             kind="spill-runs",
             params={
@@ -601,8 +518,6 @@ class Planner:
                 f"run(s) of ≤ {run_plan.run_records:,} records sorted "
                 f"by the {engine} engine, then a streaming merge"
             ),
-            cost_source=self._cost_source,
-            profile_fingerprint=self._fingerprint,
         )
 
     def run_engine(
@@ -643,12 +558,9 @@ class Planner:
         """Price of one ``n``-record run or chunk sort on ``engine``."""
         n = max(1, n)
         if engine == "library":
-            bytes_moved = 2 * n * descriptor.record_bytes
-            if self.host is not None:
-                return self.host.library_seconds(
-                    replace(descriptor, n=n), bytes_moved
-                )
-            return bytes_moved / descriptor.spec.effective_bandwidth
+            return self._stream_seconds(
+                descriptor, 2 * n * descriptor.record_bytes
+            )
         if engine == "native":
             return self._native_step(descriptor, n).predicted_seconds
         return self._msd_step(
@@ -676,28 +588,9 @@ class Planner:
     def _stream_seconds(
         self, descriptor: InputDescriptor, bytes_moved: int
     ) -> float:
-        """Seconds for streaming ``bytes_moved`` of engine traffic.
-
-        Calibrated hosts use the measured counting-scatter bandwidth
-        for the layout (worker speedup applied); uncalibrated planning
-        divides by the paper spec's effective bandwidth, exactly as
-        before the host-profile layer existed.
-        """
-        if self.host is not None:
-            return self.host.counting_seconds(descriptor, bytes_moved)
+        """Seconds for streaming ``bytes_moved`` of engine traffic at
+        the paper spec's effective bandwidth."""
         return bytes_moved / descriptor.spec.effective_bandwidth
-
-    def _merge_seconds(
-        self, total_bytes: int, n_runs: int, record_bytes: int
-    ) -> float:
-        """Host k-way reduce pricing (profile rate or CpuMergeModel)."""
-        if self.host is not None:
-            return self.host.merge_seconds(total_bytes, n_runs, record_bytes)
-        return CpuMergeModel().merge_seconds(
-            total_bytes=total_bytes,
-            n_runs=n_runs,
-            record_bytes=record_bytes,
-        )
 
     def _native_step(self, descriptor: InputDescriptor, n: int) -> PlanStep:
         """Price ``n`` records through the compiled counting-scatter.
@@ -714,10 +607,6 @@ class Planner:
         key_bits = self._config_for(descriptor).key_bits
         msd_width, splits, inner = native_pairs_pass_plan(key_bits, n)
         passes, bytes_moved = native_traffic(key_bits, n)
-        if self.host is not None:
-            seconds = self.host.native_seconds(descriptor, bytes_moved)
-        else:
-            seconds = self._stream_seconds(descriptor, bytes_moved)
         return PlanStep(
             kind="native-lsd",
             params={
@@ -727,7 +616,7 @@ class Planner:
                 "split_widths": "+".join(map(str, splits)) or "none",
                 "inner_widths": "+".join(map(str, inner)) or "insertion",
             },
-            predicted_seconds=seconds,
+            predicted_seconds=self._stream_seconds(descriptor, bytes_moved),
             bytes_moved=bytes_moved,
         )
 

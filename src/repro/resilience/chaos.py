@@ -206,7 +206,6 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     ``engine.hetero`` request plans as in production, and must sort
     its chunks on :data:`HETERO_CHUNK_RUNG`.
     """
-    from repro.cost.feedback import CostFeedback
     from repro.plan import Planner
     from repro.service import SortService
 
@@ -226,7 +225,7 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
         async with SortService(
             micro_batching=False,
             watchdog_timeout=1.0,
-            planner=Planner(native=native, feedback=CostFeedback()),
+            planner=Planner(native=native),
         ) as svc:
             data = keys
             if site == "engine.external":

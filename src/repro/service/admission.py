@@ -9,9 +9,9 @@ constraint one level up: the sum of every in-flight request's working
 set must fit the machine.  This module reuses the three-buffer
 accounting as the admission currency:
 
-* an in-memory plan (``hybrid`` / ``fallback``) charges three times its
-  input bytes — input, auxiliary, output, exactly the buffers the
-  engine's double-buffered pass loop touches;
+* an in-memory plan (``library``, ``native``, ``hybrid`` or
+  ``fallback``) charges three times its input bytes — input,
+  auxiliary, output, the buffers a double-buffered pass loop touches;
 * a ``hetero`` (chunked) plan charges three times its *chunk* size: the
   whole point of chunking is that only the pipeline's resident buffers
   occupy memory, however large the input;

@@ -31,9 +31,8 @@ def descriptor_signature(descriptor: InputDescriptor) -> tuple:
 
     Everything :meth:`Planner.plan` reads from the descriptor is in
     here; two descriptors with equal signatures always plan identically.
-    The tuple now lives on the descriptor itself
-    (:meth:`InputDescriptor.signature`) so the measured-feedback loop
-    and this cache key on the *same* identity by construction.
+    The tuple lives on the descriptor itself
+    (:meth:`InputDescriptor.signature`).
     """
     return descriptor.signature()
 
@@ -55,18 +54,12 @@ class PlanCache:
 
     def __init__(self, maxsize: int = 128) -> None:
         self.maxsize = max(0, int(maxsize))
-        # signature -> (plan, feedback_version_at_plan_time)
-        self._plans: OrderedDict[tuple, tuple[SortPlan, int]] = OrderedDict()
+        self._plans: OrderedDict[tuple, SortPlan] = OrderedDict()
         self.hits = 0
         self.misses = 0
 
     def __len__(self) -> int:
         return len(self._plans)
-
-    @staticmethod
-    def _feedback_version(planner: Planner, key: tuple) -> int:
-        feedback = getattr(planner, "feedback", None)
-        return 0 if feedback is None else feedback.version(key)
 
     def get_or_plan(
         self, planner: Planner, descriptor: InputDescriptor
@@ -75,26 +68,20 @@ class PlanCache:
 
         Returns ``(plan, cache_hit)``.  File descriptors bypass the
         cache entirely (their record count is a filesystem fact that
-        can change between requests to the same path).  A planner with
-        measured feedback re-plans when the signature has accumulated
-        new observations since the cached entry was priced, so cached
-        predictions track the measured history instead of fossilising
-        the first estimate.
+        can change between requests to the same path).
         """
         if self.maxsize == 0 or descriptor.source == "file":
             self.misses += 1
             return planner.plan(descriptor), False
         key = descriptor_signature(descriptor)
-        version = self._feedback_version(planner, key)
-        entry = self._plans.get(key)
-        if entry is not None and entry[1] == version:
+        plan = self._plans.get(key)
+        if plan is not None:
             self._plans.move_to_end(key)
             self.hits += 1
-            return entry[0], True
+            return plan, True
         self.misses += 1
         plan = planner.plan(descriptor)
-        self._plans[key] = (plan, version)
-        self._plans.move_to_end(key)
+        self._plans[key] = plan
         while len(self._plans) > self.maxsize:
             self._plans.popitem(last=False)
         return plan, False

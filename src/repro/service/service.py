@@ -135,22 +135,22 @@ class SortService:
         scheduler sheds small batchable requests with
         :class:`~repro.errors.OverloadedError` (``stats.shed``).
     time_budget:
-        Optional seconds cap per request: a plan whose
-        ``predicted_seconds`` exceeds it is rejected at admission with
+        Optional seconds cap per request: a plan priced over it is
+        rejected at admission with
         :class:`~repro.errors.AdmissionError`
-        (``stats.rejected_time_budget``).  Priced by the same cost
-        model as everything else — a calibrated host profile plus the
-        measured-feedback loop make this an honest wall-clock gate,
-        not a bytes proxy.
+        (``stats.rejected_time_budget``).  The price is the service's
+        measured one (below) once the plan's strategy, layout and size
+        class have run here, and the paper's §6 Titan X seconds
+        before, which admit almost anything on a host.
 
-    The default planner carries a
-    :class:`~repro.cost.feedback.CostFeedback`: every completed
-    unbatched in-memory request feeds its measured execute time back
-    under the request's descriptor signature, and subsequent plans for
-    that signature re-blend their predictions toward the measurement
-    (the plan cache re-plans stale entries).  Repeat workloads
-    converge toward real wall-clock regardless of where the analytical
-    estimate started.
+    The service owns a :class:`~repro.cost.feedback.CostFeedback`
+    (``self.feedback``): every completed unbatched request feeds its
+    measured execute time back as seconds per byte moved, under its
+    plan's strategy, key and value dtypes and size class
+    (``n.bit_length()``).  From then on every plan with that rate key
+    is priced at its bytes times the measured rate, for the time
+    budget, and an unbatched result's ``meta["plan"]`` carries that
+    price with ``cost_source="measured-feedback"``.
 
     Use as an async context manager::
 
@@ -200,7 +200,8 @@ class SortService:
         self.batch_max_records = int(batch_max_records)
         self.batch_window = float(batch_window)
         self.time_budget = time_budget
-        self.planner = planner or Planner(feedback=CostFeedback())
+        self.planner = planner or Planner()
+        self.feedback = CostFeedback()
         self.registry = registry
         self.spec = spec
         self.retry_policy = retry_policy
@@ -609,7 +610,8 @@ class SortService:
     # Planning
     # ------------------------------------------------------------------
     def _plan_request(self, request: SortRequest) -> SortPlan:
-        """Plan one request, through the cache when the planner allows.
+        """Plan one request, through the cache when the planner allows,
+        and hold its price to the time budget.
 
         A per-request ``config=`` changes the plan in ways the cache
         signature does not capture, so those requests plan fresh.
@@ -630,16 +632,19 @@ class SortService:
             self.stats.plan_cache_hits += 1
         else:
             self.stats.plan_cache_misses += 1
-        if (
-            self.time_budget is not None
-            and plan.predicted_seconds > self.time_budget
-        ):
-            self.stats.rejected_time_budget += 1
-            raise AdmissionError(
-                f"plan predicts {plan.predicted_seconds:.3g}s "
-                f"({plan.cost_source}), over the service time budget "
-                f"of {self.time_budget:.3g}s"
-            )
+        if self.time_budget is not None:
+            seconds = self.feedback.seconds(plan)
+            if seconds > self.time_budget:
+                self.stats.rejected_time_budget += 1
+                source = (
+                    "measured-feedback"
+                    if self.feedback.observations(plan)
+                    else plan.cost_source
+                )
+                raise AdmissionError(
+                    f"plan predicts {seconds:.3g}s ({source}), over the "
+                    f"service time budget of {self.time_budget:.3g}s"
+                )
         return plan
 
     # ------------------------------------------------------------------
@@ -648,7 +653,7 @@ class SortService:
     async def _run_single(self, request: SortRequest) -> None:
         request.timing.queue_wait = time.perf_counter() - request.enqueued_at
         try:
-            plan = self._plan_request(request)
+            plan = self.feedback.apply(self._plan_request(request))
             resident = plan_resident_bytes(plan)
             await self.admission.acquire(resident)
         except AdmissionError as exc:
@@ -683,6 +688,11 @@ class SortService:
             self._record_outcome(True)
             self._finish(request, plan, result)
             self.stats.record_batch(1)
+            # Only unbatched requests price their rate key: a batch
+            # member's execute time is the whole coalition's.
+            if self.feedback.observe(plan, request.timing.execute_seconds):
+                self.stats.feedback_observations += 1
+                self.stats.feedback_keys = len(self.feedback)
         except Exception as exc:
             self.stats.failed += 1
             self._record_outcome(False)
@@ -844,28 +854,3 @@ class SortService:
             meta["service"] = request.timing.to_dict()
         request.resolve(result)
         self.stats.record(request.timing, plan.strategy)
-        self._observe_feedback(request)
-
-    def _observe_feedback(self, request: SortRequest) -> None:
-        """Feed one measured execute time back into the cost model.
-
-        Only unbatched in-memory requests observe: a batch member's
-        ``execute_seconds`` is the whole coalition's dispatch time, and
-        a file descriptor's signature can go stale with the file —
-        neither is a clean measurement of this signature's cost.
-        """
-        feedback = getattr(self.planner, "feedback", None)
-        if feedback is None:
-            return
-        timing = request.timing
-        if (
-            timing.batch_size != 1
-            or timing.execute_seconds <= 0
-            or request.descriptor.source == "file"
-        ):
-            return
-        feedback.observe(
-            request.descriptor.signature(), timing.execute_seconds
-        )
-        self.stats.feedback_observations += 1
-        self.stats.feedback_signatures = len(feedback)

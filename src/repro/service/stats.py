@@ -83,13 +83,13 @@ class ServiceStats:
         deadline expired before execution, and small requests shed
         under overload (each with a retry-after hint).
     rejected_time_budget:
-        Requests refused because the plan's ``predicted_seconds``
-        exceeded the service's ``time_budget`` — admission control
-        priced in *time*, not just bytes.
-    feedback_observations / feedback_signatures:
-        The measured-feedback loop: execute times folded into the
-        planner's :class:`~repro.cost.feedback.CostFeedback` table,
-        and how many distinct request signatures have history.
+        Requests refused because the plan's price exceeded the
+        service's ``time_budget`` — admission control priced in
+        *time*, not just bytes.
+    feedback_observations / feedback_keys:
+        Measured prices: execute times folded into the service's
+        :class:`~repro.cost.feedback.CostFeedback`, and how many rate
+        keys (strategy, layout, size class) have a measured rate.
     """
 
     submitted: int = 0
@@ -113,7 +113,7 @@ class ServiceStats:
     shed: int = 0
     rejected_time_budget: int = 0
     feedback_observations: int = 0
-    feedback_signatures: int = 0
+    feedback_keys: int = 0
     by_strategy: dict = field(default_factory=dict)
 
     def record(self, timing: RequestTiming, strategy: str) -> None:
@@ -163,6 +163,6 @@ class ServiceStats:
             "shed": self.shed,
             "rejected_time_budget": self.rejected_time_budget,
             "feedback_observations": self.feedback_observations,
-            "feedback_signatures": self.feedback_signatures,
+            "feedback_keys": self.feedback_keys,
             "by_strategy": dict(self.by_strategy),
         }

@@ -26,8 +26,8 @@ from repro.resilience import faults
 
 _FD_DIR = "/proc/self/fd"
 
-#: Temp-directory entries the package creates (spools, calibration and
-#: chaos work dirs) and its atomic-write temp files.
+#: Temp-directory entries the package creates (spools and chaos work
+#: dirs) and its atomic-write temp files.
 _TEMP_PREFIXES = ("repro-", ".tmp-")
 
 #: Threads named so belong to the shared pools ``parallel.get_context``
@@ -108,20 +108,6 @@ def clean_faults():
     faults.uninstall()
     yield
     faults.uninstall()
-
-
-@pytest.fixture(autouse=True)
-def _no_host_profile(monkeypatch, tmp_path):
-    """Pin the suite to the uncalibrated state.
-
-    A developer's real ``~/.cache/repro-host-profile.json`` must never
-    leak measured constants into the deterministic planning tests —
-    every test sees a nonexistent profile path unless it sets one up
-    itself (the calibration tests override this).
-    """
-    monkeypatch.setenv(
-        "REPRO_HOST_PROFILE", str(tmp_path / "no-host-profile.json")
-    )
 
 
 @pytest.fixture

@@ -1,122 +1,240 @@
-"""Tests for the measured-feedback loop (EWMA blending into plans)."""
+"""Measured prices: one EWMA of seconds per byte per rate key.
+
+Deterministic: every observation is a fixed number of seconds against
+a real plan, so the expected rates are exact arithmetic.
+"""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.cost.feedback import CostFeedback
+from repro.cost.feedback import CostFeedback, rate_key
+from repro.external.format import FileLayout
 from repro.plan import InputDescriptor, Planner
 
-SIG = ("sig", 1)
+
+def plan_for(n=1 << 16, key_dtype=np.uint32, value_dtype=None, native="auto"):
+    descriptor = InputDescriptor(
+        n=n, key_dtype=key_dtype, value_dtype=value_dtype
+    )
+    return Planner(native=native).plan(descriptor)
 
 
-def make_plan(n=4_000_000):
-    descriptor = InputDescriptor(n=n, key_dtype=np.uint32)
-    return Planner(native="never", profile=None).plan(descriptor), descriptor
+def file_plan(tmp_path):
+    path = tmp_path / "in.bin"
+    np.zeros(1 << 14, dtype=np.uint32).tofile(path)
+    descriptor = InputDescriptor.for_file(
+        path, FileLayout(np.uint32), memory_budget=1 << 14
+    )
+    return Planner().plan(descriptor)
 
 
-class TestRecording:
-    def test_parameter_validation(self):
+#: A real plan of every strategy the planner makes, with the step
+#: kinds it lays out.
+STRATEGY_PLANS = {
+    "library-keys": (lambda tmp_path: plan_for(), ["library-sort"]),
+    "library-pairs": (
+        lambda tmp_path: plan_for(value_dtype=np.uint32), ["library-sort"]
+    ),
+    "hybrid": (lambda tmp_path: plan_for(native="never"), ["hybrid-msd"]),
+    "local-sort": (
+        lambda tmp_path: plan_for(n=100, native="never"), ["local-sort"]
+    ),
+    "native": (
+        lambda tmp_path: plan_for(
+            key_dtype=np.int64, value_dtype=np.uint32, native="always"
+        ),
+        ["native-lsd"],
+    ),
+    "fallback": (
+        lambda tmp_path: Planner(adaptive=True, native="never").plan(
+            InputDescriptor(n=1000, key_dtype=np.uint32)
+        ),
+        ["lsd-fallback"],
+    ),
+    "hetero": (
+        lambda tmp_path: Planner().plan(
+            InputDescriptor(
+                n=1 << 16, key_dtype=np.uint32, memory_budget=1 << 16
+            )
+        ),
+        ["chunked-pipeline", "kway-merge"],
+    ),
+    "external": (file_plan, ["spill-runs", "kway-merge"]),
+}
+
+
+class TestObserve:
+    def test_smoothing_is_validated(self):
         with pytest.raises(ValueError):
             CostFeedback(smoothing=0.0)
         with pytest.raises(ValueError):
             CostFeedback(smoothing=1.5)
-        with pytest.raises(ValueError):
-            CostFeedback(confidence=0.0)
 
-    def test_observe_counts_and_versions(self):
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_PLANS))
+    def test_first_observation_sets_the_rate(self, tmp_path, strategy):
+        build, kinds = STRATEGY_PLANS[strategy]
+        plan = build(tmp_path)
+        assert [s.kind for s in plan.steps] == kinds
         feedback = CostFeedback()
-        assert feedback.observations(SIG) == 0
-        assert feedback.version(SIG) == 0
-        feedback.observe(SIG, 0.5)
-        feedback.observe(SIG, 0.7)
-        assert feedback.observations(SIG) == 2
-        assert feedback.version(SIG) == 2
+        assert feedback.observe(plan, 2e-3)
+        assert feedback.observations(plan) == 1
         assert len(feedback) == 1
+        assert feedback.seconds(plan) == pytest.approx(2e-3)
 
-    def test_non_positive_measurements_ignored(self):
+    @pytest.mark.parametrize(
+        "smoothing, expected",
+        # The rate walks 1 → 1 → 2 ms per plan's bytes at 0.5; at 1
+        # it is the latest measurement.
+        [(0.5, 2e-3), (1.0, 3e-3)],
+    )
+    def test_ewma_of_seconds_per_byte(self, smoothing, expected):
+        plan = plan_for()
+        feedback = CostFeedback(smoothing=smoothing)
+        for seconds in (1e-3, 1e-3, 3e-3):
+            feedback.observe(plan, seconds)
+        assert feedback.observations(plan) == 3
+        assert feedback.seconds(plan) == pytest.approx(expected)
+
+    def test_the_rate_key(self):
+        plan = plan_for(n=(1 << 16) + 5, value_dtype=np.uint32)
+        assert rate_key(plan) == ("library", "<u4", "<u4", 17)
+        assert rate_key(plan_for(n=1000)) == ("library", "<u4", None, 10)
+
+    @pytest.mark.parametrize(
+        "seen, asked, shared",
+        [
+            (1 << 16, (1 << 17) - 1, True),
+            ((1 << 17) - 1, 1 << 16, True),
+            (1 << 16, (1 << 16) - 1, False),
+            (1 << 16, 1 << 17, False),
+        ],
+        ids=["top-of-class", "bottom-of-class", "class-below", "class-above"],
+    )
+    def test_size_classes_are_powers_of_two(self, seen, asked, shared):
         feedback = CostFeedback()
-        feedback.observe(SIG, 0.0)
-        feedback.observe(SIG, -1.0)
-        assert feedback.observations(SIG) == 0
+        feedback.observe(plan_for(n=seen), 1e-3)
+        plan = plan_for(n=asked)
+        assert (feedback.observations(plan) == 1) == shared
+        assert (feedback.apply(plan) is not plan) == shared
 
-    def test_to_dict_snapshot(self):
+    def test_a_size_class_prices_its_other_sizes(self):
         feedback = CostFeedback()
-        feedback.observe(SIG, 0.5)
-        feedback.observe(("other",), 0.1)
-        snap = feedback.to_dict()
-        assert snap["signatures"] == 2
-        assert snap["observations"] == 2
-        assert {tuple(e["signature"]) for e in snap["entries"]} == {
-            SIG, ("other",),
-        }
+        feedback.observe(plan_for(n=1 << 16), 1e-3)
+        bigger = plan_for(n=(1 << 16) + 1000)
+        assert feedback.seconds(bigger) == pytest.approx(
+            1e-3 * bigger.bytes_moved / plan_for(n=1 << 16).bytes_moved
+        )
+        assert feedback.apply(bigger).cost_source == "measured-feedback"
 
-
-class TestBlending:
-    def test_no_history_returns_prediction(self):
-        assert CostFeedback().estimate(SIG, 3.0) == 3.0
-
-    def test_estimate_moves_monotonically_toward_measured(self):
-        """More observations of a stable workload → strictly closer to
-        the measured value; a handful of requests reaches ≤2× error."""
+    @pytest.mark.parametrize(
+        "other",
+        [
+            pytest.param({"n": 1 << 12}, id="size-class"),
+            pytest.param({"key_dtype": np.int32}, id="key-dtype"),
+            pytest.param({"value_dtype": np.uint32}, id="value-dtype"),
+            pytest.param({"native": "never"}, id="strategy"),
+        ],
+    )
+    def test_other_keys_stay_paper_analytical(self, other):
         feedback = CostFeedback()
-        predicted, measured = 10.0, 1.0
-        errors = []
-        for _ in range(30):
-            feedback.observe(SIG, measured)
-            estimate = feedback.estimate(SIG, predicted)
-            errors.append(estimate / measured)
-        assert all(a > b for a, b in zip(errors, errors[1:]))
-        assert errors[-1] < 2.0
-        # ... and from the other side (model under-predicts).
-        under = CostFeedback()
-        for _ in range(8):
-            under.observe(SIG, 5.0)
-        assert 2.5 < under.estimate(SIG, 0.001) <= 5.0
+        feedback.observe(plan_for(), 1e-3)
+        plan = plan_for(**other)
+        assert feedback.observations(plan) == 0
+        assert feedback.seconds(plan) == plan.predicted_seconds
+        assert feedback.apply(plan) is plan
+        assert plan.cost_source == "paper-analytical"
 
-    def test_ewma_tracks_drifting_measurements(self):
-        feedback = CostFeedback(smoothing=0.5)
-        for seconds in (1.0, 1.0, 3.0):
-            feedback.observe(SIG, seconds)
-        # EWMA walks 1.0 → 1.0 → 2.0 under 0.5 smoothing, and three
-        # observations weigh it at 3 / (3 + 3) = ½ against a zero
-        # prediction.
-        assert feedback.estimate(SIG, 0.0) == pytest.approx(1.0)
+    @pytest.mark.parametrize("seconds", [0.0, -1.0])
+    def test_non_positive_times_are_skipped(self, seconds):
+        plan = plan_for()
+        feedback = CostFeedback()
+        assert not feedback.observe(plan, seconds)
+        assert len(feedback) == 0
+
+    def test_zero_byte_plans_are_not_observed(self):
+        plan = plan_for(n=0)
+        assert plan.bytes_moved == 0
+        feedback = CostFeedback()
+        assert not feedback.observe(plan, 1e-3)
+        assert feedback.observations(plan) == 0
+
+    def test_concurrent_observations_all_count(self):
+        # The service observes from its executor threads.
+        plan = plan_for()
+        feedback = CostFeedback()
+
+        def observe_many():
+            for _ in range(200):
+                feedback.observe(plan, 1e-3)
+
+        threads = [threading.Thread(target=observe_many) for _ in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        assert feedback.observations(plan) == 800
+        assert feedback.seconds(plan) == pytest.approx(1e-3)
 
 
 class TestApply:
-    def test_unobserved_signature_leaves_plan_untouched(self):
-        plan, descriptor = make_plan()
-        feedback = CostFeedback()
-        assert feedback.apply(plan, descriptor.signature()) is plan
+    def test_unobserved_key_returns_the_plan(self):
+        plan = plan_for()
+        assert CostFeedback().apply(plan) is plan
 
-    def test_apply_reprices_and_rebrands(self):
-        plan, descriptor = make_plan()
-        signature = descriptor.signature()
+    @pytest.mark.parametrize("strategy", sorted(STRATEGY_PLANS))
+    def test_steps_cost_their_bytes_at_the_rate(self, tmp_path, strategy):
+        plan = STRATEGY_PLANS[strategy][0](tmp_path)
         feedback = CostFeedback()
-        measured = plan.predicted_seconds * 10
-        for _ in range(4):
-            feedback.observe(signature, measured)
-        adjusted = feedback.apply(plan, signature)
-        assert adjusted.cost_source == "measured-feedback"
-        assert adjusted.strategy == plan.strategy
-        assert [s.kind for s in adjusted.steps] == [
-            s.kind for s in plan.steps
+        feedback.observe(plan, 0.5)
+        priced = feedback.apply(plan)
+        rate = 0.5 / plan.bytes_moved
+        assert priced.cost_source == "measured-feedback"
+        assert priced.strategy == plan.strategy
+        assert priced.engine == plan.engine
+        assert [s.kind for s in priced.steps] == [s.kind for s in plan.steps]
+        assert [s.params for s in priced.steps] == [
+            s.params for s in plan.steps
         ]
-        assert adjusted.predicted_seconds == pytest.approx(
-            feedback.estimate(signature, plan.predicted_seconds)
-        )
-        # Step costs scale proportionally; traffic is untouched.
-        assert adjusted.bytes_moved == plan.bytes_moved
+        assert [s.bytes_moved for s in priced.steps] == [
+            s.bytes_moved for s in plan.steps
+        ]
+        for step in priced.steps:
+            assert step.predicted_seconds == pytest.approx(
+                step.bytes_moved * rate
+            )
+        assert priced.predicted_seconds == pytest.approx(0.5)
+        assert priced.to_dict()["cost_source"] == "measured-feedback"
+        assert plan.cost_source == "paper-analytical"
 
-    def test_planner_applies_feedback_on_plan(self):
-        _, descriptor = make_plan()
+    @given(
+        n=st.integers(min_value=1, max_value=50_000_000),
+        pairs=st.booleans(),
+        workers=st.integers(min_value=1, max_value=8),
+        seconds=st.floats(min_value=1e-6, max_value=10.0),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_measured_prices_never_reroute(self, n, pairs, workers, seconds):
+        descriptor = InputDescriptor(
+            n=n,
+            key_dtype=np.uint32,
+            value_dtype=np.uint32 if pairs else None,
+            workers=workers,
+        )
+        plan = Planner().plan(descriptor)
         feedback = CostFeedback()
-        planner = Planner(native="never", profile=None, feedback=feedback)
-        baseline = planner.plan(descriptor)
-        assert baseline.cost_source == "paper-analytical"
-        feedback.observe(descriptor.signature(), 1.25)
-        replanned = planner.plan(descriptor)
-        assert replanned.cost_source == "measured-feedback"
-        assert replanned.predicted_seconds > baseline.predicted_seconds
+        feedback.observe(plan, seconds)
+        priced = feedback.apply(plan)
+        assert priced.descriptor == plan.descriptor
+        assert priced.strategy == plan.strategy
+        assert [s.kind for s in priced.steps] == [s.kind for s in plan.steps]
+        assert priced.bytes_moved == plan.bytes_moved
+        assert priced.predicted_seconds == pytest.approx(
+            feedback.seconds(plan)
+        )
+        assert priced.predicted_seconds == pytest.approx(seconds)

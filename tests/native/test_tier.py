@@ -24,6 +24,7 @@ from repro.core.digits import (
 )
 from repro.errors import ConfigurationError
 from repro.external import FileLayout
+from repro.external.runs import run_footprint
 from repro.plan import InputDescriptor, Planner
 from repro.plan.executors import execute_plan
 from repro.plan.planner import NATIVE_MIN_KEYS
@@ -285,9 +286,10 @@ class TestExternalRunEngine:
         )
 
     def native_sized(self, tmp_path, layout=PAIRS64):
-        # Runs of about 4/3 of the floor (three-buffer accounting).
+        # Runs just past the floor: the native footprint, 72 bytes a
+        # 12-byte record, cuts 4 runs of 260-261 records.
         return self.file_descriptor(
-            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 4 * NATIVE_MIN_KEYS, layout
+            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 8 * NATIVE_MIN_KEYS, layout
         )
 
     def test_runs_at_the_floor_sort_native(
@@ -339,10 +341,14 @@ class TestExternalRunEngine:
         # Runs of at most 32 records: the kernel finishes them in one
         # insertion sort, which native_traffic prices apart from the
         # hybrid engine's one analytical counting pass.
+        layout = FileLayout(np.uint32)
         desc = self.file_descriptor(
-            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 3 * 32, FileLayout(np.uint32)
+            tmp_path,
+            4 * NATIVE_MIN_KEYS + 17,
+            NATIVE_LOCAL_SORT_MAX * run_footprint(layout, "native") // 4,
+            layout,
         )
-        plan = Planner(native="always", profile=None).plan(desc)
+        plan = Planner(native="always").plan(desc)
         assert plan.step("spill-runs").params["engine"] == "native"
         run_plan = plan.run_plan
         assert run_plan.run_records == NATIVE_LOCAL_SORT_MAX
@@ -356,7 +362,7 @@ class TestExternalRunEngine:
         )
         step = plan.step("spill-runs")
         assert step.predicted_seconds == pytest.approx(expected)
-        hybrid = Planner(native="never", profile=None).plan(desc)
+        hybrid = Planner(native="never").plan(desc)
         assert step.predicted_seconds != pytest.approx(
             hybrid.step("spill-runs").predicted_seconds
         )

@@ -19,6 +19,7 @@ from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
 from repro.external.runs import plan_runs, run_footprint
 from repro.hetero.chunking import plan_chunks
+from repro.hetero.merge import CpuMergeModel
 from repro.plan import (
     PAPER_CROSSOVER_KEYS,
     PAPER_CROSSOVER_PAIRS,
@@ -239,7 +240,11 @@ class TestChunkedPlan:
             pytest.approx(k * planner._run_sort_seconds(desc, "hybrid", chunk))
         )
         assert plan.step("kway-merge").predicted_seconds == pytest.approx(
-            planner._merge_seconds(desc.total_bytes, k, desc.record_bytes)
+            CpuMergeModel().merge_seconds(
+                total_bytes=desc.total_bytes,
+                n_runs=k,
+                record_bytes=desc.record_bytes,
+            )
         )
 
 
@@ -326,3 +331,262 @@ class TestPlanIR:
             sum(s.predicted_seconds for s in plan.steps)
         )
         assert isinstance(plan, SortPlan)
+
+
+def _file_descriptor(tmp_path, layout=FileLayout(np.uint32), n=100_000):
+    path = tmp_path / "input.bin"
+    keys = np.arange(n).astype(layout.key_dtype)
+    if layout.value_dtype is None:
+        keys.tofile(path)
+    else:
+        values = np.arange(n).astype(layout.value_dtype)
+        layout.to_records(keys, values).tofile(path)
+    return InputDescriptor.for_file(path, layout, memory_budget=1 << 18)
+
+
+#: One descriptor of each shape a plan is made for: library keys,
+#: 64-bit-key pairs, one local sort, a chunked array and a file.
+DESCRIPTORS = {
+    "keys": lambda tmp_path: InputDescriptor(
+        n=4_000_000, key_dtype=np.uint32
+    ),
+    "pairs64": lambda tmp_path: InputDescriptor(
+        n=2_000_000, key_dtype=np.uint64, value_dtype=np.uint64
+    ),
+    "small": lambda tmp_path: InputDescriptor(n=500, key_dtype=np.uint32),
+    "budgeted": lambda tmp_path: InputDescriptor(
+        n=4_000_000, key_dtype=np.uint32, memory_budget=1 << 22
+    ),
+    "file": _file_descriptor,
+}
+
+
+class TestProvenance:
+    """Every plan is priced in the paper's §6 seconds and says so, all
+    the way into ``to_dict()``."""
+
+    TOP_LEVEL = {
+        "descriptor",
+        "strategy",
+        "engine",
+        "reason",
+        "notes",
+        "steps",
+        "predicted_seconds",
+        "bytes_moved",
+        "cost_source",
+    }
+    STEP_LEVEL = {"kind", "params", "predicted_seconds", "bytes_moved"}
+
+    @pytest.mark.parametrize("native", ["auto", "never"])
+    @pytest.mark.parametrize("shape", sorted(DESCRIPTORS))
+    def test_plans_say_they_are_paper_priced(self, tmp_path, shape, native):
+        plan = Planner(native=native).plan(DESCRIPTORS[shape](tmp_path))
+        assert plan.cost_source == "paper-analytical"
+        assert "cost source     : paper-analytical" in plan.explain()
+        doc = plan.to_dict()
+        assert set(doc) == self.TOP_LEVEL
+        for step in doc["steps"]:
+            assert set(step) == self.STEP_LEVEL
+        assert doc["cost_source"] == "paper-analytical"
+
+    @given(
+        n=st.integers(min_value=1, max_value=50_000_000),
+        pairs=st.booleans(),
+        workers=st.integers(min_value=1, max_value=8),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_deterministic_over_descriptor_space(self, n, pairs, workers):
+        desc = InputDescriptor(
+            n=n,
+            key_dtype=np.uint32,
+            value_dtype=np.uint32 if pairs else None,
+            workers=workers,
+        )
+        first = Planner(native="never").plan(desc)
+        second = Planner(native="never").plan(desc)
+        assert first.to_dict() == second.to_dict()
+
+
+def stream_seconds(desc, bytes_moved):
+    """Seconds to stream ``bytes_moved`` at the §6 device's bandwidth."""
+    return bytes_moved / desc.spec.effective_bandwidth
+
+
+class TestPaperPricing:
+    """Each strategy's step prices, in the §6 device's seconds."""
+
+    @pytest.mark.parametrize(
+        "key_dtype, value_dtype, packing",
+        [
+            (np.uint32, None, None),
+            (np.float64, None, None),
+            (np.int32, np.uint64, None),
+            (np.uint32, np.uint32, "fused"),
+        ],
+        ids=["uint32", "float64", "int32-uint64", "fused-u32"],
+    )
+    def test_library_priced_as_streaming_its_bytes_twice(
+        self, key_dtype, value_dtype, packing
+    ):
+        desc = InputDescriptor(
+            n=4_000_000,
+            key_dtype=key_dtype,
+            value_dtype=value_dtype,
+            pair_packing=packing,
+        )
+        (step,) = Planner().plan(desc).steps
+        assert step.kind == "library-sort"
+        assert step.bytes_moved == 2 * desc.total_bytes
+        assert step.predicted_seconds == pytest.approx(
+            stream_seconds(desc, 2 * desc.total_bytes)
+        )
+
+    @pytest.mark.parametrize(
+        "key_dtype, value_dtype",
+        [
+            (np.uint32, None),
+            (np.uint64, None),
+            (np.float32, None),
+            (np.uint32, np.uint32),
+        ],
+        ids=["uint32", "uint64", "float32", "uint32-uint32"],
+    )
+    def test_local_sort_streams_its_bytes_twice(self, key_dtype, value_dtype):
+        desc = InputDescriptor(
+            n=500, key_dtype=key_dtype, value_dtype=value_dtype
+        )
+        (step,) = Planner(native="never").plan(desc).steps
+        assert step.kind == "local-sort"
+        assert step.bytes_moved == 2 * desc.total_bytes
+        assert step.predicted_seconds == pytest.approx(
+            stream_seconds(desc, 2 * desc.total_bytes)
+        )
+
+    @pytest.mark.parametrize(
+        "key_dtype, value_dtype",
+        [
+            (np.uint32, None),
+            (np.uint64, None),
+            (np.uint32, np.uint32),
+            (np.uint64, np.uint64),
+        ],
+        ids=["uint32", "uint64", "uint32-uint32", "uint64-uint64"],
+    )
+    def test_hybrid_priced_by_its_counting_passes(
+        self, key_dtype, value_dtype
+    ):
+        # Each counting pass reads the records for the histogram and
+        # reads and writes them for the scatter; the local sorts that
+        # finish the buckets read and write them once more.
+        desc = InputDescriptor(
+            n=1 << 20, key_dtype=key_dtype, value_dtype=value_dtype
+        )
+        (step,) = Planner(native="never").plan(desc).steps
+        assert step.kind == "hybrid-msd"
+        passes = step.params["expected_passes"]
+        assert passes >= 1
+        assert step.bytes_moved == (3 * passes + 2) * desc.total_bytes
+        assert step.predicted_seconds == pytest.approx(
+            stream_seconds(desc, step.bytes_moved)
+        )
+
+    @pytest.mark.parametrize(
+        "has_values", [False, True], ids=["keys", "pairs"]
+    )
+    def test_fallback_priced_by_the_lsd_baseline(self, has_values):
+        from repro.baselines.cub import CubRadixSort
+
+        value_dtype = np.uint32 if has_values else None
+        desc = InputDescriptor(
+            n=10_000, key_dtype=np.uint32, value_dtype=value_dtype
+        )
+        (step,) = Planner(adaptive=True, native="never").plan(desc).steps
+        assert step.kind == "lsd-fallback"
+        baseline = CubRadixSort("1.5.1", spec=desc.spec)
+        assert step.predicted_seconds == pytest.approx(
+            baseline.simulated_seconds(desc.n, 4, 4 if has_values else 0)
+        )
+
+    @pytest.mark.parametrize("native", ["auto", "never"])
+    @pytest.mark.parametrize(
+        "layout",
+        [
+            FileLayout(np.uint32),
+            FileLayout(np.float64),
+            FileLayout(np.int64, np.uint32),
+        ],
+        ids=["uint32", "float64", "int64-uint32"],
+    )
+    def test_external_plan_priced_by_disk_runs_and_merge(
+        self, tmp_path, layout, native
+    ):
+        from repro.plan.planner import HOST_DISK_BANDWIDTH
+
+        desc = _file_descriptor(tmp_path, layout)
+        planner = Planner(native=native)
+        plan = planner.plan(desc)
+        spill, merge = plan.steps
+        engine = spill.params["engine"]
+        bounds = plan.run_plan.bounds
+        assert len(bounds) - 1 == plan.run_plan.n_runs > 1
+        disk = 2 * desc.total_bytes / HOST_DISK_BANDWIDTH
+        run_sorts = sum(
+            planner._run_sort_seconds(desc, engine, hi - lo)
+            for lo, hi in zip(bounds, bounds[1:])
+        )
+        assert spill.predicted_seconds == pytest.approx(disk + run_sorts)
+        assert merge.predicted_seconds == pytest.approx(
+            disk
+            + CpuMergeModel().merge_seconds(
+                total_bytes=desc.total_bytes,
+                n_runs=plan.run_plan.n_runs,
+                record_bytes=desc.record_bytes,
+            )
+        )
+
+    def test_host_workers_leave_in_memory_prices_alone(self):
+        # The §6 device's seconds do not depend on how many host
+        # threads execute the plan.
+        for native in ("auto", "never", "always"):
+            for value_dtype in (None, np.uint64):
+                one, four = (
+                    Planner(native=native).plan(
+                        InputDescriptor(
+                            n=1 << 20,
+                            key_dtype=np.uint64,
+                            value_dtype=value_dtype,
+                            workers=workers,
+                        )
+                    )
+                    for workers in (1, 4)
+                )
+                assert four.strategy == one.strategy
+                assert four.predicted_seconds == one.predicted_seconds
+
+
+class TestFitsInMemory:
+    """``fits_in_memory`` and "one chunk" are the same statement: the
+    §5 three-buffer rule over the budget."""
+
+    N = 1000  # 4,000 bytes of uint32 keys
+
+    @pytest.mark.parametrize(
+        "memory_budget",
+        [None, 1 << 20, 12_002, 12_000, 11_999, 8_000],
+    )
+    def test_fits_iff_one_chunk(self, memory_budget):
+        desc = InputDescriptor(
+            n=self.N, key_dtype=np.uint32, memory_budget=memory_budget
+        )
+        planner = Planner()
+        fits = planner.fits_in_memory(desc)
+        assert fits == (
+            memory_budget is None or 3 * desc.total_bytes <= memory_budget
+        )
+        if memory_budget is not None:
+            one_chunk = plan_chunks(
+                desc.total_bytes, budget_bytes=memory_budget
+            ).n_chunks == 1
+            assert fits == one_chunk
+        assert (planner.plan(desc).strategy == "hetero") == (not fits)

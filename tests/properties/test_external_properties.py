@@ -169,7 +169,7 @@ needs_native = pytest.mark.skipif(
 
 
 def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
-    """About four runs at the native floor: (layout, input path, budget)."""
+    """Four floors' worth of records: (layout, input path, budget)."""
     layout = FileLayout(key_dtype, value_dtype)
     n = 4 * NATIVE_MIN_KEYS + 17
     rng = np.random.default_rng(seed)
@@ -187,7 +187,9 @@ def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
         values = rng.integers(0, 50, n).astype(layout.value_dtype)
     path = os.path.join(tmpdir, "in.bin")
     write_records(path, layout.to_records(keys, values))
-    # Three-buffer accounting: runs of n / 4, just above the floor.
+    # Four runs of n / 4 under §5's three-buffer rule.  Tests that need
+    # runs just above the native floor size the budget by the engine's
+    # run_footprint instead.
     return layout, path, 4 * NATIVE_MIN_KEYS * layout.record_bytes
 
 
@@ -296,7 +298,12 @@ def test_library_rung_runs_exactly_where_it_serves(
 def test_resume_finishes_the_other_tiers_runs(tmp_path, tier, spill_native):
     # 64-bit-key pairs stay off the library rung, so the tier decides.
     tmpdir = str(tmp_path)
-    layout, path, budget = _file_input(tmpdir, np.int64, np.uint32, seed=3)
+    layout, path, _ = _file_input(tmpdir, np.int64, np.uint32, seed=3)
+    # Runs just above the native floor on either tier: the hybrid
+    # engine's footprint is the larger, so its runs are the shorter.
+    budget = (layout.records_in(path) // 4 + 1) * run_footprint(
+        layout, "hybrid"
+    )
     out = os.path.join(tmpdir, "out.bin")
     spool = os.path.join(tmpdir, "spool")
     sorter = ExternalSorter(
@@ -341,7 +348,7 @@ def test_resume_finishes_the_other_rungs_runs(
     layout, path, _ = _file_input(tmpdir, np.uint32, np.uint32, seed=4)
     # About four runs at the native floor, whichever rung spills first:
     # the library rung sorts these pairs in place, so its runs are cut
-    # by a smaller footprint than the radix engines' three records.
+    # by a smaller footprint than the radix engines'.
     budget = (layout.records_in(path) // 4 + 1) * run_footprint(layout, first)
     out = os.path.join(tmpdir, "out.bin")
     spool = os.path.join(tmpdir, "spool")
@@ -427,7 +434,10 @@ def test_native_file_sort_builds_no_simulator(tmp_path, tier, monkeypatch):
     monkeypatch.setattr(SimulatedGPU, "__init__", forbidden)
     monkeypatch.setattr(CostModel, "price_hybrid", forbidden)
     tmpdir = str(tmp_path)
-    layout, path, budget = _file_input(tmpdir, np.int64, np.uint32, seed=9)
+    layout, path, _ = _file_input(tmpdir, np.int64, np.uint32, seed=9)
+    budget = (layout.records_in(path) // 4 + 1) * run_footprint(
+        layout, "native"
+    )
     tier(True)
     got, engine = _sort_file(tmpdir, "native", layout, path, budget)
     assert engine == "native"

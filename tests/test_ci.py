@@ -1,5 +1,5 @@
-"""The CI gates: every benchmark workload is gated, and the calibration
-gate's checks hold.
+"""The CI gates: every benchmark workload is gated, and every command
+a step runs exists.
 
 ``ci.yml`` is read as plain text (no YAML dependency).  Each workload
 in ``BENCHMARK.json`` must have an untraced perfbench run whose last
@@ -8,31 +8,28 @@ feeds a route check, both through ``jq -e`` and both requiring
 ``.failed == 0``; the route check also requires that every tracer
 target was found.  The gate tests feed each of those ``jq -e`` filters,
 exactly as ``ci.yml`` writes it, a last perfbench line that must pass
-and lines that must fail.  The calibration tests time nothing: they
-drive the gate's ratio and fingerprint checks with fixed numbers and
-real plans.
+and lines that must fail.  No step, and no command of the verify
+recipe that copies them, may outlive what it runs: every
+``python -m repro <verb>`` names a subcommand of the CLI, and every
+``tools/`` or ``perfbench/`` script exists.
 """
 
 from __future__ import annotations
 
-import importlib.util
+import argparse
 import json
-import os
 import re
 import shutil
 import subprocess
 from pathlib import Path
-from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-import repro
-from repro.cli import main as repro_main
-from repro.cost.hostprofile import load_host_profile
+from repro.cli import build_parser
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CI = REPO_ROOT / ".github" / "workflows" / "ci.yml"
+VERIFY = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
 
 #: One job of the workflow: its header line up to the next line
 #: indented like a job key.
@@ -270,66 +267,24 @@ class TestNativeBuildStep:
         )
 
 
-def _load_check_calibration():
-    path = REPO_ROOT / "tools" / "check_calibration.py"
-    spec = importlib.util.spec_from_file_location("check_calibration", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+def _subcommands() -> set[str]:
+    (verbs,) = [
+        action
+        for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return set(verbs.choices)
 
 
-check_calibration = _load_check_calibration()
-
-
-class TestCalibrationGate:
-    def test_ratio_inside_the_band_passes(self, capsys):
-        failures: list[str] = []
-        check_calibration.check_ratio("keys32", 0.004, 0.005, 5.0, failures)
-        assert failures == []
-        assert "ok" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("predicted", [0.0009, 0.026])
-    def test_ratio_outside_the_band_fails(self, predicted, capsys):
-        failures: list[str] = []
-        check_calibration.check_ratio(
-            "keys32", predicted, 0.005, 5.0, failures
-        )
-        assert len(failures) == 1
-        assert "more than 5.0x" in failures[0]
-
-    def test_fingerprint_of_the_production_plan(self, capsys):
-        # conftest points REPRO_HOST_PROFILE at a per-test path, so
-        # calibrating into it installs the profile for repro.sort.
-        path = os.environ["REPRO_HOST_PROFILE"]
-        assert repro_main(
-            ["calibrate", "--quick", "--n", "2048", "--output", path]
-        ) == 0
-        profile = load_host_profile(path)
-        keys = np.arange(4096, dtype=np.uint32)[::-1].copy()
-        failures: list[str] = []
-        check_calibration.check_fingerprint(
-            "keys32", repro.sort(keys).meta["plan"], profile, failures
-        )
-        assert failures == []
-        os.remove(path)
-        check_calibration.check_fingerprint(
-            "keys32", repro.sort(keys).meta["plan"], profile, failures
-        )
-        assert len(failures) == 1
-        assert "paper-analytical" in failures[0]
-
-    def test_fingerprint_mismatch_fails(self):
-        failures: list[str] = []
-        plan = SimpleNamespace(
-            profile_fingerprint="hp-other", cost_source="host-profile"
-        )
-        check_calibration.check_fingerprint(
-            "pairs32", plan, SimpleNamespace(fingerprint="hp-mine"), failures
-        )
-        assert len(failures) == 1
-        assert "hp-other" in failures[0]
-
-    def test_missing_profile_fails(self, tmp_path, capsys):
-        rc = check_calibration.main(["--profile", str(tmp_path / "no.json")])
-        assert rc == 1
-        assert "did not load" in capsys.readouterr().err
+class TestStepCommands:
+    @pytest.mark.parametrize(
+        "path", [CI, VERIFY], ids=["ci.yml", "verify"]
+    )
+    def test_every_command_names_what_exists(self, path):
+        text = path.read_text()
+        verbs = set(re.findall(r"python3? -m repro (\S+)", text))
+        assert verbs, "no `python -m repro <verb>` found"
+        assert verbs <= _subcommands(), verbs - _subcommands()
+        scripts = set(re.findall(r"\b(?:tools|perfbench)/\w+\.py\b", text))
+        missing = {s for s in scripts if not (REPO_ROOT / s).is_file()}
+        assert not missing, missing

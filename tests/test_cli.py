@@ -163,53 +163,25 @@ class TestPlanCommand:
         assert rc == 0
         assert "plan            : external (spill-runs, kway-merge)" in out
 
-    def test_plan_reports_cost_source(self, capsys):
-        rc = main(["plan", "--n", "1000000"])
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["--n", "1000000"],
+            ["--n", "1000000", "--pairs"],
+            ["--n", "1000000", "--dtype", "int64", "--pairs",
+             "--value-dtype", "uint64"],
+            ["--n", "8000000", "--memory-budget", "4M"],
+            ["--n", "100000", "--adaptive"],
+        ],
+        ids=["keys", "pairs", "pairs64", "budgeted", "adaptive"],
+    )
+    def test_plan_reports_cost_source(self, capsys, args):
+        # No host file changes a price: every plan is in the paper's
+        # §6 seconds.
+        rc = main(["plan", *args])
         out = capsys.readouterr().out
         assert rc == 0
-        # The test suite pins an uncalibrated environment (conftest).
         assert "cost source     : paper-analytical" in out
-
-
-class TestCalibrateCommand:
-    def test_calibrate_writes_profile_and_plan_uses_it(
-        self, tmp_path, capsys
-    ):
-        import json
-        import os
-
-        # The conftest autouse fixture points REPRO_HOST_PROFILE at a
-        # (nonexistent) per-test path; calibrating into that exact path
-        # is what a user's `repro calibrate` + `repro plan` does.
-        path = os.environ["REPRO_HOST_PROFILE"]
-        rc = main(
-            ["calibrate", "--quick", "--n", "2048", "--output", path]
-        )
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert "counting-scatter 32/0" in out
-        assert "stable argsort" in out
-        assert "external spill" in out
-        assert f"wrote {path}" in out
-        assert "fingerprint hp-" in out
-        doc = json.loads(open(path).read())
-        assert doc["probes"] == {
-            "n": 2048, "repeats": 1, "quick": True, "seed": 20170514,
-        }
-        rc = main(["plan", "--n", "1000000"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert f"cost source     : host-profile ({doc['fingerprint']})" in out
-
-    def test_calibrate_default_output_honours_env(self, capsys):
-        import os
-
-        path = os.environ["REPRO_HOST_PROFILE"]
-        rc = main(["calibrate", "--quick", "--n", "1024"])
-        out = capsys.readouterr().out
-        assert rc == 0
-        assert f"wrote {path}" in out
-        assert os.path.exists(path)
 
 
 class TestInfoCommand:
@@ -266,6 +238,13 @@ class TestParser:
     def test_rejects_unknown_engine(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["sort", "--engine", "bogus"])
+
+    def test_calibrate_is_not_a_verb(self, capsys):
+        assert "calibrate" not in _registered_verbs()
+        with pytest.raises(SystemExit) as exc:
+            main(["calibrate", "--quick"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'calibrate'" in capsys.readouterr().err
 
 
 class TestGenAndSortFile:
