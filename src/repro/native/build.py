@@ -46,7 +46,8 @@ scratch directory, so cffi's build chain never loads into the caller,
 and publishes the finished shared object with ``os.replace`` — an
 atomic rename — so concurrent processes (parallel test runs, several
 services on one host) can race on first use without observing a
-half-written module.
+half-written module.  A fresh compile then removes the cache's modules
+of other source digests, which no build of this source loads again.
 
 ``import repro`` must never fail because a compiler is missing: every
 failure mode (no cffi, no gcc, sandboxed tmpdir, corrupt cache) is
@@ -674,6 +675,29 @@ def _compile_extension(dest: Path) -> Path:
     return dest
 
 
+def _remove_stale_modules(cache: Path) -> None:
+    """Best-effort removal of ``cache``'s modules of other source
+    digests, which no build of this source loads again.
+
+    Called after a fresh compile only, so a warm load never pays for
+    it; modules of this digest for other interpreters stay.
+    """
+    current = _module_name()
+    try:
+        stale = [
+            path
+            for path in cache.glob("_repro_native_*")
+            if not path.name.startswith(current)
+        ]
+    except OSError:
+        return
+    for path in stale:
+        try:
+            path.unlink()
+        except OSError:
+            pass
+
+
 def _load_module(path: Path):
     spec = importlib.util.spec_from_file_location(
         _module_name(), str(path)
@@ -755,6 +779,7 @@ def _probe() -> NativeStatus:
     try:
         if not dest.exists():
             _compile_extension(dest)
+            _remove_stale_modules(dest.parent)
         module = _load_module(dest)
         _self_test(module.ffi, module.lib)
     except Exception as exc:  # noqa: BLE001 - any failure = tier off

@@ -77,6 +77,10 @@ SITES: dict[str, str] = {
         "run production: spilling one sorted run (atomic temp-file "
         "write; supports partial/enospc)"
     ),
+    "external.run_sync": (
+        "run production: one run's commit on the spool thread, just "
+        "before its fsync (the run is re-produced on resume)"
+    ),
     "external.manifest_write": (
         "run production: persisting the spill manifest"
     ),

@@ -172,6 +172,25 @@ class TestChildBuild:
             "    or build.load_native()[1].repro_native_crc32_fast()",
         )
 
+    def test_a_fresh_build_removes_stale_modules(self, tmp_path):
+        if shutil.which("gcc") is None:
+            pytest.skip("gcc not installed")
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        suffix = build._ext_suffix()
+        stale = cache / f"_repro_native_000000000000{suffix}"
+        stale.write_bytes(b"a module of another source digest")
+        other_python = cache / f"{build._module_name()}.cpython-3x-other.so"
+        other_python.write_bytes(b"this digest, another interpreter")
+        self._probe(tmp_path, "assert status.available, status.reason")
+        assert not stale.exists()
+        assert other_python.exists()
+        assert (cache / f"{build._module_name()}{suffix}").exists()
+        # A warm load compiles nothing and removes nothing.
+        stale.write_bytes(b"a module of another source digest")
+        self._probe(tmp_path, "assert status.available, status.reason")
+        assert stale.exists()
+
     def test_a_failed_compile_reports_the_childs_error(self, tmp_path):
         # The build chain honours CC; a compiler that fails at once.
         self._probe(
