@@ -10,10 +10,10 @@
 * :mod:`repro.hetero.sorter` — the end-to-end heterogeneous sort model
   and its analytic T_EtE decomposition (Figures 8 and 9).
 
-This package models and sorts no data: a budgeted ``repro.sort`` (the
-``hetero`` plan strategy) sorts :func:`plan_chunks`-sized chunks on
-the host rungs and merges them through
-:func:`repro.external.merge.drain_cursors`.
+This package models and sorts no data.  A budgeted ``repro.sort`` (the
+``hetero`` plan strategy) sorts chunks on the host rungs, cut by what
+their sort measurably holds (:func:`repro.external.runs.plan_runs`),
+and merges them through :func:`repro.external.merge.drain_cursors`.
 """
 
 from repro.hetero.chunking import ChunkPlan, plan_chunks

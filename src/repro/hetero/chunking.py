@@ -43,27 +43,17 @@ def max_chunk_bytes(
     spec: GPUSpec = TITAN_X_PASCAL,
     in_place_replacement: bool = True,
     reserve_bytes: int = 256 << 20,
-    budget_bytes: int | None = None,
 ) -> int:
-    """Largest chunk the memory budget can host under the given layout.
+    """Largest chunk the device memory can host under the given layout.
 
     Three buffers with in-place replacement, four without (§5);
     ``reserve_bytes`` keeps room for the bucket bookkeeping (§4.5's ≤5 %)
-    and the CUDA context.
-
-    ``budget_bytes`` replaces the device memory with an explicit budget
-    — the lever the out-of-core sorter (:mod:`repro.external`) uses to
-    plan host-RAM-sized runs with the same buffer accounting the device
-    planner applies, and with no reserve (a host process has no CUDA
-    context to protect).
+    and the CUDA context.  This is the device's rule: the host path
+    sizes a budgeted array's chunks by what their sort measurably holds
+    (:func:`repro.external.runs.run_footprint`).
     """
     buffers = 3 if in_place_replacement else 4
-    if budget_bytes is not None:
-        if budget_bytes <= 0:
-            raise ConfigurationError("budget_bytes must be positive")
-        usable = budget_bytes
-    else:
-        usable = spec.device_memory_bytes - reserve_bytes
+    usable = spec.device_memory_bytes - reserve_bytes
     if usable <= 0:
         raise ResourceExhaustedError("device reserve exceeds device memory")
     return max(1, usable // buffers)
@@ -75,20 +65,16 @@ def plan_chunks(
     spec: GPUSpec = TITAN_X_PASCAL,
     in_place_replacement: bool = True,
     reserve_bytes: int = 256 << 20,
-    budget_bytes: int | None = None,
 ) -> ChunkPlan:
     """Split ``total_bytes`` into pipeline chunks.
 
     With ``n_chunks`` given, validates that the resulting chunk fits the
-    budget; otherwise picks the smallest chunk count whose chunks fit.
-    ``budget_bytes`` plans against an explicit memory budget instead of
-    the device spec (see :func:`max_chunk_bytes`).
+    device budget; otherwise picks the smallest chunk count whose
+    chunks fit.
     """
     if total_bytes <= 0:
         raise ConfigurationError("total_bytes must be positive")
-    limit = max_chunk_bytes(
-        spec, in_place_replacement, reserve_bytes, budget_bytes
-    )
+    limit = max_chunk_bytes(spec, in_place_replacement, reserve_bytes)
     if n_chunks is None:
         n_chunks = max(1, -(-total_bytes // limit))
         if total_bytes > limit and n_chunks < 2:

@@ -11,7 +11,7 @@ gigabytes from a distribution sample without materialising it, and
 :meth:`HeterogeneousSorter.simulate_naive` prices the unpipelined
 baseline.  Nothing here sorts data: a budgeted ``repro.sort`` runs the
 same chunk-and-merge scheme on the host rungs (the ``hetero`` plan
-strategy, :func:`repro.plan.executors.sort_in_memory` chunk sorts and
+strategy: :class:`repro.external.runs.RunWriter` chunk sorts and
 :func:`repro.external.merge.drain_cursors`).
 """
 

@@ -101,9 +101,9 @@ def sort_in_memory(
     time.  A missing extension or a failed kernel call degrades
     *inline* to the hybrid engine with the downgrade recorded in
     ``result.meta["resilience"]`` — so a caller that chose native never
-    fails for tier-availability reasons.  The native plan executor,
-    the external sorter's radix run sorts and the chunk sorts of a
-    budgeted array all go through here.
+    fails for tier-availability reasons.  The native plan executor and
+    the radix run sorts of a file or a budgeted array's chunks all go
+    through here.
     """
     if engine == "library":
         from repro.core.library import library_sort
@@ -185,57 +185,51 @@ def _execute_hetero(
     plan: SortPlan,
     keys: np.ndarray,
     values: np.ndarray | None = None,
-    config=None,
     **_: object,
 ) -> SortResult:
     """The §5 chunked sort of a budgeted array, on the host rungs.
 
-    Each chunk sorts on the engine the ``chunked-pipeline`` step
-    recorded (:meth:`~repro.plan.planner.Planner.run_engine`) into one
-    staged copy of the input.  The file merge's
-    :func:`~repro.external.merge.drain_cursors` then merges the chunks
-    over :class:`~repro.external.merge.ArrayCursor` blocks sized so a
-    round's temporaries fit the budget.  Both order records as every
-    engine does, so the bytes equal the unbudgeted sort's.
+    Each chunk the ``chunked-pipeline`` step cut sorts in one staged
+    copy of the records with a file's run sort
+    (:meth:`~repro.external.runs.RunWriter.sort_records`, on the step's
+    engine and packing); :func:`~repro.external.merge.drain_cursors`
+    merges them over :class:`~repro.external.merge.ArrayCursor` blocks
+    sized so a round fits the budget.  The bytes equal the unbudgeted
+    sort's.
     """
-    from repro.core.pairs import fused_packable, record_dtype
+    from repro.core.config import SortConfig
+    from repro.external.format import FileLayout
     from repro.external.merge import (
         ArrayCursor,
         array_block_records,
         drain_cursors,
     )
+    from repro.external.runs import RunWriter, _fused
 
     keys = np.asarray(keys)
     pairs = values is not None
     values = np.asarray(values) if pairs else None
-    config = _merged_config(plan, config)
-    engine = plan.step("chunked-pipeline").params["engine"]
-    n, n_chunks = keys.size, plan.chunk_plan.n_chunks
-    bounds = [n * i // n_chunks for i in range(n_chunks + 1)]
+    # Run sorts widen a file's 8/16-bit keys; an array of them fails
+    # here as on every in-memory rung.
+    SortConfig.for_layout(8 * keys.itemsize, 0)
+    step = plan.step("chunked-pipeline")
+    layout = FileLayout(keys.dtype, values.dtype if pairs else None)
+    packing = step.params["packing"]
+    writer = RunWriter(layout, packing, engine=step.params["engine"])
+    staged = layout.to_records(keys, values) if pairs else keys.copy()
+    bounds = plan.run_plan.bounds
     chunks = list(zip(bounds, bounds[1:]))
-    staged = np.empty(
-        n, record_dtype(keys.dtype, values.dtype) if pairs else keys.dtype
-    )
     for lo, hi in chunks:
-        chunk = sort_in_memory(
-            engine, keys[lo:hi], values[lo:hi] if pairs else None, config
-        )
-        for field, column in zip(
-            _columns(staged[lo:hi]), (chunk.keys, chunk.values)
-        ):
-            field[:] = column
-        del chunk, column  # one chunk's output at a time, none in the merge
-    # The merge orders ties as the chunk sorts did (runs._fused's rule).
-    fused = (
-        pairs
-        and config is not None
-        and config.pair_packing == "fused"
-        and fused_packable(8 * keys.itemsize, 8 * values.itemsize)
-    )
+        chunk = staged[lo:hi]
+        done = writer.sort_records(chunk)
+        if not np.may_share_memory(done, chunk):  # a sorted copy
+            chunk[...] = done
+        del done  # one chunk's sort at a time, none in the merge
+    fused = _fused(layout, packing)
     block = array_block_records(
-        n_chunks, staged.dtype, fused, plan.descriptor.memory_budget
+        len(chunks), staged.dtype, fused, plan.descriptor.memory_budget
     )
-    out = [np.empty(n, field.dtype) for field in _columns(staged[:0])]
+    out = [np.empty(keys.size, field.dtype) for field in _columns(staged[:0])]
     written = 0
 
     def emit(words: np.ndarray) -> None:

@@ -124,14 +124,10 @@ class SortPlan:
         raise KeyError(f"plan has no {kind!r} step")
 
     @property
-    def chunk_plan(self):
-        """The ChunkPlan a ``chunked-pipeline`` step carries."""
-        return self.step("chunked-pipeline").params["chunk_plan"]
-
-    @property
     def run_plan(self):
-        """The RunPlan a ``spill-runs`` step carries."""
-        return self.step("spill-runs").params["run_plan"]
+        """The RunPlan that cuts the input: a ``spill-runs`` step's runs
+        or a ``chunked-pipeline`` step's chunks."""
+        return self.steps[0].params["run_plan"]
 
     def summary(self) -> str:
         """One-line label: ``strategy (step, step)`` — what the CLI prints."""

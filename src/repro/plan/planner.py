@@ -3,22 +3,21 @@
 Before this layer existed, each engine re-derived the paper's
 plan-before-sorting decision privately: ``AdaptiveSorter`` owned the
 §6.1 small-input crossover, ``HeterogeneousSorter`` and
-``ExternalSorter`` each invoked the §5 budget accounting
-(:func:`repro.hetero.chunking.plan_chunks` /
-:func:`repro.external.runs.plan_runs`) on their own, and the
-``repro.sort()`` facade knew exactly one engine.  :class:`Planner`
-absorbs all of those decisions into a single code path that maps an
-:class:`~repro.plan.descriptor.InputDescriptor` to a
+``ExternalSorter`` each sized their chunks or runs on their own, and
+the ``repro.sort()`` facade knew exactly one engine.
+:class:`Planner` absorbs all of those decisions into a single code path
+that maps an :class:`~repro.plan.descriptor.InputDescriptor` to a
 :class:`~repro.plan.ir.SortPlan`:
 
 * **file inputs** spill memory-budgeted runs, sized by what each run
   sort holds (:func:`repro.external.runs.run_footprint`), and k-way
   merge them (the out-of-core realisation of §5, executed by
   ``ExternalSorter``);
-* **arrays that exceed the memory budget** sort budget-sized chunks
-  (three-buffer in-place replacement accounting, Figure 5) on the
-  engine a file's runs would use, and merge them in memory with the
-  file merge's :func:`~repro.external.merge.drain_cursors`;
+* **budgeted arrays whose sort would hold more than chunking** sort
+  chunks cut as a file's runs are, on the engine a file's runs would
+  use, and merge them in memory with the file merge's
+  :func:`~repro.external.merge.drain_cursors`.  What each plan holds
+  comes from one memory model, :func:`plan_resident_bytes`;
 * **small arrays under an adaptive policy** fall back to the LSD
   baseline (§6.1's case distinction — the crossover constants live
   here and ``AdaptiveSorter`` delegates to them);
@@ -48,13 +47,14 @@ from dataclasses import replace
 from repro.core.analytical import AnalyticalModel
 from repro.core.config import SortConfig
 from repro.errors import ConfigurationError
-from repro.hetero.chunking import max_chunk_bytes, plan_chunks
 from repro.hetero.merge import CpuMergeModel
 from repro.plan.descriptor import InputDescriptor
 from repro.plan.ir import PlanStep, SortPlan
 
 __all__ = [
     "Planner",
+    "plan_resident_bytes",
+    "array_resident_bytes",
     "PAPER_CROSSOVER_KEYS",
     "PAPER_CROSSOVER_PAIRS",
     "HOST_DISK_BANDWIDTH",
@@ -97,6 +97,41 @@ def layout_preset(key_bits: int, value_bits: int) -> SortConfig:
     if preset.key_bits == key_bits and preset.value_bits == value_bits:
         return preset
     return replace(preset, key_bits=key_bits, value_bits=value_bits)
+
+
+def plan_resident_bytes(plan: SortPlan) -> int:
+    """The bytes executing ``plan`` holds beside its input.
+
+    An unchunked array holds its rung's measured footprint
+    (:func:`array_resident_bytes`); a chunked one, the staged copy of
+    its records, the output and the budget its chunk sorts and merge
+    rounds fit; a file sort, its budget.  The planner chunks only when
+    that holds less, and the sort service admits by it.
+    """
+    from repro.external.runs import SORT_OVERHEAD_BYTES
+
+    desc = plan.descriptor
+    params = plan.steps[0].params
+    if plan.strategy == "external":
+        return params["memory_budget"]
+    if plan.strategy == "hetero":
+        return 2 * desc.total_bytes + params["memory_budget"] + SORT_OVERHEAD_BYTES
+    return array_resident_bytes(desc, plan.strategy, params.get("packing", "auto"))
+
+
+def array_resident_bytes(
+    descriptor: InputDescriptor, rung: str, pair_packing: str = "auto"
+) -> int:
+    """One unchunked sort on ``rung``: the footprint per record
+    (:func:`repro.external.runs.array_footprint`) times the records,
+    and the per-sort overhead; the sort service charges a micro-batch
+    member this on the ``"batch"`` rung."""
+    from repro.external.format import FileLayout
+    from repro.external.runs import SORT_OVERHEAD_BYTES, array_footprint
+
+    layout = FileLayout(descriptor.key_dtype, descriptor.value_dtype)
+    footprint = array_footprint(layout, rung, pair_packing)
+    return descriptor.n * footprint + SORT_OVERHEAD_BYTES
 
 
 class Planner:
@@ -160,24 +195,23 @@ class Planner:
         threshold = self.pair_crossover if has_values else self.key_crossover
         return n >= threshold
 
-    def fits_in_memory(self, descriptor: InputDescriptor) -> bool:
-        """Whether the input plus its double buffer fits the budget.
-
-        Uses the §5 three-buffer accounting the chunk planner applies
-        (:func:`repro.hetero.chunking.max_chunk_bytes`), so "fits" here
-        and "one chunk" there are the same statement.
-        """
-        if descriptor.memory_budget is None:
-            return True
-        limit = max_chunk_bytes(budget_bytes=descriptor.memory_budget)
-        return descriptor.total_bytes <= limit
-
     def plan(self, descriptor: InputDescriptor) -> SortPlan:
-        """Choose the strategy and lay out the steps for one input."""
+        """Choose the strategy and lay out the steps for one input.
+
+        A budgeted array sorts whole unless chunking it holds fewer
+        bytes (:func:`plan_resident_bytes`).
+        """
         if descriptor.source == "file":
             return self.plan_external(descriptor)
-        if not self.fits_in_memory(descriptor):
-            return self.plan_chunked(descriptor)
+        plan = self._plan_whole(descriptor)
+        if descriptor.memory_budget is not None and descriptor.n:
+            chunked = self.plan_chunked(descriptor)
+            if plan_resident_bytes(chunked) < plan_resident_bytes(plan):
+                return chunked
+        return plan
+
+    def _plan_whole(self, descriptor: InputDescriptor) -> SortPlan:
+        """The in-memory plan of the whole array."""
         if self.adaptive and not self.chooses_hybrid(
             descriptor.n, descriptor.has_values
         ):
@@ -266,7 +300,10 @@ class Planner:
         if n <= config.local_threshold:
             step = PlanStep(
                 kind="local-sort",
-                params={"n": n, "capacity": config.local_threshold},
+                params={
+                    "n": n, "capacity": config.local_threshold,
+                    **self._packing(descriptor),
+                },
                 predicted_seconds=self._stream_seconds(descriptor, 2 * total),
                 bytes_moved=2 * total,
             )
@@ -373,14 +410,12 @@ class Planner:
         )
 
     def plan_chunked(self, descriptor: InputDescriptor) -> SortPlan:
-        """The §5 chunked strategy for an array over its memory budget.
+        """The §5 chunked strategy for a budgeted array.
 
-        :func:`repro.hetero.chunking.plan_chunks` sizes the chunks
-        against ``memory_budget``.  Every chunk sorts on the engine
-        :meth:`run_engine` picks for the chunk size (recorded with its
-        note, as ``spill-runs`` records a file's), and the sorted
-        chunks merge in memory through
-        :func:`repro.external.merge.drain_cursors`.
+        The chunks are cut as a file's runs of the layout and budget
+        (:meth:`_plan_cut`), one sorting at a time, each in place in a
+        staged copy of the records; the sorted chunks merge in memory
+        through :func:`repro.external.merge.drain_cursors`.
         """
         if descriptor.n == 0:
             raise ConfigurationError("cannot plan chunks for an empty input")
@@ -388,137 +423,91 @@ class Planner:
             raise ConfigurationError(
                 "the chunked strategy needs a memory_budget"
             )
-        chunk_plan = plan_chunks(
-            descriptor.total_bytes, budget_bytes=descriptor.memory_budget
-        )
-        n_chunks = chunk_plan.n_chunks
-        # The executor cuts even chunks, none over this many records.
-        chunk_records = -(-descriptor.n // n_chunks)
-        engine, engine_note = self.run_engine(descriptor, chunk_records)
-        total = descriptor.total_bytes
-        chunks_step = PlanStep(
-            kind="chunked-pipeline",
-            params={
-                "n_chunks": n_chunks,
-                "chunk_bytes": chunk_plan.chunk_bytes,
-                "memory_budget": descriptor.memory_budget,
-                "in_place_replacement": chunk_plan.in_place_replacement,
-                "engine": engine,
-                "engine_note": engine_note,
-                "chunk_plan": chunk_plan,
-            },
-            predicted_seconds=n_chunks * self._run_sort_seconds(
-                descriptor, engine, chunk_records
-            ),
-            bytes_moved=2 * total,
-        )
-        merge_step = PlanStep(
-            kind="kway-merge",
-            params={"n_runs": n_chunks, "where": "host"},
-            predicted_seconds=CpuMergeModel().merge_seconds(
-                total_bytes=total,
-                n_runs=n_chunks,
-                record_bytes=descriptor.record_bytes,
-            ),
-            bytes_moved=2 * total,
-        )
-        return SortPlan(
-            descriptor=descriptor,
-            strategy="hetero",
-            engine=f"{engine} chunks + drain_cursors",
-            steps=(chunks_step, merge_step),
-            reason=(
-                f"input exceeds the memory budget; {n_chunks} chunks "
-                f"sorted by the {engine} engine, then an in-memory "
-                f"k-way merge"
-            ),
-        )
+        return self._plan_cut(descriptor, descriptor.memory_budget, 1)
 
     def plan_external(self, descriptor: InputDescriptor) -> SortPlan:
-        """The spill-to-disk strategy for file inputs.
-
-        Run sizing delegates to :func:`repro.external.runs.plan_runs`.
-        The in-memory engine every run sort uses is chosen once, by
-        :meth:`run_engine`, for the descriptor's ``pair_packing`` and
-        the runs the native kernel's footprint would cut, so the native
-        floor sees the runs it would sort.  The runs are then cut by
-        the chosen engine's footprint
-        (:func:`repro.external.runs.run_footprint`), with the
-        descriptor's ``workers`` runs in flight sharing the budget; the
-        ``spill-runs`` step records the engine, why, and the footprint
-        in bytes per record.
-        """
-        from repro.external.format import FileLayout
-        from repro.external.runs import plan_runs, run_footprint
+        """The spill-to-disk strategy for file inputs: runs cut by
+        :meth:`_plan_cut`, with the descriptor's ``workers`` runs in
+        flight sharing the budget, then a streaming merge."""
         from repro.external.sorter import DEFAULT_MEMORY_BUDGET
 
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
-        n, record_bytes = descriptor.n, descriptor.record_bytes
-        workers = descriptor.workers
+        return self._plan_cut(descriptor, budget, descriptor.workers)
+
+    def _plan_cut(
+        self, descriptor: InputDescriptor, budget: int, workers: int
+    ) -> SortPlan:
+        """Cut a file's runs, or an array's chunks, and merge them.
+
+        :meth:`run_engine` picks the run sorts' engine for the runs the
+        native kernel's footprint would cut (so the native floor sees
+        the runs it would sort); the runs are then cut by the chosen
+        engine's :func:`~repro.external.runs.run_footprint`, which the
+        first step records with the engine and why.
+        """
+        from repro.external.format import FileLayout
+        from repro.external.runs import plan_runs, run_footprint
+
+        n, total = descriptor.n, descriptor.total_bytes
         layout = FileLayout(descriptor.key_dtype, descriptor.value_dtype)
         packing = self._config_for(descriptor).pair_packing
         native_runs = plan_runs(
-            n, record_bytes, budget,
-            run_footprint(layout, "native", packing), workers,
+            n, budget, run_footprint(layout, "native", packing), workers
         )
         engine, engine_note = self.run_engine(
             descriptor, native_runs.run_records
         )
         footprint = run_footprint(layout, engine, packing)
-        run_plan = plan_runs(n, record_bytes, budget, footprint, workers)
-        total = descriptor.total_bytes
-        # Runs are cut evenly: each holds run_records or one record
-        # fewer, so price the two sizes instead of every run.
-        n_runs, longest = run_plan.n_runs, run_plan.run_records
-        long_runs = descriptor.n - n_runs * (longest - 1)
+        run_plan = plan_runs(n, budget, footprint, workers)
+        k, longest = run_plan.n_runs, run_plan.run_records
+        # Runs are cut evenly: each holds `longest` records or one fewer.
+        long_runs = n - k * (longest - 1)
         sort_seconds = long_runs * self._run_sort_seconds(
             descriptor, engine, longest
         )
-        if long_runs < n_runs:
-            sort_seconds += (n_runs - long_runs) * self._run_sort_seconds(
+        if long_runs < k:
+            sort_seconds += (k - long_runs) * self._run_sort_seconds(
                 descriptor, engine, longest - 1
             )
-        spill_seconds = 2 * total / HOST_DISK_BANDWIDTH + sort_seconds
-        merge_seconds = (
-            2 * total / HOST_DISK_BANDWIDTH
-            + CpuMergeModel().merge_seconds(
-                total_bytes=total,
-                n_runs=max(1, run_plan.n_runs),
-                record_bytes=descriptor.record_bytes,
+        merge_seconds = CpuMergeModel().merge_seconds(
+            total_bytes=total, n_runs=max(1, k), record_bytes=descriptor.record_bytes
+        )
+        sizing = {"memory_budget": budget, "engine": engine,
+                  "engine_note": engine_note, "footprint_bytes": footprint}
+        if descriptor.source == "file":
+            io_seconds = 2 * total / HOST_DISK_BANDWIDTH
+            params = {"n_runs": k, "run_records": longest, **sizing}
+            params["workers"] = workers
+            cut = PlanStep(
+                "spill-runs", {**params, "run_plan": run_plan},
+                io_seconds + sort_seconds, 2 * total,
             )
+            where, seconds = "streaming disk", io_seconds + merge_seconds
+            strategy, name = "external", "ExternalSorter"
+            reason = (
+                f"on-disk input; {k} memory-budgeted run(s) of "
+                f"≤ {longest:,} records sorted by the {engine} engine, "
+                f"then a streaming merge"
+            )
+        else:
+            params = {"n_chunks": k, "chunk_records": longest, **sizing}
+            params["packing"] = packing
+            cut = PlanStep(
+                "chunked-pipeline", {**params, "run_plan": run_plan},
+                sort_seconds, 2 * total,
+            )
+            where, seconds = "host", merge_seconds
+            strategy = "hetero"
+            name = f"{engine} chunks + drain_cursors"
+            reason = (
+                f"chunking holds less than the whole sort under the "
+                f"memory budget; {k} chunks sorted by the {engine} "
+                f"engine, then an in-memory k-way merge"
+            )
+        merge = PlanStep(
+            "kway-merge", {"n_runs": k, "where": where}, seconds, 2 * total
         )
-        runs_step = PlanStep(
-            kind="spill-runs",
-            params={
-                "n_runs": run_plan.n_runs,
-                "run_records": run_plan.run_records,
-                "memory_budget": budget,
-                "workers": workers,
-                "engine": engine,
-                "engine_note": engine_note,
-                "footprint_bytes": footprint,
-                "run_plan": run_plan,
-            },
-            predicted_seconds=spill_seconds,
-            bytes_moved=2 * total,
-        )
-        merge_step = PlanStep(
-            kind="kway-merge",
-            params={"n_runs": run_plan.n_runs, "where": "streaming disk"},
-            predicted_seconds=merge_seconds,
-            bytes_moved=2 * total,
-        )
-        return SortPlan(
-            descriptor=descriptor,
-            strategy="external",
-            engine="ExternalSorter",
-            steps=(runs_step, merge_step),
-            reason=(
-                f"on-disk input; {run_plan.n_runs} memory-budgeted "
-                f"run(s) of ≤ {run_plan.run_records:,} records sorted "
-                f"by the {engine} engine, then a streaming merge"
-            ),
-        )
+        return SortPlan(descriptor, strategy, name, (cut, merge), reason)
 
     def run_engine(
         self, descriptor: InputDescriptor, run_records: int
@@ -585,6 +574,12 @@ class Planner:
             config = replace(config, pair_packing=packing)
         return config
 
+    def _packing(self, descriptor: InputDescriptor) -> dict:
+        """A pairs step's ``packing``: what its sort holds depends on it."""
+        if not descriptor.has_values:
+            return {}
+        return {"packing": self._config_for(descriptor).pair_packing}
+
     def _stream_seconds(
         self, descriptor: InputDescriptor, bytes_moved: int
     ) -> float:
@@ -615,6 +610,7 @@ class Planner:
                 "msd_bits": msd_width,
                 "split_widths": "+".join(map(str, splits)) or "none",
                 "inner_widths": "+".join(map(str, inner)) or "insertion",
+                **self._packing(descriptor),
             },
             predicted_seconds=self._stream_seconds(descriptor, bytes_moved),
             bytes_moved=bytes_moved,
@@ -641,6 +637,7 @@ class Planner:
                 "expected_passes": passes,
                 "local_threshold": config.local_threshold,
                 "merge_threshold": config.merge_threshold,
+                **self._packing(descriptor),
             },
             predicted_seconds=self._stream_seconds(descriptor, bytes_moved),
             bytes_moved=bytes_moved,

@@ -35,6 +35,7 @@ import tempfile
 
 import numpy as np
 
+from repro.core.pairs import make_records
 from repro.errors import ReproError
 from repro.resilience.faults import SITES, FaultPlan, FaultSpec, inject
 
@@ -193,7 +194,7 @@ def _external_scenario(
 # Service / engine scenarios (fault absorbed or typed, never a hang)
 # ----------------------------------------------------------------------
 #: The rung the ``engine.hetero`` scenario's chunks sort on: its uint32
-#: keys plan on the library rung, as in production.
+#: pairs plan on the library rung, as in production.
 HETERO_CHUNK_RUNG = "library"
 
 
@@ -210,14 +211,16 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     from repro.service import SortService
 
     keys = _keys(n, seed)
+    values = None
     expected = _expected_bytes(keys)
     submit_kwargs: dict = {}
     native = "never"
     if site == "engine.hetero":
-        # Hetero only runs for budgeted in-memory plans.
-        submit_kwargs["memory_budget"] = max(
-            4096, (keys.nbytes * 3) // 2
-        )
+        # Hetero only runs where chunks hold less than the whole sort:
+        # uint32 pairs (held 3x on the library rung) under half their bytes.
+        values = np.arange(n, dtype=np.uint32)
+        expected = _expected_bytes(make_records(keys, values))
+        submit_kwargs["memory_budget"] = max(4096, keys.nbytes)
         native = "auto"
 
     async def run() -> dict:
@@ -254,7 +257,9 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
             try:
                 with inject(FaultPlan(specs)) as plan:
                     try:
-                        result = await svc.submit(data, **submit_kwargs)
+                        result = await svc.submit(
+                            data, values, **submit_kwargs
+                        )
                         err = None
                     except TYPED_ERRORS as exc:
                         err = exc
@@ -281,7 +286,10 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
                     identical = got == expected
                     resilience = {}
                 else:
-                    identical = result.keys.tobytes() == expected
+                    got = result.keys if values is None else make_records(
+                        result.keys, result.values
+                    )
+                    identical = got.tobytes() == expected
                     resilience = result.meta.get("resilience") or {}
                 if not identical:
                     return _result(site, kind, "corrupt-output", ok=False,

@@ -21,10 +21,10 @@ plan layer as its scheduling currency:
   small-problem regime: each request becomes one "bucket" of a batch,
   so a burst of tiny sorts pays one engine dispatch instead of many.
 * admission control (:mod:`repro.service.admission`) — in-flight
-  working-set bytes are bounded with the same three-buffer accounting
-  the §5 chunk planner applies; large jobs serialize, small jobs
-  interleave, and a job that cannot fit the budget even alone is
-  rejected up front with :class:`~repro.errors.AdmissionError`.
+  bytes are bounded by what each sort holds, the same memory model the
+  planner chunks by; large jobs serialize, small jobs interleave, and
+  a job that cannot fit the budget even alone is rejected up front
+  with :class:`~repro.errors.AdmissionError`.
 * plan caching (:mod:`repro.service.cache`) — plans are pure functions
   of the :class:`~repro.plan.descriptor.InputDescriptor`, so repeat
   request shapes skip re-planning entirely.

@@ -1,22 +1,12 @@
-"""Admission control: bound in-flight working-set bytes with §5 accounting.
+"""Admission control: bound the bytes the service's sorts hold at once.
 
-The paper's §5 pipeline exists because a sort's working set — input,
-auxiliary double-buffer, and the buffer in flight to or from the device
-— must fit a fixed memory budget; :func:`repro.hetero.chunking.
-max_chunk_bytes` encodes that as "three buffers with in-place
-replacement, four without".  A multi-tenant service faces the *same*
-constraint one level up: the sum of every in-flight request's working
-set must fit the machine.  This module reuses the three-buffer
-accounting as the admission currency:
-
-* an in-memory plan (``library``, ``native``, ``hybrid`` or
-  ``fallback``) charges three times its input bytes — input,
-  auxiliary, output, the buffers a double-buffered pass loop touches;
-* a ``hetero`` (chunked) plan charges three times its *chunk* size: the
-  whole point of chunking is that only the pipeline's resident buffers
-  occupy memory, however large the input;
-* an ``external`` plan charges its run budget — the spill-to-disk
-  sorter promises never to hold more than that in RAM.
+A multi-tenant service faces the constraint the paper's §5 pipeline
+faces one level down: the sum of every in-flight sort's working set
+must fit the machine.  Each dispatch is charged what its sort holds
+beside its input, by the host's one memory model
+(:func:`repro.plan.planner.plan_resident_bytes`, and
+:func:`~repro.plan.planner.array_resident_bytes` on the ``"batch"``
+rung for each member of a micro-batch).
 
 ``acquire`` blocks (asynchronously) until the charge fits under the
 budget next to everything already admitted.  Admission is FIFO: a
@@ -36,28 +26,8 @@ import asyncio
 from collections import deque
 
 from repro.errors import AdmissionError, ConfigurationError
-from repro.plan.ir import SortPlan
 
-__all__ = ["AdmissionController", "plan_resident_bytes", "BUFFERS_IN_PLACE"]
-
-#: §5 / Figure 5: in-place replacement keeps three buffers resident.
-BUFFERS_IN_PLACE = 3
-
-
-def plan_resident_bytes(plan: SortPlan) -> int:
-    """The working-set bytes a plan's execution keeps resident.
-
-    The same three-buffer statement :func:`~repro.hetero.chunking.
-    max_chunk_bytes` makes, applied per strategy.  Every charge is at
-    least one byte so zero-record requests still count as admitted work.
-    """
-    desc = plan.descriptor
-    if plan.strategy == "hetero":
-        chunk_bytes = plan.chunk_plan.chunk_bytes
-        return max(1, BUFFERS_IN_PLACE * chunk_bytes)
-    if plan.strategy == "external":
-        return max(1, plan.step("spill-runs").params["memory_budget"])
-    return max(1, BUFFERS_IN_PLACE * desc.total_bytes)
+__all__ = ["AdmissionController"]
 
 
 class AdmissionController:

@@ -14,9 +14,9 @@ service does the multi-tenant work a blocking facade cannot:
    layout-compatible are fused into one vectorized
    :class:`~repro.core.local_sort.LocalSortEngine` dispatch
    (:mod:`repro.service.batching`), the §4 small-problem regime;
-3. **admission** — every dispatch charges its planned working set
-   against the service memory budget using the §5 three-buffer
-   accounting (:mod:`repro.service.admission`): large jobs serialize,
+3. **admission** — every dispatch charges what its sort holds against
+   the service memory budget, by the host's one memory model
+   (:mod:`repro.service.admission`): large jobs serialize,
    small jobs interleave, impossible jobs are rejected;
 4. **planning** — each request's strategy comes from the PR 4
    :class:`~repro.plan.planner.Planner`, via a signature-keyed
@@ -60,16 +60,17 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     OverloadedError,
+    UnsupportedDtypeError,
 )
 from repro.gpu.spec import GPUSpec, TITAN_X_PASCAL
 from repro.plan.descriptor import InputDescriptor
 from repro.plan.executors import ExecutorRegistry
 from repro.plan.ir import SortPlan
-from repro.plan.planner import Planner
+from repro.plan.planner import Planner, array_resident_bytes, plan_resident_bytes
 from repro.resilience import faults
 from repro.resilience.degrade import DEFAULT_LADDER, resilient_execute
 from repro.resilience.policy import DEFAULT_RETRY_POLICY, Deadline, RetryPolicy
-from repro.service.admission import AdmissionController, plan_resident_bytes
+from repro.service.admission import AdmissionController
 from repro.service.batching import BATCHABLE_STRATEGIES, execute_batch
 from repro.service.cache import PlanCache
 from repro.service.request import SortRequest
@@ -94,7 +95,7 @@ class SortService:
     ----------
     memory_budget:
         Bound on the summed working-set bytes of everything in flight
-        (three-buffer accounting; see :mod:`repro.service.admission`).
+        (the bytes each sort holds; see :mod:`repro.service.admission`).
     micro_batching:
         Coalesce compatible small requests into one vectorized engine
         dispatch.  Off, every request runs individually — the mode the
@@ -557,7 +558,10 @@ class SortService:
         records = 0
         resident = 0
         for request in members:
-            charge = 3 * request.descriptor.total_bytes
+            try:
+                charge = array_resident_bytes(request.descriptor, "batch")
+            except UnsupportedDtypeError:
+                charge = 0  # planning rejects it in _run_batch
             if chunk and (
                 len(chunk) >= self.batch_max_requests
                 or records + request.descriptor.n > self.batch_max_records
@@ -803,7 +807,10 @@ class SortService:
                 self._spawn(self._run_single(request))
         if not runnable:
             return
-        resident = sum(plan_resident_bytes(plan) for plan in plans)
+        resident = sum(
+            array_resident_bytes(request.descriptor, "batch")
+            for request in runnable
+        )
         try:
             await self.admission.acquire(resident)
         except AdmissionError as exc:

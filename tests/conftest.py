@@ -69,12 +69,20 @@ def _live_threads() -> set[threading.Thread]:
 
 @pytest.fixture
 def budget_for_chunks():
-    """``budget(nbytes, n_chunks)``: a ``memory_budget`` the planner
-    splits ``nbytes`` into ``n_chunks`` chunks under (three chunk-sized
-    buffers, :func:`repro.hetero.chunking.plan_chunks`)."""
+    """``budget(keys, values, n_chunks, engine="hybrid")``: a
+    ``memory_budget`` under which a chunked array is cut into
+    ``n_chunks`` chunks sorting on ``engine``, each holding its run
+    footprint (:func:`repro.external.runs.run_footprint`).  The planner
+    chunks only when that holds less than the whole sort: keys under
+    ``native="never"``, or pairs under a budget below their bytes."""
+    from repro.external.format import FileLayout
+    from repro.external.runs import run_footprint
 
-    def budget(nbytes: int, n_chunks: int) -> int:
-        return 3 * -(-nbytes // n_chunks)
+    def budget(keys, values, n_chunks: int, engine: str = "hybrid") -> int:
+        layout = FileLayout(
+            keys.dtype, None if values is None else values.dtype
+        )
+        return run_footprint(layout, engine) * -(-keys.size // n_chunks)
 
     return budget
 

@@ -60,7 +60,8 @@ STRATEGY_PLANS = {
     "hetero": (
         lambda tmp_path: Planner().plan(
             InputDescriptor(
-                n=1 << 16, key_dtype=np.uint32, memory_budget=1 << 16
+                n=1 << 16, key_dtype=np.uint32, value_dtype=np.uint32,
+                memory_budget=1 << 16,
             )
         ),
         ["chunked-pipeline", "kway-merge"],

@@ -67,29 +67,3 @@ class TestPlanChunks:
             plan_chunks(0)
         with pytest.raises(ConfigurationError):
             plan_chunks(1 * GB, n_chunks=0)
-
-
-class TestExplicitBudget:
-    """budget_bytes plans against host RAM instead of the device spec."""
-
-    def test_budget_overrides_device(self):
-        # 3 MB budget, three-buffer layout -> 1 MB chunks.
-        assert max_chunk_bytes(budget_bytes=3 << 20) == 1 << 20
-        assert max_chunk_bytes(
-            budget_bytes=4 << 20, in_place_replacement=False
-        ) == 1 << 20
-
-    def test_plan_with_budget(self):
-        plan = plan_chunks(10 << 20, budget_bytes=3 << 20)
-        assert plan.chunk_bytes <= 1 << 20
-        assert plan.n_chunks == 10
-        assert sum(plan.chunk_sizes) == 10 << 20
-
-    def test_invalid_budget(self):
-        with pytest.raises(ConfigurationError):
-            plan_chunks(1 << 20, budget_bytes=0)
-
-    def test_tiny_budget_still_plans(self):
-        # A budget below one record still yields chunks of >= 1 byte.
-        plan = plan_chunks(100, budget_bytes=2)
-        assert plan.chunk_bytes >= 1

@@ -17,14 +17,18 @@ class TestFunctionalPath:
 
     Chunks sort on the host rungs and merge through
     ``external.merge.drain_cursors``; the model below only prices.
+    64-bit keys and pairs chunk on the hybrid rung (``native="never"``),
+    whose whole sort holds more than chunks under these budgets.
     """
 
     def test_sorts_keys(self, rng, budget_for_chunks):
         keys = uniform_keys(100_000, 64, rng)
         out = repro.sort(
-            keys, memory_budget=budget_for_chunks(keys.nbytes, 4)
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 4),
+            native="never",
         )
-        assert out.meta["plan"].chunk_plan.n_chunks == 4
+        assert out.meta["plan"].run_plan.n_runs == 4
         assert np.array_equal(out.keys, np.sort(keys))
 
     def test_sorts_pairs(self, rng, budget_for_chunks):
@@ -33,24 +37,29 @@ class TestFunctionalPath:
         out = repro.sort_pairs(
             keys,
             values,
-            memory_budget=budget_for_chunks(keys.nbytes + values.nbytes, 3),
+            memory_budget=budget_for_chunks(keys, values, 3),
+            native="never",
         )
-        assert out.meta["plan"].chunk_plan.n_chunks == 3
+        assert out.meta["plan"].run_plan.n_runs == 3
         assert np.array_equal(out.keys, np.sort(keys))
         assert np.array_equal(keys[out.values.astype(np.int64)], out.keys)
 
     def test_zipf_input(self, rng, budget_for_chunks):
         keys = zipf_keys(50_000, 64, rng=rng)
         out = repro.sort(
-            keys, memory_budget=budget_for_chunks(keys.nbytes, 4)
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 4),
+            native="never",
         )
-        assert out.meta["plan"].chunk_plan.n_chunks == 4
+        assert out.meta["plan"].run_plan.n_runs == 4
         assert np.array_equal(out.keys, np.sort(keys))
 
     def test_host_run_reports_no_simulated_time(self, rng, budget_for_chunks):
         keys = uniform_keys(50_000, 64, rng)
         out = repro.sort(
-            keys, memory_budget=budget_for_chunks(keys.nbytes, 4)
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 4),
+            native="never",
         )
         assert out.meta["engine"] == "hetero"
         assert out.simulated_seconds == 0.0

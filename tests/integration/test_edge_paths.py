@@ -80,9 +80,11 @@ class TestHeteroOddSplits:
     def test_non_divisible_chunk_boundaries(self, rng, n, budget_for_chunks):
         keys = uniform_keys(n, 64, rng)
         out = repro.sort(
-            keys, memory_budget=budget_for_chunks(keys.nbytes, 3)
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 3),
+            native="never",
         )
-        assert out.meta["plan"].chunk_plan.n_chunks == 3
+        assert out.meta["plan"].run_plan.n_runs == 3
         assert np.array_equal(out.keys, np.sort(keys))
 
     def test_single_chunk_degenerates_to_direct_sort(self, rng):

@@ -79,19 +79,28 @@ class TestHeterogeneousEndToEnd:
         hetero = repro.sort_pairs(
             keys,
             values,
-            memory_budget=budget_for_chunks(keys.nbytes + values.nbytes, 4),
+            memory_budget=budget_for_chunks(keys, values, 4),
+            native="never",
         )
         direct = HybridRadixSorter().sort(keys, values)
-        assert hetero.meta["plan"].chunk_plan.n_chunks == 4
+        assert hetero.meta["plan"].run_plan.n_runs == 4
         assert np.array_equal(hetero.keys, direct.keys)
         assert np.array_equal(keys[hetero.values.astype(np.int64)], hetero.keys)
 
     def test_chunk_count_does_not_change_output(self, rng, budget_for_chunks):
         keys = zipf_keys(50_000, 64, rng=rng)
-        a = repro.sort(keys, memory_budget=budget_for_chunks(keys.nbytes, 2))
-        b = repro.sort(keys, memory_budget=budget_for_chunks(keys.nbytes, 8))
-        assert a.meta["plan"].chunk_plan.n_chunks == 2
-        assert b.meta["plan"].chunk_plan.n_chunks == 8
+        a = repro.sort(
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 2),
+            native="never",
+        )
+        b = repro.sort(
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 8),
+            native="never",
+        )
+        assert a.meta["plan"].run_plan.n_runs == 2
+        assert b.meta["plan"].run_plan.n_runs == 8
         assert np.array_equal(a.keys, b.keys)
 
 

@@ -119,20 +119,36 @@ class TestHeteroOracle:
         chunked = repro.sort_pairs(keys, values, memory_budget=budget)
         oracle = HybridRadixSorter().sort(keys, values)
         assert chunked.meta["engine"] == "hetero"
-        assert chunked.meta["plan"].chunk_plan.n_chunks > 1
+        assert chunked.meta["plan"].run_plan.n_runs > 1
         assert np.array_equal(chunked.keys, oracle.keys)
         assert np.array_equal(chunked.values, oracle.values)
+
+    @pytest.mark.parametrize("value_dtype", [np.int16, np.bool_, np.float16])
+    def test_chunks_stage_any_numeric_values(self, rng, value_dtype):
+        # Chunks sort as records, whatever value dtype rides along.
+        keys = rng.integers(0, 2**32, 20_000, dtype=np.uint64).astype(
+            np.uint32
+        )
+        values = rng.integers(0, 2, keys.size).astype(value_dtype)
+        budget = (keys.nbytes + values.nbytes) // 4
+        chunked = repro.sort_pairs(keys, values, memory_budget=budget)
+        whole = repro.sort_pairs(keys, values)
+        assert chunked.meta["plan"].strategy == "hetero"
+        assert chunked.keys.tobytes() == whole.keys.tobytes()
+        assert chunked.values.tobytes() == whole.values.tobytes()
 
     def test_hetero_sorter_unchanged_by_refactor(
         self, rng, budget_for_chunks
     ):
         keys = rng.integers(0, 2**32, 65_537, dtype=np.uint64)
         out = repro.sort(
-            keys, memory_budget=budget_for_chunks(keys.nbytes, 3)
+            keys,
+            memory_budget=budget_for_chunks(keys, None, 3),
+            native="never",
         )
         assert np.array_equal(out.keys, np.sort(keys))
         assert out.meta["plan"].strategy == "hetero"
-        assert out.meta["plan"].chunk_plan.n_chunks == 3
+        assert out.meta["plan"].run_plan.n_runs == 3
 
 
 class TestExternalOracle:

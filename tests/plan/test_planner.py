@@ -2,8 +2,8 @@
 
 Planning is a pure function of the descriptor — deterministic, cheap,
 and data-free — and its budget arithmetic must be *the same* arithmetic
-the engines used before the refactor (``plan_chunks``/``plan_runs``),
-not a reimplementation that can drift.
+the engines use (``plan_runs`` for a file's runs and a budgeted
+array's chunks alike), not a reimplementation that can drift.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
 from repro.external.runs import plan_runs, run_footprint
-from repro.hetero.chunking import plan_chunks
 from repro.hetero.merge import CpuMergeModel
 from repro.plan import (
     PAPER_CROSSOVER_KEYS,
@@ -28,6 +27,7 @@ from repro.plan import (
     PlanStep,
     SortPlan,
 )
+from repro.plan.planner import plan_resident_bytes
 
 
 class TestInputDescriptor:
@@ -97,7 +97,8 @@ class TestStrategyChoice:
 
     def test_budget_overflow_plans_chunked_pipeline(self):
         desc = InputDescriptor(
-            n=1 << 20, key_dtype=np.uint32, memory_budget=1 << 20
+            n=1 << 20, key_dtype=np.uint32, value_dtype=np.uint32,
+            memory_budget=1 << 20,
         )
         plan = Planner().plan(desc)
         assert plan.strategy == "hetero"
@@ -133,14 +134,17 @@ class TestStrategyChoice:
 class TestBudgetLogicUnification:
     """The planner's sizing equals the engines' historical arithmetic."""
 
-    def test_chunked_plan_matches_plan_chunks(self):
+    def test_chunked_plan_matches_plan_runs(self):
+        # Chunks are cut as a file's runs of the layout and budget.
         desc = InputDescriptor(
-            n=1 << 20, key_dtype=np.uint32, memory_budget=1 << 20
+            n=1 << 20, key_dtype=np.uint32, value_dtype=np.uint32,
+            memory_budget=1 << 20,
         )
         plan = Planner().plan(desc)
-        assert plan.chunk_plan == plan_chunks(
-            desc.total_bytes, budget_bytes=desc.memory_budget
-        )
+        footprint = run_footprint(FileLayout(np.uint32, np.uint32), "library")
+        step = plan.step("chunked-pipeline")
+        assert step.params["footprint_bytes"] == footprint
+        assert plan.run_plan == plan_runs(1 << 20, 1 << 20, footprint)
 
     def test_external_plan_matches_plan_runs(self, tmp_path):
         path = tmp_path / "in.bin"
@@ -153,7 +157,7 @@ class TestBudgetLogicUnification:
         # footprint is the record itself.
         footprint = run_footprint(FileLayout(np.uint32), "library")
         assert plan.step("spill-runs").params["footprint_bytes"] == footprint
-        assert plan.run_plan == plan_runs(9_999, 4, 16_384, footprint)
+        assert plan.run_plan == plan_runs(9_999, 16_384, footprint)
 
     def test_larger_budget_never_needs_more_runs(self, tmp_path):
         path = tmp_path / "in.bin"
@@ -207,9 +211,9 @@ class TestChunkedPlan:
             value_dtype=value_dtype,
             memory_budget=1 << 20,
         )
-        plan = planner.plan(desc)
+        plan = planner.plan_chunked(desc)
         step = plan.step("chunked-pipeline")
-        chunk = -(-desc.n // plan.chunk_plan.n_chunks)
+        chunk = plan.run_plan.run_records
         assert (step.params["engine"], step.params["engine_note"]) == (
             planner.run_engine(desc, chunk)
         )
@@ -234,10 +238,13 @@ class TestChunkedPlan:
             n=1_000_003, key_dtype=np.uint32, memory_budget=1 << 20
         )
         plan = planner.plan(desc)
-        k = plan.chunk_plan.n_chunks
-        chunk = -(-desc.n // k)
+        bounds = plan.run_plan.bounds
+        k = plan.run_plan.n_runs
         assert plan.step("chunked-pipeline").predicted_seconds == (
-            pytest.approx(k * planner._run_sort_seconds(desc, "hybrid", chunk))
+            pytest.approx(sum(
+                planner._run_sort_seconds(desc, "hybrid", hi - lo)
+                for lo, hi in zip(bounds, bounds[1:])
+            ))
         )
         assert plan.step("kway-merge").predicted_seconds == pytest.approx(
             CpuMergeModel().merge_seconds(
@@ -316,7 +323,8 @@ class TestPlanIR:
 
     def test_explain_mentions_strategy_and_steps(self):
         desc = InputDescriptor(
-            n=1 << 21, key_dtype=np.uint32, memory_budget=1 << 20
+            n=1 << 21, key_dtype=np.uint32, value_dtype=np.uint32,
+            memory_budget=1 << 20,
         )
         text = Planner().plan(desc).explain()
         assert "strategy        : hetero" in text
@@ -565,28 +573,40 @@ class TestPaperPricing:
                 assert four.predicted_seconds == one.predicted_seconds
 
 
-class TestFitsInMemory:
-    """``fits_in_memory`` and "one chunk" are the same statement: the
-    §5 three-buffer rule over the budget."""
+class TestChunkOnlyWhenItHoldsLess:
+    """A budgeted array chunks exactly when the chunked plan holds fewer
+    bytes than the whole sort (``plan_resident_bytes``): never for
+    library keys, whose sort holds about their bytes, and for uint32
+    pairs, whose library sort holds three times theirs, only under a
+    budget below their own bytes."""
 
-    N = 1000  # 4,000 bytes of uint32 keys
+    N = 1000
 
     @pytest.mark.parametrize(
-        "memory_budget",
-        [None, 1 << 20, 12_002, 12_000, 11_999, 8_000],
+        "memory_budget", [None, 1 << 20, 12_000, 4_000, 1_000, 64]
     )
-    def test_fits_iff_one_chunk(self, memory_budget):
+    def test_library_keys_never_chunk(self, memory_budget):
         desc = InputDescriptor(
             n=self.N, key_dtype=np.uint32, memory_budget=memory_budget
         )
-        planner = Planner()
-        fits = planner.fits_in_memory(desc)
-        assert fits == (
-            memory_budget is None or 3 * desc.total_bytes <= memory_budget
+        assert Planner().plan(desc).strategy == "library"
+
+    @pytest.mark.parametrize(
+        "fraction,strategy",
+        [(4.0, "library"), (1.0, "library"), (0.99, "hetero"), (0.5, "hetero")],
+    )
+    def test_pairs_chunk_only_below_their_bytes(self, fraction, strategy):
+        n = 1 << 16
+        desc = InputDescriptor(
+            n=n, key_dtype=np.uint32, value_dtype=np.uint32,
+            memory_budget=int(8 * n * fraction),
         )
-        if memory_budget is not None:
-            one_chunk = plan_chunks(
-                desc.total_bytes, budget_bytes=memory_budget
-            ).n_chunks == 1
-            assert fits == one_chunk
-        assert (planner.plan(desc).strategy == "hetero") == (not fits)
+        planner = Planner()
+        plan = planner.plan(desc)
+        assert plan.strategy == strategy
+        whole = planner.plan(desc.with_budget(None))
+        chunked = planner.plan_chunked(desc)
+        assert (strategy == "hetero") == (
+            plan_resident_bytes(chunked) < plan_resident_bytes(whole)
+        )
+

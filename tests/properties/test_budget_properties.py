@@ -1,9 +1,13 @@
 """Budgeted in-memory sorts return the unbudgeted sort's bytes.
 
-An array that does not fit its ``memory_budget`` plans the ``hetero``
-strategy: budget-sized chunks sort on the host rungs and merge through
-:func:`repro.external.merge.drain_cursors`.  That changes how the work
-is cut, never the answer.  For every in-memory key dtype, keys and
+A budgeted array whose whole sort would hold more than chunking it
+plans the ``hetero`` strategy: budget-sized chunks sort on the host
+rungs and merge through :func:`repro.external.merge.drain_cursors`.
+That changes how the work is cut, never the answer.  Under
+``native="never"`` every layout drawn here chunks (the hybrid rung
+holds several times its input); under ``"auto"`` pairs chunk below
+their bytes and keys, whose library sort holds about their bytes, sort
+whole.  For every in-memory key dtype, keys and
 pairs, ``"auto"`` and ``"fused"`` pair packing, and inputs full of the
 values a merge can get wrong (NaN payloads of both signs, ±0.0, ±inf,
 integer extremes, all-equal keys), each entry point must return the
@@ -24,6 +28,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.config import SortConfig
 from repro.core.pairs import make_records
+from repro.plan import Planner
 from repro.service import SortService
 
 KEY_DTYPES = tuple(
@@ -83,7 +88,7 @@ def _keys(dtype: np.dtype, n: int, mode: str, seed: int) -> np.ndarray:
 
 @st.composite
 def budgeted_inputs(draw):
-    """(keys, values or None, config or None, memory_budget)."""
+    """(keys, values or None, config or None, memory_budget, native)."""
     dtype = draw(st.sampled_from(KEY_DTYPES))
     n = draw(st.sampled_from(SIZES))
     mode = draw(st.sampled_from(("specials", "all-equal", "mixed")))
@@ -107,9 +112,10 @@ def budgeted_inputs(draw):
             )
     nbytes = keys.nbytes + (0 if values is None else values.nbytes)
     n_chunks = draw(st.integers(2, 12))
-    # Three chunk-sized buffers fit the budget (plan_chunks).
+    # A quarter to one and a half of the input's bytes.
     budget = 3 * -(-nbytes // n_chunks)
-    return keys, values, config, budget
+    native = draw(st.sampled_from(("auto", "never")))
+    return keys, values, config, budget, native
 
 
 def _sort(keys, values, config, **kw):
@@ -132,16 +138,19 @@ def _bytes(result) -> tuple:
 )
 @given(case=budgeted_inputs())
 def test_budget_never_changes_the_bytes(case):
-    keys, values, config, budget = case
-    budgeted = _sort(keys, values, config, memory_budget=budget)
+    keys, values, config, budget, native = case
+    budgeted = _sort(
+        keys, values, config, memory_budget=budget, native=native
+    )
     plan = budgeted.meta["plan"]
-    assert plan.strategy == "hetero"
-    assert 2 <= plan.chunk_plan.n_chunks <= 12
+    if native == "never":
+        assert plan.strategy == "hetero"
+        assert plan.run_plan.n_runs >= min(2, keys.size)
     assert _bytes(budgeted) == _bytes(_sort(keys, values, config))
     if values is not None:
         records = make_records(keys, values)
         got = repro.sort_records(
-            records, config=config, memory_budget=budget
+            records, config=config, memory_budget=budget, native=native
         )
         want = repro.sort_records(records, config=config)
         assert (
@@ -150,13 +159,15 @@ def test_budget_never_changes_the_bytes(case):
 
 
 async def _served(cases):
-    async with SortService() as service:
+    # A request's config plans fresh, on the default policy; the rest
+    # plan on the hybrid rung, where every drawn layout chunks.
+    async with SortService(planner=Planner(native="never")) as service:
         return await asyncio.gather(
             *(
                 service.submit(
                     keys, values, config=config, memory_budget=budget
                 )
-                for keys, values, config, budget in cases
+                for keys, values, config, budget, _ in cases
             )
         )
 
@@ -169,8 +180,9 @@ async def _served(cases):
 @given(cases=st.lists(budgeted_inputs(), min_size=1, max_size=4))
 def test_service_budget_never_changes_the_bytes(cases):
     served = asyncio.run(_served(cases))
-    for (keys, values, config, _), result in zip(cases, served):
-        assert result.meta["plan"].strategy == "hetero"
+    for (keys, values, config, _, _), result in zip(cases, served):
+        if config is None:
+            assert result.meta["plan"].strategy == "hetero"
         assert _bytes(result) == _bytes(_sort(keys, values, config))
 
 
@@ -181,11 +193,14 @@ def test_service_budget_never_changes_the_bytes(cases):
 def test_merge_temporaries_fit_the_budget(layout, fraction):
     # Beyond one staged copy of the sorted chunks and the output, a
     # budgeted sort allocates at most its budget (plus interpreter
-    # slack): the chunk sorts work on budget/3-sized chunks and the
-    # merge sizes its blocks from the round's temporaries.  float64
-    # keys of both signs also buffer their bits and take the inverse
-    # map's bool per key; 8-byte pair rounds sort in place as words,
-    # and int32 and float32 pair keys buffer their bits too.
+    # slack): each chunk sort holds its run footprint within the budget
+    # and the merge sizes its blocks from the round's temporaries.
+    # float64 keys of both signs also buffer their bits and take the
+    # inverse map's bool per key; 8-byte pair rounds sort in place as
+    # words, and int32 and float32 pair keys buffer their bits too.
+    # Keys chunk on the hybrid rung: their library sort holds about
+    # their bytes, less than chunks would.  A budgeted sort never holds
+    # more than the whole one.
     n = 1 << 18
     rng = np.random.default_rng(7)
     if layout == "keys-f64":
@@ -200,14 +215,23 @@ def test_merge_temporaries_fit_the_budget(layout, fraction):
     values = np.arange(n, dtype=np.uint32) if pairs else None
     nbytes = keys.nbytes + (0 if values is None else values.nbytes)
     budget = int(nbytes * fraction)
+    native = "auto" if pairs else "never"
     # A first call's imports are not the sort's allocations.
     warm = None if values is None else values[:1000]
-    _sort(keys[:1000], warm, None, memory_budget=1000)
-    tracemalloc.start()
-    try:
-        result = _sort(keys, values, None, memory_budget=budget)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert result.meta["plan"].strategy == "hetero"
+    _sort(keys[:1000], warm, None, memory_budget=1000, native=native)
+    peaks = []
+    for memory_budget in (budget, None):
+        tracemalloc.start()
+        try:
+            result = _sort(
+                keys, values, None, memory_budget=memory_budget,
+                native=native,
+            )
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        if memory_budget is not None:
+            assert result.meta["plan"].strategy == "hetero"
+    peak, whole = peaks
     assert peak - 2 * nbytes <= budget + (128 << 10)
+    assert peak <= whole + (128 << 10)

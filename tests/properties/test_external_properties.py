@@ -280,7 +280,9 @@ def test_library_rung_runs_exactly_where_it_serves(
     layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
     got, engine = _sort_file(tmpdir, "auto", layout, path, budget, pair_packing)
     run_records = plan_runs(
-        layout.records_in(path), layout.record_bytes, budget
+        layout.records_in(path),
+        budget,
+        run_footprint(layout, "native", pair_packing),
     ).run_records
     serves = library_serves(
         layout.key_bits, run_records, layout.is_pairs, pair_packing, True

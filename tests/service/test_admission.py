@@ -9,38 +9,60 @@ import pytest
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.plan import InputDescriptor, Planner
-from repro.service.admission import (
-    BUFFERS_IN_PLACE,
-    AdmissionController,
-    plan_resident_bytes,
-)
+from repro.external.runs import SORT_OVERHEAD_BYTES
+from repro.plan.planner import array_resident_bytes, plan_resident_bytes
+from repro.service.admission import AdmissionController
 
 
 class TestPlanResidentBytes:
-    def test_hybrid_charges_three_buffers(self):
+    def test_library_keys_charge_their_bits(self):
+        desc = InputDescriptor(n=1000, key_dtype=np.uint32)
+        plan = Planner().plan(desc)
+        assert plan.strategy == "library"
+        assert plan_resident_bytes(plan) == 4000 + SORT_OVERHEAD_BYTES
+
+    def test_hybrid_charges_its_run_footprint(self):
         desc = InputDescriptor(n=1000, key_dtype=np.uint32)
         plan = Planner(native="never").plan(desc)
         assert plan.strategy == "hybrid"
-        assert plan_resident_bytes(plan) == BUFFERS_IN_PLACE * 4000
+        assert plan_resident_bytes(plan) == 52_000 + SORT_OVERHEAD_BYTES
 
-    def test_fallback_charges_three_buffers(self):
+    def test_fallback_charges_record_and_40_bytes(self):
         desc = InputDescriptor(n=1000, key_dtype=np.uint32)
         plan = Planner(adaptive=True).plan(desc)
         assert plan.strategy == "fallback"
-        assert plan_resident_bytes(plan) == BUFFERS_IN_PLACE * 4000
+        assert plan_resident_bytes(plan) == 44_000 + SORT_OVERHEAD_BYTES
 
-    def test_chunked_charges_chunks_not_input(self):
+    def test_fused_pairs_charge_their_packing(self):
+        from dataclasses import replace
+
+        from repro.core.config import SortConfig
+
         desc = InputDescriptor(
-            n=1_000_000, key_dtype=np.uint32, memory_budget=1 << 20
+            n=1000, key_dtype=np.uint32, value_dtype=np.uint32
+        )
+        fused = replace(SortConfig.for_layout(32, 32), pair_packing="fused")
+        plain = plan_resident_bytes(Planner().plan(desc))
+        assert plain == 24_000 + SORT_OVERHEAD_BYTES
+        charge = plan_resident_bytes(Planner(config=fused).plan(desc))
+        assert charge == 28_000 + SORT_OVERHEAD_BYTES
+
+    def test_chunked_charges_staged_copy_output_and_budget(self):
+        desc = InputDescriptor(
+            n=1_000_000,
+            key_dtype=np.uint32,
+            value_dtype=np.uint32,
+            memory_budget=1 << 20,
         )
         plan = Planner().plan(desc)
         assert plan.strategy == "hetero"
         charge = plan_resident_bytes(plan)
-        assert charge == BUFFERS_IN_PLACE * plan.chunk_plan.chunk_bytes
-        # The whole point of chunking: the charge is bounded by the
-        # budget, not by the (much larger) input.
-        assert charge <= desc.memory_budget
-        assert charge < desc.total_bytes
+        assert charge == 2 * desc.total_bytes + (1 << 20) + SORT_OVERHEAD_BYTES
+        # Chunking holds less than the whole library sort would.
+        whole = Planner().plan(InputDescriptor(
+            n=1_000_000, key_dtype=np.uint32, value_dtype=np.uint32
+        ))
+        assert charge < plan_resident_bytes(whole)
 
     def test_external_charges_its_run_budget(self, tmp_path):
         from repro.external import FileLayout, write_records
@@ -56,9 +78,21 @@ class TestPlanResidentBytes:
         assert plan.strategy == "external"
         assert plan_resident_bytes(plan) == 8 << 10
 
-    def test_empty_input_still_charges_one_byte(self):
+    def test_empty_input_still_charges_the_overhead(self):
         plan = Planner().plan(InputDescriptor(n=0, key_dtype=np.uint32))
-        assert plan_resident_bytes(plan) == 1
+        assert plan_resident_bytes(plan) == SORT_OVERHEAD_BYTES
+
+    def test_batch_members_charge_the_batch_footprint(self):
+        keys = InputDescriptor(n=1000, key_dtype=np.uint32)
+        pairs = InputDescriptor(
+            n=1000, key_dtype=np.uint32, value_dtype=np.uint32
+        )
+        assert array_resident_bytes(keys, "batch") == (
+            12_000 + SORT_OVERHEAD_BYTES
+        )
+        assert array_resident_bytes(pairs, "batch") == (
+            104_000 + SORT_OVERHEAD_BYTES
+        )
 
 
 class TestAdmissionController:

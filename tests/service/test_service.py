@@ -408,15 +408,26 @@ class TestAdmission:
         assert stats.completed == 0
 
     def test_budgeted_request_chunks_and_fits(self, rng):
+        # 800 KB of uint32 pairs: their whole library sort holds 2.4 MB,
+        # over the service's 2 MiB; chunked under a 256 KiB budget they
+        # hold the staged copy, the output and the budget, 1.9 MB.
         big = rng.integers(0, 2**32, 100_000).astype(np.uint32)
+        values = np.arange(big.size, dtype=np.uint32)
 
         async def main():
-            async with SortService(memory_budget=1 << 16) as service:
-                return await service.submit(big, memory_budget=1 << 14)
+            async with SortService(memory_budget=2 << 20) as service:
+                whole = service.submit(big, values)
+                chunked = service.submit(big, values, memory_budget=1 << 18)
+                return await asyncio.gather(
+                    whole, chunked, return_exceptions=True
+                )
 
-        result = run(main())
+        whole, result = run(main())
+        assert isinstance(whole, AdmissionError)
         assert result.meta["plan"].strategy == "hetero"
-        assert bytes(result.keys) == bytes(np.sort(big))
+        want = repro.sort_pairs(big, values)
+        assert bytes(result.keys) == bytes(want.keys)
+        assert bytes(result.values) == bytes(want.values)
 
     def test_small_requests_complete_alongside_rejection(self, rng):
         big = rng.integers(0, 2**32, 100_000).astype(np.uint32)

@@ -111,7 +111,9 @@ class TestPlanCommand:
         assert "predicted total" in out
 
     def test_budgeted_plan_chooses_chunked_pipeline(self, capsys):
-        rc = main(["plan", "--n", "8000000", "--memory-budget", "4M"])
+        rc = main(
+            ["plan", "--n", "8000000", "--pairs", "--memory-budget", "4M"]
+        )
         out = capsys.readouterr().out
         assert rc == 0
         assert "strategy        : hetero" in out
