@@ -472,14 +472,14 @@ class Planner:
         merge_seconds = CpuMergeModel().merge_seconds(
             total_bytes=total, n_runs=max(1, k), record_bytes=descriptor.record_bytes
         )
-        sizing = {"memory_budget": budget, "engine": engine,
-                  "engine_note": engine_note, "footprint_bytes": footprint}
+        sizing = {"engine": engine, "engine_note": engine_note,
+                  "footprint_bytes": footprint, "run_plan": run_plan}
         if descriptor.source == "file":
             io_seconds = 2 * total / HOST_DISK_BANDWIDTH
-            params = {"n_runs": k, "run_records": longest, **sizing}
-            params["workers"] = workers
             cut = PlanStep(
-                "spill-runs", {**params, "run_plan": run_plan},
+                "spill-runs",
+                {"n_runs": k, "run_records": longest, "memory_budget": budget,
+                 "workers": workers, **sizing},
                 io_seconds + sort_seconds, 2 * total,
             )
             where, seconds = "streaming disk", io_seconds + merge_seconds
@@ -490,10 +490,10 @@ class Planner:
                 f"then a streaming merge"
             )
         else:
-            params = {"n_chunks": k, "chunk_records": longest, **sizing}
-            params["packing"] = packing
             cut = PlanStep(
-                "chunked-pipeline", {**params, "run_plan": run_plan},
+                "chunked-pipeline",
+                {"n_chunks": k, "chunk_records": longest, "memory_budget": budget,
+                 "packing": packing, **sizing},
                 sort_seconds, 2 * total,
             )
             where, seconds = "host", merge_seconds
