@@ -50,7 +50,7 @@ def max_chunk_bytes(
     ``reserve_bytes`` keeps room for the bucket bookkeeping (§4.5's ≤5 %)
     and the CUDA context.  This is the device's rule: the host path
     sizes a budgeted array's chunks by what their sort measurably holds
-    (:func:`repro.external.runs.run_footprint`).
+    (:func:`repro.plan.planner.run_footprint`).
     """
     buffers = 3 if in_place_replacement else 4
     usable = spec.device_memory_bytes - reserve_bytes

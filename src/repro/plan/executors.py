@@ -209,9 +209,9 @@ def _execute_hetero(
     keys = np.asarray(keys)
     pairs = values is not None
     values = np.asarray(values) if pairs else None
-    # Run sorts widen a file's 8/16-bit keys; an array of them fails
-    # here as on every in-memory rung.
-    SortConfig.for_layout(8 * keys.itemsize, 0)
+    # Run sorts widen a file's 8/16-bit keys; an array whose layout
+    # no in-memory rung sorts fails here as it does unchunked.
+    SortConfig.for_layout(8 * keys.itemsize, 8 * values.itemsize if pairs else 0)
     step = plan.step("chunked-pipeline")
     layout = FileLayout(keys.dtype, values.dtype if pairs else None)
     packing = step.params["packing"]
@@ -221,7 +221,7 @@ def _execute_hetero(
     chunks = list(zip(bounds, bounds[1:]))
     for lo, hi in chunks:
         chunk = staged[lo:hi]
-        done = writer.sort_records(chunk)
+        done = writer.sort_records(chunk, plan.descriptor.workers)
         if not np.may_share_memory(done, chunk):  # a sorted copy
             chunk[...] = done
         del done  # one chunk's sort at a time, none in the merge

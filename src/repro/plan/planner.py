@@ -1,23 +1,15 @@
 """The planner: one strategy decision for every engine in the repo.
 
-Before this layer existed, each engine re-derived the paper's
-plan-before-sorting decision privately: ``AdaptiveSorter`` owned the
-§6.1 small-input crossover, ``HeterogeneousSorter`` and
-``ExternalSorter`` each sized their chunks or runs on their own, and
-the ``repro.sort()`` facade knew exactly one engine.
-:class:`Planner` absorbs all of those decisions into a single code path
-that maps an :class:`~repro.plan.descriptor.InputDescriptor` to a
-:class:`~repro.plan.ir.SortPlan`:
+:class:`Planner` maps an :class:`~repro.plan.descriptor.InputDescriptor`
+to a :class:`~repro.plan.ir.SortPlan` in one code path:
 
 * **file inputs** spill memory-budgeted runs, sized by what each run
-  sort holds (:func:`repro.external.runs.run_footprint`), and k-way
-  merge them (the out-of-core realisation of §5, executed by
-  ``ExternalSorter``);
+  sort holds (:func:`run_footprint`), and k-way merge them (the
+  out-of-core realisation of §5, executed by ``ExternalSorter``);
 * **budgeted arrays whose sort would hold more than chunking** sort
   chunks cut as a file's runs are, on the engine a file's runs would
   use, and merge them in memory with the file merge's
-  :func:`~repro.external.merge.drain_cursors`.  What each plan holds
-  comes from one memory model, :func:`plan_resident_bytes`;
+  :func:`~repro.external.merge.drain_cursors`;
 * **small arrays under an adaptive policy** fall back to the LSD
   baseline (§6.1's case distinction — the crossover constants live
   here and ``AdaptiveSorter`` delegates to them);
@@ -30,6 +22,12 @@ that maps an :class:`~repro.plan.descriptor.InputDescriptor` to a
 
 Planning never touches input data: every decision is a function of the
 descriptor alone, so plans are deterministic, cheap, and serialisable.
+What a plan holds comes from the host's one memory model: the bytes
+each rung's sort was measured to hold (:func:`run_footprint`,
+:func:`array_footprint`), read off a layout's two dtypes alone and
+summed by :func:`plan_resident_bytes`.  §5's three-buffer rule
+(Figure 5) is the device's and stays in :mod:`repro.hetero.chunking`.
+
 Every plan is priced by the paper-anchored models
 (:class:`~repro.core.analytical.AnalyticalModel` pass counts, the LSD
 baseline's :class:`~repro.cost.model.LSDCostPreset` pricing,
@@ -42,10 +40,12 @@ route.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import replace
 
 from repro.core.analytical import AnalyticalModel
 from repro.core.config import SortConfig
+from repro.core.pairs import fused_packable
 from repro.errors import ConfigurationError
 from repro.hetero.merge import CpuMergeModel
 from repro.plan.descriptor import InputDescriptor
@@ -53,8 +53,12 @@ from repro.plan.ir import PlanStep, SortPlan
 
 __all__ = [
     "Planner",
+    "run_footprint",
+    "array_footprint",
     "plan_resident_bytes",
     "array_resident_bytes",
+    "SORT_OVERHEAD_BYTES",
+    "CHUNK_OVERHEAD_BYTES",
     "PAPER_CROSSOVER_KEYS",
     "PAPER_CROSSOVER_PAIRS",
     "HOST_DISK_BANDWIDTH",
@@ -99,23 +103,158 @@ def layout_preset(key_bits: int, value_bits: int) -> SortConfig:
     return replace(preset, key_bits=key_bits, value_bits=value_bits)
 
 
+#: Bytes a sort holds whatever its size (result, metadata, array
+#: headers; the simulated engines' traces take up to about 11 KiB).
+SORT_OVERHEAD_BYTES = 16 << 10
+
+#: Bytes a budgeted array's chunked sort holds per chunk beside its
+#: budget: the chunk's merge cursor and bounds (measured 0.4-0.9 KiB).
+CHUNK_OVERHEAD_BYTES = 1 << 10
+
+
+def run_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
+    """Bytes per record a run sort of ``layout``'s dtypes holds on ``engine``.
+
+    What :func:`~repro.external.runs.plan_runs` cuts runs by, so that a
+    run and its sort's temporaries fit the budget.  On the library rung
+    (:func:`~repro.external.runs._library_sort_records`; measured with
+    ``tracemalloc``, plus the stable sort's buffer, which NumPy
+    allocates outside its view):
+
+    * keys sort in place over their bits: the record, plus one bool per
+      float key for the map and one byte per 8-bit key for the stable
+      sort's buffer;
+    * fused pairs hold the record, the fused words and one more word
+      and record while they pack and unpack;
+    * other 8-byte pairs sort in place as ``key|position`` words: the
+      record and its 4-byte value, 1.5 records;
+    * other pairs hold the record and their ``key|position`` words,
+      then the larger of the key bits with the packing's 8-byte
+      temporary and the gathered records.
+
+    The radix engines, measured the same way at 2^11 to 2^18 records,
+    plus the compiled kernel's scratch, which it mallocs outside
+    ``tracemalloc``'s view (16 bytes a record at worst):
+
+    * keys: the record and 48 bytes (the native kernel's key and
+      payload lanes and its scratch; the hybrid engine's bits and
+      buffers);
+    * pairs on the native kernel: two records (the input and the
+      rebuilt output) and 48 bytes of lanes and scratch, 64 under
+      ``"off"`` packing, whose permutation gathers the columns;
+    * pairs on the hybrid engine: two records and 80 bytes, or six
+      records and 72 bytes under ``"off"`` packing.
+
+    >>> run_footprint(InputDescriptor(0, "f8"), "library")
+    9
+    >>> run_footprint(InputDescriptor(0, "u1"), "library")
+    2
+    >>> run_footprint(InputDescriptor(0, "u4", "u4"), "library")
+    12
+    >>> run_footprint(InputDescriptor(0, "u4", "u4"), "library", "fused")
+    32
+    >>> run_footprint(InputDescriptor(0, "u2", "u4"), "library")
+    24
+    >>> run_footprint(InputDescriptor(0, "i8", "u4"), "native")
+    72
+    >>> run_footprint(InputDescriptor(0, "u8", "u8"), "hybrid")
+    112
+    """
+    key, record = layout.key_dtype.itemsize, layout.record_bytes
+    value = None if layout.value_dtype is None else record - key
+    if engine != "library":
+        if value is None:
+            return record + 48
+        off = pair_packing == "off"
+        if engine == "native":
+            return 2 * record + (64 if off else 48)
+        return 6 * record + 72 if off else 2 * record + 80
+    if value is None:
+        return record + (layout.key_dtype.kind == "f") + (key == 1)
+    if pair_packing == "fused" and fused_packable(8 * key, 8 * value):
+        return 2 * (record + (4 if record <= 4 else 8))
+    # 8-byte records sort in place as words (runs._word_pairs).
+    if sys.byteorder == "little" and key == value == 4:
+        return record + value
+    return record + 8 + max(key + 8, record)
+
+
+def array_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
+    """Bytes per record a whole in-memory array's sort holds on ``engine``.
+
+    Beside the caller's input, output included, plus
+    :data:`SORT_OVERHEAD_BYTES`; measured with ``tracemalloc`` at 2^14
+    and 2^18 records (docs/performance.md, "Budgeted arrays"):
+
+    * ``"library"``: keys hold their bits, plus a bool per float key for
+      the map; pairs their bits, the ``key|position`` words, the
+      permutation and the gathered values (at least 4 bytes), or fused,
+      the words and their unpacked keys and values.
+    * ``"native"``: the kernel's two 8-byte output lanes and 16 bytes of
+      scratch it mallocs outside ``tracemalloc``'s view, and what each
+      packing builds around them: key bits, widened to a lane and
+      narrowed back when narrower; a 64-bit key's narrow value, widened
+      to the payload lane; a packed word; or under ``"off"`` a position
+      lane and the gathered keys and values.
+    * ``"hybrid"``: its run footprint, which bounds the array sort too:
+      what the engine holds depends on the buckets the data makes (up to
+      40 bytes a record for uint32 keys, 85 for 64-bit-key pairs and 132
+      under ``"off"``, over uniform, Zipf and few-distinct keys).
+    * ``"fallback"`` (the §6.1 LSD baseline): the record and 40 bytes.
+    * ``"batch"`` (:func:`~repro.service.batching.execute_batch`): three
+      records for keys, eight and 40 bytes for pairs, whose rows pad to
+      a power of two.
+
+    >>> array_footprint(InputDescriptor(0, "u4", "u4"), "library")
+    24
+    >>> array_footprint(InputDescriptor(0, "i8", "u8"), "native")
+    32
+    """
+    if engine == "hybrid":
+        return run_footprint(layout, engine, pair_packing)
+    key, record = layout.key_dtype.itemsize, layout.record_bytes
+    value = None if layout.value_dtype is None else record - key
+    float_map, fused = layout.key_dtype.kind == "f", pair_packing == "fused"
+    if engine == "fallback":
+        return record + 40
+    if engine == "batch":
+        return 3 * record if value is None else 8 * record + 40
+    if engine == "library":
+        if value is None:
+            return record + float_map
+        return key + 16 + (key + value if fused else max(value, 4)) + float_map
+    lanes = 32  # two output lanes and the kernel's scratch
+    if value is None:
+        return lanes + key + (8 + key if key < 8 else 0)
+    if pair_packing == "off":
+        return lanes + max(16 + key, 8 + 2 * key + value) + float_map
+    if key == 8:
+        return lanes + (8 + value if value < 8 else 0)
+    return lanes + 2 * key + 8 + (value if fused else float_map)
+
+
 def plan_resident_bytes(plan: SortPlan) -> int:
     """The bytes executing ``plan`` holds beside its input.
 
     An unchunked array holds its rung's measured footprint
     (:func:`array_resident_bytes`); a chunked one, the staged copy of
-    its records, the output and the budget its chunk sorts and merge
-    rounds fit; a file sort, its budget.  The planner chunks only when
-    that holds less, and the sort service admits by it.
+    its records, the output, the budget its chunk sorts and merge
+    rounds fit, its sort's overhead (twice on a radix rung, whose chunk
+    sorts have their own) and :data:`CHUNK_OVERHEAD_BYTES` a chunk; a
+    file sort, its budget.  The planner chunks only when that holds
+    less, and the sort service admits by it.
     """
-    from repro.external.runs import SORT_OVERHEAD_BYTES
-
     desc = plan.descriptor
     params = plan.steps[0].params
     if plan.strategy == "external":
         return params["memory_budget"]
     if plan.strategy == "hetero":
-        return 2 * desc.total_bytes + params["memory_budget"] + SORT_OVERHEAD_BYTES
+        sorts = 1 if params["engine"] == "library" else 2
+        return (
+            2 * desc.total_bytes + params["memory_budget"]
+            + params["n_chunks"] * CHUNK_OVERHEAD_BYTES
+            + sorts * SORT_OVERHEAD_BYTES
+        )
     return array_resident_bytes(desc, plan.strategy, params.get("packing", "auto"))
 
 
@@ -123,14 +262,10 @@ def array_resident_bytes(
     descriptor: InputDescriptor, rung: str, pair_packing: str = "auto"
 ) -> int:
     """One unchunked sort on ``rung``: the footprint per record
-    (:func:`repro.external.runs.array_footprint`) times the records,
-    and the per-sort overhead; the sort service charges a micro-batch
-    member this on the ``"batch"`` rung."""
-    from repro.external.format import FileLayout
-    from repro.external.runs import SORT_OVERHEAD_BYTES, array_footprint
-
-    layout = FileLayout(descriptor.key_dtype, descriptor.value_dtype)
-    footprint = array_footprint(layout, rung, pair_packing)
+    (:func:`array_footprint`) times the records, and the per-sort
+    overhead; the sort service charges a micro-batch member this on the
+    ``"batch"`` rung."""
+    footprint = array_footprint(descriptor, rung, pair_packing)
     return descriptor.n * footprint + SORT_OVERHEAD_BYTES
 
 
@@ -199,12 +334,19 @@ class Planner:
         """Choose the strategy and lay out the steps for one input.
 
         A budgeted array sorts whole unless chunking it holds fewer
-        bytes (:func:`plan_resident_bytes`).
+        bytes (:func:`plan_resident_bytes`).  Chunks
+        sort in a staged copy of the records, as bytes, which object
+        references cannot be; such arrays sort whole.
         """
         if descriptor.source == "file":
             return self.plan_external(descriptor)
         plan = self._plan_whole(descriptor)
-        if descriptor.memory_budget is not None and descriptor.n:
+        value = descriptor.value_dtype
+        if (
+            descriptor.memory_budget is not None
+            and descriptor.n
+            and not (value is not None and value.hasobject)
+        ):
             chunked = self.plan_chunked(descriptor)
             if plan_resident_bytes(chunked) < plan_resident_bytes(plan):
                 return chunked
@@ -413,51 +555,90 @@ class Planner:
         """The §5 chunked strategy for a budgeted array.
 
         The chunks are cut as a file's runs of the layout and budget
-        (:meth:`_plan_cut`), one sorting at a time, each in place in a
+        (:meth:`_cut`), one sorting at a time, each in place in a
         staged copy of the records; the sorted chunks merge in memory
         through :func:`repro.external.merge.drain_cursors`.
         """
         if descriptor.n == 0:
             raise ConfigurationError("cannot plan chunks for an empty input")
-        if descriptor.memory_budget is None:
-            raise ConfigurationError(
-                "the chunked strategy needs a memory_budget"
-            )
-        return self._plan_cut(descriptor, descriptor.memory_budget, 1)
+        budget = descriptor.memory_budget
+        if budget is None:
+            raise ConfigurationError("the chunked strategy needs a memory_budget")
+        engine, note, footprint, run_plan, sort_seconds = self._cut(
+            descriptor, budget, 1
+        )
+        k, total = run_plan.n_runs, descriptor.total_bytes
+        chunks = PlanStep(
+            "chunked-pipeline",
+            {"n_chunks": k, "chunk_records": run_plan.run_records,
+             "memory_budget": budget,
+             "packing": self._config_for(descriptor).pair_packing,
+             "engine": engine, "engine_note": note,
+             "footprint_bytes": footprint, "run_plan": run_plan},
+            sort_seconds, 2 * total,
+        )
+        merge = PlanStep(
+            "kway-merge", {"n_runs": k, "where": "host"},
+            self._merge_seconds(descriptor, k), 2 * total,
+        )
+        return SortPlan(
+            descriptor, "hetero", f"{engine} chunks + drain_cursors",
+            (chunks, merge),
+            f"chunking holds less than the whole sort under the memory "
+            f"budget; {k} chunks sorted by the {engine} engine, then an "
+            f"in-memory k-way merge",
+        )
 
     def plan_external(self, descriptor: InputDescriptor) -> SortPlan:
         """The spill-to-disk strategy for file inputs: runs cut by
-        :meth:`_plan_cut`, with the descriptor's ``workers`` runs in
-        flight sharing the budget, then a streaming merge."""
+        :meth:`_cut`, with the descriptor's ``workers`` runs in flight
+        sharing the budget, then a streaming merge."""
         from repro.external.sorter import DEFAULT_MEMORY_BUDGET
 
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
-        return self._plan_cut(descriptor, budget, descriptor.workers)
+        workers = descriptor.workers
+        engine, note, footprint, run_plan, sort_seconds = self._cut(
+            descriptor, budget, workers
+        )
+        k, total = run_plan.n_runs, descriptor.total_bytes
+        io_seconds = 2 * total / HOST_DISK_BANDWIDTH
+        runs = PlanStep(
+            "spill-runs",
+            {"n_runs": k, "run_records": run_plan.run_records,
+             "memory_budget": budget, "workers": workers,
+             "engine": engine, "engine_note": note,
+             "footprint_bytes": footprint, "run_plan": run_plan},
+            io_seconds + sort_seconds, 2 * total,
+        )
+        merge = PlanStep(
+            "kway-merge", {"n_runs": k, "where": "streaming disk"},
+            io_seconds + self._merge_seconds(descriptor, k), 2 * total,
+        )
+        return SortPlan(
+            descriptor, "external", "ExternalSorter", (runs, merge),
+            f"on-disk input; {k} memory-budgeted run(s) of "
+            f"≤ {run_plan.run_records:,} records sorted by the {engine} "
+            f"engine, then a streaming merge",
+        )
 
-    def _plan_cut(
-        self, descriptor: InputDescriptor, budget: int, workers: int
-    ) -> SortPlan:
-        """Cut a file's runs, or an array's chunks, and merge them.
+    def _cut(self, descriptor: InputDescriptor, budget: int, workers: int):
+        """Size a file's runs, or an array's chunks, under ``budget``.
 
         :meth:`run_engine` picks the run sorts' engine for the runs the
         native kernel's footprint would cut (so the native floor sees
         the runs it would sort); the runs are then cut by the chosen
-        engine's :func:`~repro.external.runs.run_footprint`, which the
-        first step records with the engine and why.
+        engine's :func:`run_footprint`.  Returns
+        ``(engine, note, footprint, run_plan, sort_seconds)``.
         """
-        from repro.external.format import FileLayout
-        from repro.external.runs import plan_runs, run_footprint
+        from repro.external.runs import plan_runs
 
-        n, total = descriptor.n, descriptor.total_bytes
-        layout = FileLayout(descriptor.key_dtype, descriptor.value_dtype)
+        n = descriptor.n
         packing = self._config_for(descriptor).pair_packing
         native_runs = plan_runs(
-            n, budget, run_footprint(layout, "native", packing), workers
+            n, budget, run_footprint(descriptor, "native", packing), workers
         )
-        engine, engine_note = self.run_engine(
-            descriptor, native_runs.run_records
-        )
-        footprint = run_footprint(layout, engine, packing)
+        engine, note = self.run_engine(descriptor, native_runs.run_records)
+        footprint = run_footprint(descriptor, engine, packing)
         run_plan = plan_runs(n, budget, footprint, workers)
         k, longest = run_plan.n_runs, run_plan.run_records
         # Runs are cut evenly: each holds `longest` records or one fewer.
@@ -469,45 +650,15 @@ class Planner:
             sort_seconds += (k - long_runs) * self._run_sort_seconds(
                 descriptor, engine, longest - 1
             )
-        merge_seconds = CpuMergeModel().merge_seconds(
-            total_bytes=total, n_runs=max(1, k), record_bytes=descriptor.record_bytes
+        return engine, note, footprint, run_plan, sort_seconds
+
+    def _merge_seconds(self, descriptor: InputDescriptor, n_runs: int) -> float:
+        """The CPU k-way merge of ``n_runs`` sorted runs."""
+        return CpuMergeModel().merge_seconds(
+            total_bytes=descriptor.total_bytes,
+            n_runs=max(1, n_runs),
+            record_bytes=descriptor.record_bytes,
         )
-        sizing = {"engine": engine, "engine_note": engine_note,
-                  "footprint_bytes": footprint, "run_plan": run_plan}
-        if descriptor.source == "file":
-            io_seconds = 2 * total / HOST_DISK_BANDWIDTH
-            cut = PlanStep(
-                "spill-runs",
-                {"n_runs": k, "run_records": longest, "memory_budget": budget,
-                 "workers": workers, **sizing},
-                io_seconds + sort_seconds, 2 * total,
-            )
-            where, seconds = "streaming disk", io_seconds + merge_seconds
-            strategy, name = "external", "ExternalSorter"
-            reason = (
-                f"on-disk input; {k} memory-budgeted run(s) of "
-                f"≤ {longest:,} records sorted by the {engine} engine, "
-                f"then a streaming merge"
-            )
-        else:
-            cut = PlanStep(
-                "chunked-pipeline",
-                {"n_chunks": k, "chunk_records": longest, "memory_budget": budget,
-                 "packing": packing, **sizing},
-                sort_seconds, 2 * total,
-            )
-            where, seconds = "host", merge_seconds
-            strategy = "hetero"
-            name = f"{engine} chunks + drain_cursors"
-            reason = (
-                f"chunking holds less than the whole sort under the "
-                f"memory budget; {k} chunks sorted by the {engine} "
-                f"engine, then an in-memory k-way merge"
-            )
-        merge = PlanStep(
-            "kway-merge", {"n_runs": k, "where": where}, seconds, 2 * total
-        )
-        return SortPlan(descriptor, strategy, name, (cut, merge), reason)
 
     def run_engine(
         self, descriptor: InputDescriptor, run_records: int

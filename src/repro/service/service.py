@@ -60,7 +60,6 @@ from repro.errors import (
     ConfigurationError,
     DeadlineExceededError,
     OverloadedError,
-    UnsupportedDtypeError,
 )
 from repro.gpu.spec import GPUSpec, TITAN_X_PASCAL
 from repro.plan.descriptor import InputDescriptor
@@ -558,10 +557,7 @@ class SortService:
         records = 0
         resident = 0
         for request in members:
-            try:
-                charge = array_resident_bytes(request.descriptor, "batch")
-            except UnsupportedDtypeError:
-                charge = 0  # planning rejects it in _run_batch
+            charge = array_resident_bytes(request.descriptor, "batch")
             if chunk and (
                 len(chunk) >= self.batch_max_requests
                 or records + request.descriptor.n > self.batch_max_records
@@ -807,14 +803,16 @@ class SortService:
                 self._spawn(self._run_single(request))
         if not runnable:
             return
-        resident = sum(
-            array_resident_bytes(request.descriptor, "batch")
-            for request in runnable
-        )
         try:
+            resident = sum(array_resident_bytes(r.descriptor, "batch") for r in runnable)
             await self.admission.acquire(resident)
-        except AdmissionError as exc:
-            self.stats.rejected += len(runnable)
+        except Exception as exc:
+            # Broad as in _run_single: an uncaught task exception would
+            # leave every member's submitter awaiting forever.
+            if isinstance(exc, AdmissionError):
+                self.stats.rejected += len(runnable)
+            else:
+                self.stats.failed += len(runnable)
             for request in runnable:
                 request.reject(exc)
             return

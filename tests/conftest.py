@@ -72,11 +72,11 @@ def budget_for_chunks():
     """``budget(keys, values, n_chunks, engine="hybrid")``: a
     ``memory_budget`` under which a chunked array is cut into
     ``n_chunks`` chunks sorting on ``engine``, each holding its run
-    footprint (:func:`repro.external.runs.run_footprint`).  The planner
+    footprint (:func:`repro.plan.planner.run_footprint`).  The planner
     chunks only when that holds less than the whole sort: keys under
     ``native="never"``, or pairs under a budget below their bytes."""
     from repro.external.format import FileLayout
-    from repro.external.runs import run_footprint
+    from repro.plan.planner import run_footprint
 
     def budget(keys, values, n_chunks: int, engine: str = "hybrid") -> int:
         layout = FileLayout(

@@ -24,10 +24,9 @@ from repro.core.digits import (
 )
 from repro.errors import ConfigurationError
 from repro.external import FileLayout
-from repro.external.runs import run_footprint
 from repro.plan import InputDescriptor, Planner
 from repro.plan.executors import execute_plan
-from repro.plan.planner import NATIVE_MIN_KEYS
+from repro.plan.planner import NATIVE_MIN_KEYS, run_footprint
 from repro.resilience.degrade import (
     DEFAULT_LADDER,
     fallback_chain,
@@ -167,7 +166,9 @@ class TestPlannerChoice:
         import repro
 
         use_tier(monkeypatch, built)
-        keys = np.arange(1 << 12, dtype=dtype)
+        # Enough records that their chunks' overheads leave chunking
+        # holding less than the whole sort.
+        keys = np.arange(1 << 16, dtype=dtype)
         for budget in (None, keys.nbytes // 4):
             plan = repro.plan_for(keys, memory_budget=budget)
             assert plan.strategy != "library"

@@ -137,6 +137,55 @@ class TestHeteroOracle:
         assert chunked.keys.tobytes() == whole.keys.tobytes()
         assert chunked.values.tobytes() == whole.values.tobytes()
 
+    @pytest.mark.parametrize("value_dtype", ["S4", "U1", "V4"])
+    def test_chunks_stage_byte_payloads(self, rng, value_dtype):
+        # Bytes, strings and raw fields stage as records too.
+        keys = rng.integers(0, 2**32, 20_000, dtype=np.uint64).astype(
+            np.uint32
+        )
+        values = rng.integers(32, 127, keys.size).astype(np.uint32)
+        values = values.view(value_dtype)
+        budget = (keys.nbytes + values.nbytes) // 4
+        chunked = repro.sort_pairs(keys, values, memory_budget=budget)
+        whole = repro.sort_pairs(keys, values)
+        assert chunked.meta["plan"].strategy == "hetero"
+        assert chunked.keys.tobytes() == whole.keys.tobytes()
+        assert chunked.values.tobytes() == whole.values.tobytes()
+
+    @pytest.mark.parametrize("native", ["auto", "never"])
+    def test_object_payloads_sort_whole(self, rng, native):
+        # Object references cannot stage as record bytes, so no budget
+        # chunks them.
+        keys = rng.integers(0, 50, 5_000).astype(np.uint32)
+        values = np.arange(keys.size).astype(object)
+        whole = repro.sort_pairs(keys, values, native=native)
+        for budget in (1 << 30, 12 * keys.size, 1024):
+            out = repro.sort_pairs(
+                keys, values, memory_budget=budget, native=native
+            )
+            assert out.meta["plan"].strategy == whole.meta["plan"].strategy
+            assert out.keys.tobytes() == whole.keys.tobytes()
+            assert out.values.tolist() == whole.values.tolist()
+
+    def test_chunk_sorts_use_the_requests_workers(self, rng, monkeypatch):
+        from repro.plan import executors
+
+        real, workers = executors.sort_in_memory, []
+
+        def spy(engine, keys, values=None, config=None, device=None):
+            workers.append(config.workers)
+            return real(engine, keys, values, config, device)
+
+        monkeypatch.setattr(executors, "sort_in_memory", spy)
+        keys = rng.integers(0, 2**63, 40_000, dtype=np.uint64)
+        out = repro.sort(
+            keys, memory_budget=keys.nbytes // 4, workers=2, native="never"
+        )
+        assert out.meta["plan"].strategy == "hetero"
+        assert len(workers) == out.meta["plan"].run_plan.n_runs > 1
+        assert set(workers) == {2}
+        assert np.array_equal(out.keys, np.sort(keys))
+
     def test_hetero_sorter_unchanged_by_refactor(
         self, rng, budget_for_chunks
     ):

@@ -2,7 +2,7 @@
 
 :func:`repro.plan.planner.plan_resident_bytes` charges an unchunked
 plan its rung's measured footprint per record
-(:func:`repro.external.runs.array_footprint`), and the sort service
+(:func:`repro.plan.planner.array_footprint`), and the sort service
 charges each micro-batch member the batch footprint
 (:func:`repro.plan.planner.array_resident_bytes`).  For every in-memory
 layout on every rung a host reaches — the library rung, the compiled
@@ -162,6 +162,63 @@ def test_micro_batches_are_never_under_charged(sizes, key_dtype, value_dtype):
     peak = _peak(lambda: execute_batch(requests))
     charge = sum(array_resident_bytes(r.descriptor, "batch") for r in requests)
     assert charge >= peak
+
+
+#: Budgeted layouts the model chunks, with the rung that plans them:
+#: uint32 pairs on the library rung (under a budget below their bytes)
+#: and any layout on the radix rungs.
+CHUNKED_LAYOUTS = [
+    ("u4", "u4", "auto"), ("f4", "u4", "auto"), ("u4", None, "never"),
+    ("f8", None, "never"), ("u8", "u8", "never"), ("i8", "u4", "auto"),
+] + ([("u4", None, "always")] if "always" in _rungs() else [])
+
+#: A 5 % budget cuts about 250 radix chunks, whose sorts tracemalloc
+#: slows to seconds; it runs on the library rung's 31 chunks.
+CHUNKED_CASES = [
+    (*layout, n, fraction)
+    for layout in CHUNKED_LAYOUTS
+    for n in (1 << 14, 1 << 16)
+    for fraction in (0.75, 0.25)
+] + [(k, v, "auto", 1 << 14, 0.05) for k, v in (("u4", "u4"), ("f4", "u4"))]
+
+
+@pytest.mark.parametrize(
+    "key_dtype,value_dtype,native,n,fraction", CHUNKED_CASES
+)
+def test_chunked_plans_are_never_under_charged(
+    monkeypatch, key_dtype, value_dtype, native, n, fraction
+):
+    from repro.external.runs import RunWriter
+
+    keys, values = _data(key_dtype, value_dtype, n)
+    nbytes = keys.nbytes + (0 if values is None else values.nbytes)
+    desc = InputDescriptor.for_array(
+        keys, values, memory_budget=int(nbytes * fraction)
+    )
+    plan = Planner(native=native).plan(desc)
+    assert plan.strategy == "hetero"
+    scratch = NATIVE_SCRATCH * (
+        plan.step("chunked-pipeline").params["engine"] == "native"
+    )
+    # The kernel's scratch lives only while a chunk sorts, so each phase
+    # (staging, every chunk sort, the merge) is measured on its own.
+    peaks, sort_records = [], RunWriter.sort_records
+
+    def sort_chunk(writer, records, workers=1):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        tracemalloc.reset_peak()
+        done = sort_records(writer, records, workers)
+        peaks.append(tracemalloc.get_traced_memory()[1] + scratch * records.size)
+        tracemalloc.reset_peak()
+        return done
+
+    def run():
+        execute_plan(plan, keys=keys, values=values)
+
+    run()  # imports and caches are not the sort's allocations
+    monkeypatch.setattr(RunWriter, "sort_records", sort_chunk)
+    peaks.append(_peak(run))
+    assert plan_resident_bytes(plan) >= max(peaks)
 
 
 def test_native_wide_pairs_never_chunk():

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
 from repro.external.format import FileLayout
-from repro.external.runs import plan_runs, run_footprint
+from repro.external.runs import plan_runs
 from repro.hetero.merge import CpuMergeModel
 from repro.plan import (
     PAPER_CROSSOVER_KEYS,
@@ -27,7 +27,7 @@ from repro.plan import (
     PlanStep,
     SortPlan,
 )
-from repro.plan.planner import plan_resident_bytes
+from repro.plan.planner import plan_resident_bytes, run_footprint
 
 
 class TestInputDescriptor:

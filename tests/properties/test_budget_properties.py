@@ -3,11 +3,11 @@
 A budgeted array whose whole sort would hold more than chunking it
 plans the ``hetero`` strategy: budget-sized chunks sort on the host
 rungs and merge through :func:`repro.external.merge.drain_cursors`.
-That changes how the work is cut, never the answer.  Under
-``native="never"`` every layout drawn here chunks (the hybrid rung
-holds several times its input); under ``"auto"`` pairs chunk below
-their bytes and keys, whose library sort holds about their bytes, sort
-whole.  For every in-memory key dtype, keys and
+That changes how the work is cut, never the answer.  The arrays drawn
+here are small, so the model sorts many of them whole (their chunks'
+fixed overheads would hold more); :class:`_ChunkingPlanner` chunks
+them anyway, as the model does larger arrays, so every chunk boundary
+drawn is sorted both ways.  For every in-memory key dtype, keys and
 pairs, ``"auto"`` and ``"fused"`` pair packing, and inputs full of the
 values a merge can get wrong (NaN payloads of both signs, ±0.0, ±inf,
 integer extremes, all-equal keys), each entry point must return the
@@ -28,7 +28,7 @@ from hypothesis import strategies as st
 import repro
 from repro.core.config import SortConfig
 from repro.core.pairs import make_records
-from repro.plan import Planner
+from repro.plan import Planner, execute_plan
 from repro.service import SortService
 
 KEY_DTYPES = tuple(
@@ -118,6 +118,15 @@ def budgeted_inputs(draw):
     return keys, values, config, budget, native
 
 
+class _ChunkingPlanner(Planner):
+    """Chunks every budgeted array, whatever the memory model decides."""
+
+    def plan(self, descriptor):
+        if descriptor.memory_budget is not None and descriptor.n:
+            return self.plan_chunked(descriptor)
+        return super().plan(descriptor)
+
+
 def _sort(keys, values, config, **kw):
     if values is None:
         return repro.sort(keys, config=config, **kw)
@@ -142,11 +151,14 @@ def test_budget_never_changes_the_bytes(case):
     budgeted = _sort(
         keys, values, config, memory_budget=budget, native=native
     )
-    plan = budgeted.meta["plan"]
+    plan = _ChunkingPlanner(config=config, native=native).plan(
+        budgeted.meta["plan"].descriptor
+    )
+    chunked = execute_plan(plan, keys=keys, values=values, config=config)
     if native == "never":
-        assert plan.strategy == "hetero"
         assert plan.run_plan.n_runs >= min(2, keys.size)
     assert _bytes(budgeted) == _bytes(_sort(keys, values, config))
+    assert _bytes(chunked) == _bytes(_sort(keys, values, config))
     if values is not None:
         records = make_records(keys, values)
         got = repro.sort_records(
@@ -160,8 +172,9 @@ def test_budget_never_changes_the_bytes(case):
 
 async def _served(cases):
     # A request's config plans fresh, on the default policy; the rest
-    # plan on the hybrid rung, where every drawn layout chunks.
-    async with SortService(planner=Planner(native="never")) as service:
+    # plan chunked on the hybrid rung.
+    planner = _ChunkingPlanner(native="never")
+    async with SortService(planner=planner) as service:
         return await asyncio.gather(
             *(
                 service.submit(

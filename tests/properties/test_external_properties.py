@@ -28,9 +28,9 @@ from repro.core.pairs import fused_packable
 from repro.errors import TransientError
 from repro.external import ExternalSorter, FileLayout, write_records, write_run
 from repro.external.merge import merge_runs
-from repro.external.runs import RunWriter, plan_runs, run_footprint
+from repro.external.runs import RunWriter, plan_runs
 from repro.native import build
-from repro.plan.planner import NATIVE_MIN_KEYS
+from repro.plan.planner import NATIVE_MIN_KEYS, run_footprint
 from repro.resilience.faults import FaultPlan, inject
 
 # Keys drawn from a tiny alphabet force long runs of equal keys that

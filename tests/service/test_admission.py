@@ -9,8 +9,12 @@ import pytest
 
 from repro.errors import AdmissionError, ConfigurationError
 from repro.plan import InputDescriptor, Planner
-from repro.external.runs import SORT_OVERHEAD_BYTES
-from repro.plan.planner import array_resident_bytes, plan_resident_bytes
+from repro.plan.planner import (
+    CHUNK_OVERHEAD_BYTES,
+    SORT_OVERHEAD_BYTES,
+    array_resident_bytes,
+    plan_resident_bytes,
+)
 from repro.service.admission import AdmissionController
 
 
@@ -57,12 +61,23 @@ class TestPlanResidentBytes:
         plan = Planner().plan(desc)
         assert plan.strategy == "hetero"
         charge = plan_resident_bytes(plan)
-        assert charge == 2 * desc.total_bytes + (1 << 20) + SORT_OVERHEAD_BYTES
+        assert charge == (
+            2 * desc.total_bytes + (1 << 20)
+            + plan.run_plan.n_runs * CHUNK_OVERHEAD_BYTES
+            + SORT_OVERHEAD_BYTES  # library chunk sorts add none of theirs
+        )
         # Chunking holds less than the whole library sort would.
         whole = Planner().plan(InputDescriptor(
             n=1_000_000, key_dtype=np.uint32, value_dtype=np.uint32
         ))
         assert charge < plan_resident_bytes(whole)
+        # A radix rung's chunk sorts hold a sort's overhead of their own.
+        radix = Planner(native="never").plan(desc)
+        assert plan_resident_bytes(radix) == (
+            2 * desc.total_bytes + (1 << 20)
+            + radix.run_plan.n_runs * CHUNK_OVERHEAD_BYTES
+            + 2 * SORT_OVERHEAD_BYTES
+        )
 
     def test_external_charges_its_run_budget(self, tmp_path):
         from repro.external import FileLayout, write_records
@@ -93,6 +108,18 @@ class TestPlanResidentBytes:
         assert array_resident_bytes(pairs, "batch") == (
             104_000 + SORT_OVERHEAD_BYTES
         )
+
+    @pytest.mark.parametrize("value_dtype", ["S4", "U1", "V4", object])
+    def test_any_payload_is_charged_by_its_bytes(self, value_dtype):
+        # Bytes, strings and object references ride along as numbers do.
+        desc = InputDescriptor(
+            n=1000, key_dtype=np.uint32, value_dtype=value_dtype
+        )
+        record = 4 + np.dtype(value_dtype).itemsize
+        assert array_resident_bytes(desc, "batch") == (
+            1000 * (8 * record + 40) + SORT_OVERHEAD_BYTES
+        )
+        assert plan_resident_bytes(Planner().plan(desc)) > 0
 
 
 class TestAdmissionController:

@@ -348,6 +348,35 @@ class TestMicroBatching:
         for i in (0, 3):
             assert bytes(results[i].keys) == bytes(repro.sort(good).keys)
 
+    @pytest.mark.parametrize("micro_batching", [True, False])
+    @pytest.mark.parametrize("payload", ["S4", "U1", "object"])
+    def test_non_numeric_payloads_are_charged_and_served(
+        self, rng, payload, micro_batching
+    ):
+        # Bytes, strings and object references ride along like numbers;
+        # charging them must not raise, or a batch's callers would hang.
+        bursts = [
+            (
+                rng.integers(0, 50, n).astype(np.uint32),
+                np.array([str(i % 10) for i in range(n)]).astype(payload),
+            )
+            for n in (300, 500, 700)
+        ]
+
+        async def main():
+            service = SortService(micro_batching=micro_batching)
+            results = await asyncio.wait_for(
+                staged_burst(service, bursts), timeout=60
+            )
+            return service.stats, results
+
+        stats, results = run(main())
+        assert stats.max_batch_size == (3 if micro_batching else 1)
+        for (keys, values), result in zip(bursts, results):
+            expect = repro.sort_pairs(keys, values)
+            assert bytes(result.keys) == bytes(expect.keys)
+            assert result.values.tolist() == expect.values.tolist()
+
     def test_pair_packing_rejected_for_arrays(self):
         async def main():
             async with SortService() as service:
