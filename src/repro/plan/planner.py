@@ -334,9 +334,9 @@ class Planner:
         """Choose the strategy and lay out the steps for one input.
 
         A budgeted array sorts whole unless chunking it holds fewer
-        bytes (:func:`plan_resident_bytes`).  Chunks
-        sort in a staged copy of the records, as bytes, which object
-        references cannot be; such arrays sort whole.
+        bytes (:func:`plan_resident_bytes`).  Chunks sort in a staged
+        copy of the records, as bytes, which object references cannot
+        be; such arrays sort whole.
         """
         if descriptor.source == "file":
             return self.plan_external(descriptor)
