@@ -178,6 +178,45 @@ def _native_policy(native: str, device: SimulatedGPU | None) -> str:
     return "never" if device is not None and native == "auto" else native
 
 
+def _file_layout(output, config, layout, dtype, value_dtype):
+    """A file-path request's checks, then its FileLayout.
+
+    :func:`sort` and :class:`~repro.service.SortService` both call it.
+    """
+    if output is None:
+        raise ConfigurationError("sorting a file path needs output=")
+    if config is not None:
+        # The external engine derives its slice configuration from
+        # the file layout; a caller config would be silently dropped.
+        raise ConfigurationError(
+            "config= does not apply to file-path inputs; use "
+            "memory_budget=, workers=, and pair_packing= instead"
+        )
+    return _resolve_layout(layout, dtype, value_dtype)
+
+
+def _refuse_file_kwargs(output, layout, dtype, value_dtype, spool_dir,
+                        pair_packing):
+    """Refuse file-only keywords on an in-memory array, where they would
+    be silently dead (no output file would ever be written); a
+    non-default ``pair_packing`` too (arrays take ``config=``).
+
+    :func:`sort` and :class:`~repro.service.SortService` both call it.
+    """
+    file_only = {
+        "output": output, "layout": layout, "dtype": dtype,
+        "value_dtype": value_dtype, "spool_dir": spool_dir,
+    }
+    if pair_packing != "auto":
+        file_only["pair_packing"] = pair_packing
+    stray = [name for name, value in file_only.items() if value is not None]
+    if stray:
+        raise ConfigurationError(
+            f"{', '.join(stray)}= only apply to file-path inputs; "
+            f"got an in-memory array"
+        )
+
+
 def _resolve_layout(layout, dtype, value_dtype):
     """One FileLayout from either a layout object or dtype names."""
     from repro.external.format import FileLayout, parse_dtype
@@ -246,7 +285,8 @@ def sort(
 
     * a NumPy array of any dtype with an order-preserving bijection
       sorts in memory — on the library rung (``np.sort`` over the
-      §4.6 bits), the compiled tier or the hybrid sort (§4) — and
+      §4.6 bits), the compiled tier or, on request, the simulated
+      hybrid sort (§4) — and
       returns a :class:`~repro.types.SortResult` whose
       ``meta["plan"]`` records the executed plan;
     * an array with a ``memory_budget`` it does not fit runs the §5
@@ -261,28 +301,17 @@ def sort(
     is byte-identical for any worker count.
 
     ``native=`` is the engine policy (``"auto"``, the default, sends
-    keys and pairs of at most 32-bit keys under any ``pair_packing`` —
-    in memory, as a budgeted array's chunks or as a file's run sorts,
-    where 8/16-bit keys qualify too — to the library rung, and
-    64-bit-key pairs to the compiled tier when the extension is
-    available; ``"never"`` pins the
-    simulated NumPy engines — the ones that produce a trace and
-    simulated seconds, and the choice ``"auto"`` makes when a
-    ``device=`` is given; ``"always"`` forces the native tier, which
-    still degrades gracefully when the extension is missing).  Every
-    tier is byte-identical.
+    64-bit-key pairs to the compiled tier wherever the extension is
+    built, and everything else — in memory, as a budgeted array's
+    chunks or as a file's run sorts — to the library rung;
+    ``"never"`` pins the simulated NumPy engines — the ones that
+    produce a trace and simulated seconds, and the choice ``"auto"``
+    makes when a ``device=`` is given; ``"always"`` forces the native
+    tier, which degrades inline to the library rung when the extension
+    is missing).  Every tier is byte-identical.
     """
     if isinstance(data, (str, os.PathLike)):
-        if output is None:
-            raise ConfigurationError("sorting a file path needs output=")
-        if config is not None:
-            # The external engine derives its slice configuration from
-            # the file layout; a caller config would be silently dropped.
-            raise ConfigurationError(
-                "config= does not apply to file-path inputs; use "
-                "memory_budget=, workers=, and pair_packing= instead"
-            )
-        file_layout = _resolve_layout(layout, dtype, value_dtype)
+        file_layout = _file_layout(output, config, layout, dtype, value_dtype)
         descriptor = _describe(
             data, None, device, memory_budget, workers, config,
             layout=file_layout, pair_packing=pair_packing,
@@ -294,20 +323,8 @@ def sort(
             spool_dir=spool_dir,
             layout=file_layout,
         )
-    # File-only kwargs on an array input would be silently dead (no
-    # output file would ever be written) — refuse loudly instead.
-    file_only = {
-        "output": output, "layout": layout, "dtype": dtype,
-        "value_dtype": value_dtype, "spool_dir": spool_dir,
-    }
-    if pair_packing != "auto":
-        file_only["pair_packing"] = pair_packing
-    stray = [name for name, value in file_only.items() if value is not None]
-    if stray:
-        raise ConfigurationError(
-            f"{', '.join(stray)}= only apply to file-path inputs; "
-            f"got an in-memory array"
-        )
+    _refuse_file_kwargs(output, layout, dtype, value_dtype, spool_dir,
+                        pair_packing)
     descriptor = _describe(
         data, None, device, memory_budget, workers, config
     )

@@ -93,28 +93,32 @@ def sort_in_memory(
     """One in-memory sort on ``engine``: ``"library"``, ``"native"`` or
     ``"hybrid"``.
 
-    The library rung is one ``np.sort`` over the §4.6 bits
+    The library rung is NumPy's ``np.sort`` over the §4.6 bits
     (:mod:`repro.core.library`).  The native engine is the compiled
-    counting-scatter (:mod:`repro.native`): byte-identical to
-    ``hybrid`` by construction (property-pinned in ``tests/native/``),
-    just compiled, and it models no device and reports no simulated
-    time.  A missing extension or a failed kernel call degrades
-    *inline* to the hybrid engine with the downgrade recorded in
-    ``result.meta["resilience"]`` — so a caller that chose native never
-    fails for tier-availability reasons.  The native plan executor and
-    the radix run sorts of a file or a budgeted array's chunks all go
-    through here.
+    counting-scatter (:mod:`repro.native`): byte-identical to the
+    other two by construction (property-pinned in ``tests/native/``),
+    and it models no device and reports no simulated time.  A missing
+    extension or a failed kernel call degrades *inline* to the library
+    rung with the downgrade recorded in ``result.meta["resilience"]``
+    — so a caller that chose native never fails for tier-availability
+    reasons.  The hybrid engine is the paper's simulated §4 sort.  The
+    plan executors and the run sorts of a file or a budgeted array's
+    chunks all go through here.
     """
-    if engine == "library":
-        from repro.core.library import library_sort
+    from repro.core.library import library_sort
 
-        return library_sort(keys, values, config)
-    from repro.core.hybrid_sort import HybridRadixSorter
-    from repro.errors import NativeExecutionError, NativeUnavailableError
-    from repro.native.build import native_status
+    if engine == "hybrid":
+        from repro.core.hybrid_sort import HybridRadixSorter
 
-    downgrade = None
+        result = HybridRadixSorter(config=config, device=device).sort(
+            keys, values
+        )
+        result.meta["engine"] = "hybrid"
+        return result
     if engine == "native":
+        from repro.errors import NativeExecutionError, NativeUnavailableError
+        from repro.native.build import native_status
+
         try:
             from repro.native.engine import NativeRadixEngine
 
@@ -122,25 +126,18 @@ def sort_in_memory(
             result.meta["engine"] = "native"
             return result
         except (NativeUnavailableError, NativeExecutionError) as exc:
-            downgrade = exc
-    result = HybridRadixSorter(config=config, device=device).sort(
-        keys, values
-    )
-    result.meta["engine"] = "hybrid"
-    if downgrade is not None:
-        result.meta["resilience"] = {
-            "requested": "native",
-            "executed": "hybrid",
-            "retries": 0,
-            "downgrades": [
-                {
-                    "engine": "native",
-                    "error": f"{type(downgrade).__name__}: {downgrade}",
-                }
-            ],
-            "native": native_status(warn=False).reason,
-        }
-    return result
+            result = library_sort(keys, values, config)
+            result.meta["resilience"] = {
+                "requested": "native",
+                "executed": "library",
+                "retries": 0,
+                "downgrades": [
+                    {"engine": "native", "error": f"{type(exc).__name__}: {exc}"}
+                ],
+                "native": native_status(warn=False).reason,
+            }
+            return result
+    return library_sort(keys, values, config)
 
 
 def _execute_hybrid(
@@ -287,10 +284,9 @@ def _execute_native(
 ) -> SortResult:
     """The compiled counting-scatter tier (:mod:`repro.native`).
 
-    Top rung of the in-memory ladder.  Through :func:`sort_in_memory`,
-    a plan that says "native" degrades inline to the hybrid engine
-    rather than fail for tier-availability reasons, even outside
-    ``resilient_execute``.
+    Through :func:`sort_in_memory`, a plan that says "native" degrades
+    inline to the library rung rather than fail for tier-availability
+    reasons, even outside ``resilient_execute``.
     """
     result = sort_in_memory(
         "native", keys, values, _merged_config(plan, config), device
@@ -306,9 +302,8 @@ def _execute_library(
     config=None,
     **_: object,
 ) -> SortResult:
-    """The library rung: one ``np.sort`` over the §4.6 bits
-    (:mod:`repro.core.library`).  Above ``hybrid`` on the degradation
-    ladder, so a failure degrades to the radix engines."""
+    """The library rung: ``np.sort`` over the §4.6 bits
+    (:mod:`repro.core.library`); a failure degrades to the oracle."""
     result = sort_in_memory("library", keys, values, config)
     result.meta["plan"] = plan
     return result
@@ -320,11 +315,11 @@ def _execute_oracle(
     values: np.ndarray | None = None,
     **_: object,
 ) -> SortResult:
-    """The last rung of the degradation ladder: NumPy's stable sort.
+    """The degradation ladder's one rung: NumPy's stable sort.
 
     Sorts in §4.6 bits space (the engines' total order — NaNs after
     +inf, ``-0.0`` before ``+0.0``) with a stable argsort, so its
-    output is byte-identical to every radix engine above it.  It
+    output is byte-identical to every engine it stands in for.  It
     models no device and reports no simulated time; its one job is to
     always produce the correct answer when faster rungs have failed.
     """

@@ -13,12 +13,15 @@ to a :class:`~repro.plan.ir.SortPlan` in one code path:
 * **small arrays under an adaptive policy** fall back to the LSD
   baseline (§6.1's case distinction — the crossover constants live
   here and ``AdaptiveSorter`` delegates to them);
-* **keys, and pairs of at most 32-bit keys,** run the library rung:
-  one ``np.sort`` over the §4.6 bits (:mod:`repro.core.library`);
-* **everything else** is one in-memory radix sort: the compiled
-  counting-scatter (:mod:`repro.native`) when it is built, else the
-  hybrid MSD sort (§4), planned as a single ``local-sort`` step when
-  the whole input fits one on-chip sort.
+* **every other array** sorts on one host rung, chosen by layout and
+  tier alone (:meth:`Planner.run_engine`): 64-bit-key pairs on the
+  compiled counting-scatter (:mod:`repro.native`) wherever it is
+  built, and everything else on the library rung, ``np.sort`` over the
+  §4.6 bits (:mod:`repro.core.library`);
+* **the simulator** — the hybrid MSD sort (§4), planned as a single
+  ``local-sort`` step when the whole input fits one on-chip sort — is
+  reached only by ``native="never"`` (what a ``device=`` asks for)
+  and an explicit ``sort_bits``.
 
 Planning never touches input data: every decision is a function of the
 descriptor alone, so plans are deterministic, cheap, and serialisable.
@@ -62,7 +65,6 @@ __all__ = [
     "PAPER_CROSSOVER_KEYS",
     "PAPER_CROSSOVER_PAIRS",
     "HOST_DISK_BANDWIDTH",
-    "NATIVE_MIN_KEYS",
 ]
 
 #: §6.1: the hybrid sort wins beyond 1.9 M keys on any distribution.
@@ -70,13 +72,6 @@ PAPER_CROSSOVER_KEYS = 1_900_000
 
 #: §6.1: ... and beyond 1.6 M key-value pairs.
 PAPER_CROSSOVER_PAIRS = 1_600_000
-
-#: Smallest record count the planner sends to the native tier.  With
-#: the kernel finishing small buckets by size, native beat or tied the
-#: hybrid engine at every size measured, 2^8 to 2^16, for all four
-#: layouts (docs/performance.md, "The native floor"), so the floor sits
-#: at the smallest size measured.
-NATIVE_MIN_KEYS = 1 << 8
 
 #: Nominal host storage bandwidth (bytes/s) used to annotate the I/O
 #: halves of spill/merge steps.  A round SSD-class figure — the
@@ -130,7 +125,8 @@ def run_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
       record and its 4-byte value, 1.5 records;
     * other pairs hold the record and their ``key|position`` words,
       then the larger of the key bits with the packing's 8-byte
-      temporary and the gathered records.
+      temporary — for 64-bit keys, their bits and the second pass's
+      words, 24 bytes — and the gathered records.
 
     The radix engines, measured the same way at 2^11 to 2^18 records,
     plus the compiled kernel's scratch, which it mallocs outside
@@ -155,6 +151,8 @@ def run_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
     32
     >>> run_footprint(InputDescriptor(0, "u2", "u4"), "library")
     24
+    >>> run_footprint(InputDescriptor(0, "i8", "u4"), "library")
+    44
     >>> run_footprint(InputDescriptor(0, "i8", "u4"), "native")
     72
     >>> run_footprint(InputDescriptor(0, "u8", "u8"), "hybrid")
@@ -176,7 +174,7 @@ def run_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
     # 8-byte records sort in place as words (runs._word_pairs).
     if sys.byteorder == "little" and key == value == 4:
         return record + value
-    return record + 8 + max(key + 8, record)
+    return record + 8 + max(key + 8 if key < 8 else 24, record)
 
 
 def array_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
@@ -189,7 +187,9 @@ def array_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
     * ``"library"``: keys hold their bits, plus a bool per float key for
       the map; pairs their bits, the ``key|position`` words, the
       permutation and the gathered values (at least 4 bytes), or fused,
-      the words and their unpacked keys and values.
+      the words and their unpacked keys and values; 64-bit-key pairs
+      their bits and two passes of ``key|position`` words, 32 bytes
+      (the gathered keys and values of up to 16 bytes fit in them).
     * ``"native"``: the kernel's two 8-byte output lanes and 16 bytes of
       scratch it mallocs outside ``tracemalloc``'s view, and what each
       packing builds around them: key bits, widened to a lane and
@@ -209,6 +209,8 @@ def array_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
     24
     >>> array_footprint(InputDescriptor(0, "i8", "u8"), "native")
     32
+    >>> array_footprint(InputDescriptor(0, "i8", "u8"), "library")
+    32
     """
     if engine == "hybrid":
         return run_footprint(layout, engine, pair_packing)
@@ -222,6 +224,8 @@ def array_footprint(layout, engine: str, pair_packing: str = "auto") -> int:
     if engine == "library":
         if value is None:
             return record + float_map
+        if key == 8 and not fused:
+            return max(32, 16 + value)
         return key + 16 + (key + value if fused else max(value, 4)) + float_map
     lanes = 32  # two output lanes and the kernel's scratch
     if value is None:
@@ -287,19 +291,16 @@ class Planner:
         The adaptive thresholds; defaults are the paper's measured
         worst-case crossovers.
     native:
-        Engine policy for in-memory inputs.  ``"auto"`` (default)
-        sends every layout the library rung serves (keys, a file's
-        8/16-bit keys among them, and pairs of at most 32-bit keys
-        under any packing) to ``np.sort`` over the §4.6 bits — in
-        memory, as a budgeted array's chunks and as a file's run sorts
-        alike — and prefers the compiled counting-scatter for the rest
-        (64-bit-key pairs) from :data:`NATIVE_MIN_KEYS` records up,
-        when the once-per-process availability probe succeeds and the
-        configuration is one the tier supports; ``"never"`` keeps every
-        plan on the simulated NumPy engines; ``"always"`` plans the
-        native tier for any in-memory input or run regardless of the
-        probe (the executor degrades typed when the tier is missing —
-        what ``repro sort --engine native`` relies on).
+        Engine policy for in-memory inputs, a budgeted array's chunks
+        and a file's run sorts alike.  ``"auto"`` (default) sends
+        64-bit-key pairs to the compiled counting-scatter wherever the
+        once-per-process availability probe succeeds, at any size, and
+        everything else to the library rung, ``np.sort`` over the §4.6
+        bits (:meth:`run_engine`); ``"never"`` keeps every plan on the
+        simulated NumPy engines; ``"always"`` plans the native tier for
+        any in-memory input or run regardless of the probe (the
+        executor degrades inline to the library rung when the tier is
+        missing — what ``repro sort --engine native`` relies on).
     """
 
     def __init__(
@@ -358,54 +359,28 @@ class Planner:
             descriptor.n, descriptor.has_values
         ):
             return self._plan_fallback(descriptor)
-        if self._library_choice(descriptor):
-            return self._plan_library(descriptor)
-        use_native, note = self._native_choice(descriptor)
-        if use_native:
-            return self._plan_native(descriptor, note)
-        return self._plan_hybrid(descriptor, note)
+        engine, note = self.run_engine(descriptor)
+        plan = {"library": self._plan_library, "native": self._plan_native,
+                "hybrid": self._plan_hybrid}[engine]
+        return plan(descriptor, note)
 
-    def _library_choice(
-        self, descriptor: InputDescriptor, narrow_keys: bool = False
-    ) -> bool:
-        """Whether an in-memory plan, or a file's run (``narrow_keys``:
-        8/16-bit keys qualify), runs on the library rung.
+    def run_engine(self, descriptor: InputDescriptor) -> tuple[str, str]:
+        """The engine of an in-memory sort — a whole array, a budgeted
+        array's chunks or a file's runs — and why.
 
-        Under ``native="auto"`` every layout the rung serves
-        byte-identically goes there (keys, and pairs of at most 32-bit
-        keys under any packing), compiled tier built or not:
-        ``np.sort`` outran the native kernel on those layouts at every
-        size measured (docs/performance.md, "Routing").  An explicit
-        ``sort_bits`` and a pinned ``native=`` policy keep today's
-        engines.
-        """
-        from repro.core.library import library_serves
-
-        if self.native != "auto":
-            return False
-        config = self._config_for(descriptor)
-        return config.sort_bits is None and library_serves(
-            descriptor.key_bits,
-            descriptor.n,
-            descriptor.has_values,
-            config.pair_packing,
-            narrow_keys,
-        )
-
-    def _native_choice(
-        self, descriptor: InputDescriptor
-    ) -> tuple[bool, str]:
-        """Decide whether the in-memory plan runs the compiled tier.
-
-        Returns ``(use_native, note)`` — the note explains the choice
-        either way and is attached to the resulting plan, so
-        ``repro plan`` and ``SortResult.meta["plan"]`` are always
-        self-explaining about the tier decision.
+        Returns ``("library" | "native" | "hybrid", note)``; the note
+        rides on the plan, so ``repro plan`` explains the choice.  Under
+        ``native="auto"`` it depends on layout and tier, never on size:
+        64-bit-key pairs take the compiled kernel wherever it is built,
+        and everything else the library rung, which beats the hybrid
+        engine at every size measured (docs/performance.md).  An
+        explicit ``sort_bits`` and ``native="never"`` keep the hybrid
+        engine; ``native="always"`` plans the compiled tier.
         """
         from repro.native.build import native_status
 
         if self.native == "never":
-            return False, "native tier disabled for this planner"
+            return "hybrid", "native tier disabled for this planner"
         if self.native == "always":
             status = native_status()
             detail = (
@@ -413,29 +388,29 @@ class Planner:
                 if status.available
                 else f"requested; {status.reason}"
             )
-            return True, f"native tier forced: {detail}"
-        config = self._config_for(descriptor)
-        if config.sort_bits is not None:
-            return False, (
+            return "native", f"native tier forced: {detail}"
+        if self._config_for(descriptor).sort_bits is not None:
+            return "hybrid", (
                 "native tier skipped: explicit sort_bits is a NumPy-"
                 "tier-only lever"
             )
-        if descriptor.n < NATIVE_MIN_KEYS:
-            return False, (
-                f"native tier skipped: {descriptor.n:,} records fall "
-                f"short of the {NATIVE_MIN_KEYS:,}-record floor"
+        if descriptor.has_values and descriptor.key_bits == 64:
+            status = native_status()
+            if status.available:
+                return "native", f"native tier selected: {status.reason}"
+            return "library", (
+                f"library rung selected: native tier unavailable: "
+                f"{status.reason}"
             )
-        status = native_status()
-        if not status.available:
-            return False, f"native tier unavailable: {status.reason}"
-        return True, f"native tier selected: {status.reason}"
+        return "library", (
+            "library rung selected: np.sort outruns the compiled tier "
+            "on this layout"
+        )
 
     # ------------------------------------------------------------------
     # Strategy planners
     # ------------------------------------------------------------------
-    def _plan_hybrid(
-        self, descriptor: InputDescriptor, native_note: str | None = None
-    ) -> SortPlan:
+    def _plan_hybrid(self, descriptor: InputDescriptor, note: str) -> SortPlan:
         config = self._config_for(descriptor)
         n = descriptor.n
         total = descriptor.total_bytes
@@ -465,7 +440,7 @@ class Planner:
             engine="HybridRadixSorter",
             steps=(step,),
             reason=reason,
-            notes=() if native_note is None else (native_note,),
+            notes=(note,),
         )
 
     def _plan_native(
@@ -484,8 +459,8 @@ class Planner:
             notes=(note,),
         )
 
-    def _plan_library(self, descriptor: InputDescriptor) -> SortPlan:
-        """One ``np.sort`` over the §4.6 bits (packed words for pairs)."""
+    def _plan_library(self, descriptor: InputDescriptor, note: str) -> SortPlan:
+        """``np.sort`` over the §4.6 bits (packed words for pairs)."""
         n = descriptor.n
         bytes_moved = 2 * descriptor.total_bytes
         if not descriptor.has_values:
@@ -509,10 +484,7 @@ class Planner:
                 f"{n:,} in-memory records; np.sort over the §4.6 "
                 f"{words}"
             ),
-            notes=(
-                "library rung selected: np.sort outruns the compiled "
-                "tier on this layout",
-            ),
+            notes=(note,),
         )
 
     def _plan_fallback(self, descriptor: InputDescriptor) -> SortPlan:
@@ -624,22 +596,23 @@ class Planner:
     def _cut(self, descriptor: InputDescriptor, budget: int, workers: int):
         """Size a file's runs, or an array's chunks, under ``budget``.
 
-        :meth:`run_engine` picks the run sorts' engine for the runs the
-        native kernel's footprint would cut (so the native floor sees
-        the runs it would sort); the runs are then cut by the chosen
-        engine's :func:`run_footprint`.  Returns
-        ``(engine, note, footprint, run_plan, sort_seconds)``.
+        The runs sort on :meth:`run_engine`'s choice and are cut by its
+        :func:`run_footprint`; a file's 8-byte word pairs also leave
+        room for their word sort's chunk temporaries
+        (:data:`~repro.external.runs.WORD_SORT_SCRATCH`), which a
+        budgeted array's chunks sort in the space its output will fill.
+        Returns ``(engine, note, footprint, run_plan, sort_seconds)``.
         """
-        from repro.external.runs import plan_runs
+        from repro.external.runs import plan_runs, word_sort_scratch
 
         n = descriptor.n
         packing = self._config_for(descriptor).pair_packing
-        native_runs = plan_runs(
-            n, budget, run_footprint(descriptor, "native", packing), workers
-        )
-        engine, note = self.run_engine(descriptor, native_runs.run_records)
+        engine, note = self.run_engine(descriptor)
         footprint = run_footprint(descriptor, engine, packing)
-        run_plan = plan_runs(n, budget, footprint, workers)
+        scratch = 0
+        if engine == "library" and descriptor.source == "file":
+            scratch = word_sort_scratch(descriptor, packing)
+        run_plan = plan_runs(n, budget, footprint, workers, scratch)
         k, longest = run_plan.n_runs, run_plan.run_records
         # Runs are cut evenly: each holds `longest` records or one fewer.
         long_runs = n - k * (longest - 1)
@@ -659,38 +632,6 @@ class Planner:
             n_runs=max(1, n_runs),
             record_bytes=descriptor.record_bytes,
         )
-
-    def run_engine(
-        self, descriptor: InputDescriptor, run_records: int
-    ) -> tuple[str, str]:
-        """The in-memory engine for every run of a file sort, and why.
-
-        Returns ``("library" | "native" | "hybrid", note)``: the
-        choice an in-memory array of ``run_records`` records of the
-        file's layout would get.  The library rung takes every layout
-        :func:`~repro.core.library.library_serves` accepts under the
-        sort's ``pair_packing`` (``descriptor.pair_packing``), a
-        file's 8/16-bit keys included; 64-bit-key pairs get
-        :meth:`_native_choice`.
-        ``RunWriter`` carries the choice out, with the native
-        executor's inline fallback to the hybrid engine;
-        :meth:`ExternalSorter.resume` asks again for the run size its
-        manifest recorded.
-        """
-        run = InputDescriptor(
-            n=run_records,
-            key_dtype=descriptor.key_dtype,
-            value_dtype=descriptor.value_dtype,
-            pair_packing=descriptor.pair_packing,
-            spec=descriptor.spec,
-        )
-        if self._library_choice(run, descriptor.source == "file"):
-            return "library", (
-                "library rung selected: np.sort outruns the compiled "
-                "tier at this run size"
-            )
-        use_native, note = self._native_choice(run)
-        return ("native" if use_native else "hybrid"), note
 
     def _run_sort_seconds(
         self, descriptor: InputDescriptor, engine: str, n: int

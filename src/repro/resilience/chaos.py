@@ -97,7 +97,7 @@ def _expected_bytes(records: np.ndarray) -> bytes:
 # ----------------------------------------------------------------------
 #: The run-sort rungs every external site is exercised on: uint32 keys
 #: spill on the library rung, int64-key pairs on the compiled tier (the
-#: hybrid engine where it is not built or runs fall below its floor).
+#: library rung too where it is not built).
 EXTERNAL_RUNGS = ("library", "native")
 
 
@@ -124,7 +124,6 @@ def _external_scenario(
     """
     from repro.external import ExternalSorter, write_records
     from repro.native.build import native_status
-    from repro.plan.planner import NATIVE_MIN_KEYS
 
     layout, records = _external_input(rung, n, seed)
     workdir = tempfile.mkdtemp(prefix="repro-chaos-")
@@ -142,11 +141,8 @@ def _external_scenario(
         plan = sorter.sort_plan(inp, layout)
         engine = plan.step("spill-runs").params["engine"]
         want = rung
-        if rung == "native" and (
-            not native_status(warn=False).available
-            or plan.run_plan.run_records < NATIVE_MIN_KEYS
-        ):
-            want = "hybrid"
+        if rung == "native" and not native_status(warn=False).available:
+            want = "library"
         if engine != want:
             return _result(site, kind, "wrong-rung", ok=False,
                            detail=f"runs planned on {engine!r}, "
@@ -199,11 +195,14 @@ HETERO_CHUNK_RUNG = "library"
 
 
 def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
-    """Contain one fault on the service path or a NumPy-tier rung.
+    """Contain one fault on the service path or a simulated rung.
 
-    Requests plan on the NumPy tier (``native="never"``), so the
-    ``engine.hybrid`` rung heads the ladder on every host whatever the
-    request size; the compiled rung has its own scenario.  The
+    Requests plan on the simulated hybrid engine (``native="never"``),
+    so the ``engine.hybrid`` rung heads the ladder on every host
+    whatever the request size; ``engine.fallback`` requests plan the
+    §6.1 LSD baseline (``Planner(adaptive=True)``), and
+    ``engine.oracle`` reaches the oracle by failing only the planned
+    rung.  The host rungs have their own scenario.  The
     ``engine.hetero`` request plans as in production, and must sort
     its chunks on :data:`HETERO_CHUNK_RUNG`.
     """
@@ -215,6 +214,7 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
     expected = _expected_bytes(keys)
     submit_kwargs: dict = {}
     native = "never"
+    adaptive = site == "engine.fallback"  # small requests plan the LSD baseline
     if site == "engine.hetero":
         # Hetero only runs where chunks hold less than the whole sort:
         # uint32 pairs (held 3x on the library rung) under half their bytes.
@@ -228,7 +228,7 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
         async with SortService(
             micro_batching=False,
             watchdog_timeout=1.0,
-            planner=Planner(native=native),
+            planner=Planner(adaptive=adaptive, native=native),
         ) as svc:
             data = keys
             if site == "engine.external":
@@ -244,15 +244,12 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
                 )
                 data = inp
                 workdir = nonlocal_dir
-            # Deeper ladder rungs are only reachable once every rung
-            # above them is failing; pin those failures persistently so
-            # the target site actually executes.
+            # The oracle is only reachable once the planned rung is
+            # failing; pin that failure persistently so the target site
+            # actually executes.
             specs = []
-            if site == "engine.fallback":
+            if site == "engine.oracle":
                 specs.append(FaultSpec(site="engine.hybrid", times=-1))
-            elif site == "engine.oracle":
-                specs.append(FaultSpec(site="engine.hybrid", times=-1))
-                specs.append(FaultSpec(site="engine.fallback", times=-1))
             specs.append(FaultSpec(site=site, kind=kind, delay=30.0))
             try:
                 with inject(FaultPlan(specs)) as plan:
@@ -318,15 +315,15 @@ def _service_scenario(site: str, kind: str, n: int, seed: int) -> dict:
 
 
 def _rung_scenario(site: str, kind: str, n: int, seed: int) -> dict:
-    """Contain one fault on a rung above ``hybrid`` (native, library).
+    """Contain one fault on a host rung (native, library).
 
     ``engine.native`` plans with ``Planner(native="always")`` and
     ``engine.library`` with the default planner, so the faulted rung
     heads the ladder on every host — the fault trips at the rung
     boundary (before any engine code), making the scenario
     deterministic whether or not the extension compiled.  The contract:
-    the fault degrades to the NumPy hybrid rung and the bytes are
-    identical to the oracle.
+    the fault is retried or degrades to the oracle, and the bytes are
+    identical to the oracle's.
     """
     from repro.plan import InputDescriptor, Planner
     from repro.resilience.degrade import resilient_execute

@@ -1,21 +1,23 @@
-"""Graceful engine degradation: fall down a ladder, never fall over.
+"""Graceful engine degradation: fall back to the oracle, never fall over.
 
 A planned engine raising mid-flight should cost the caller *speed*,
 not *the answer*.  :func:`resilient_execute` wraps the executor
-registry with a declared **engine ladder** — by default
+registry with a declared **engine ladder** — by default one rung below
+the planned one, the oracle (NumPy's stable sort over the §4.6 bits)
+— and walks a failing plan down it.  The oracle produces output
+bit-identical to every in-memory engine (each layer's oracle property
+tests pin that), so degradation is invisible in the bytes; it is
+visible, deliberately, in ``result.meta["resilience"]``:
 
-    hybrid  →  fallback (LSD)  →  oracle (NumPy stable sort)
-
-— and walks a failing plan down it.  Every rung is a registered
-executor producing bit-identical output for in-memory inputs (each
-layer's oracle property tests pin that), so degradation is invisible
-in the bytes; it is visible, deliberately, in
-``result.meta["resilience"]``:
-
-    {"requested": "hybrid", "executed": "oracle",
+    {"requested": "library", "executed": "oracle",
      "retries": 1,
-     "downgrades": [{"engine": "hybrid", "error": "TransientError: ..."},
-                    {"engine": "fallback", "error": "..."}]}
+     "downgrades": [{"engine": "library", "error": "TransientError: ..."}]}
+
+A native sort that cannot run has already degraded inline to the
+library rung (:func:`repro.plan.executors.sort_in_memory`), so the
+ladder acts only on failures.  The simulated engines (the §4 hybrid
+sort and the §6.1 LSD baseline) head it only when a plan asked for
+them; a ladder passed explicitly may still name them.
 
 Per-rung, a :class:`~repro.resilience.policy.RetryPolicy` may retry
 transient failures before the rung is abandoned — "retry the fast
@@ -50,10 +52,9 @@ __all__ = [
     "resilient_execute",
 ]
 
-#: The declared degradation order for in-memory work: the paper's
-#: hybrid engine, then the LSD fallback (the §6.1 small-input engine),
-#: then the pure-NumPy stable-sort oracle that can always answer.
-DEFAULT_LADDER = ("hybrid", "fallback", "oracle")
+#: The declared degradation order for in-memory work: the pure-NumPy
+#: stable-sort oracle that can always answer.
+DEFAULT_LADDER = ("oracle",)
 
 #: Failures no ladder rung can fix: deterministic caller errors and
 #: expired deadlines re-raise immediately instead of degrading.
@@ -70,10 +71,9 @@ def fallback_chain(
     """The rungs to try, in order, for a plan of ``strategy``.
 
     The planned strategy always runs first; in-memory strategies then
-    append the declared ladder (minus rungs already tried) — a
-    ``"native"`` (or ``"library"``) plan therefore walks native →
-    hybrid → fallback → oracle without the ladder itself naming the
-    compiled tier (a *hybrid* plan must never escalate upward to it).
+    append the declared ladder (minus rungs already tried) — every
+    in-memory plan therefore walks planned rung → oracle, and a plan
+    never escalates to the compiled tier, which no ladder names.
     ``external`` plans never change engine — a file sort's fallback is
     resume-from-manifest, not a different executor.
     """

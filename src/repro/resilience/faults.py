@@ -96,21 +96,25 @@ SITES: dict[str, str] = {
         "service: an engine dispatch on the thread pool "
         "(supports slow/hang for watchdog testing)"
     ),
-    "engine.hybrid": "executor registry: the hybrid MSD engine rung",
-    "engine.fallback": "executor registry: the LSD fallback engine rung",
+    "engine.hybrid": "executor registry: the simulated hybrid MSD engine rung",
+    "engine.fallback": (
+        "executor registry: the simulated LSD fallback rung "
+        "(adaptive plans of small inputs)"
+    ),
     "engine.hetero": "executor registry: the chunked §5 pipeline rung",
     "engine.external": "executor registry: the out-of-core engine rung",
     "engine.oracle": (
         "executor registry: the NumPy stable-sort oracle rung "
-        "(the ladder's last resort)"
+        "(the ladder's one rung)"
     ),
     "engine.native": (
         "executor registry: the compiled counting-scatter rung "
-        "(degrades to hybrid whether or not the extension exists)"
+        "(degrades to the oracle whether or not the extension exists)"
     ),
     "engine.library": (
-        "executor registry: the np.sort library rung (keys and "
-        "pairs of at most 32-bit keys; degrades to hybrid)"
+        "executor registry: the np.sort library rung (every layout "
+        "but 64-bit-key pairs where the kernel is built; degrades to "
+        "the oracle)"
     ),
 }
 

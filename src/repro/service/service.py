@@ -35,7 +35,7 @@ request may carry a ``deadline`` (rejected once expired — at dispatch,
 after admission, and between engine retries), engine dispatches run
 under a **watchdog** (``asyncio.wait_for``; a hung worker thread
 cannot be killed, so it is abandoned and counted in
-``stats.timeouts``), failures retry and degrade down the engine ladder
+``stats.timeouts``), failures retry and then degrade to the oracle
 through :func:`~repro.resilience.degrade.resilient_execute`, and under
 a sustained failure rate the scheduler **sheds** small batchable
 requests early with :class:`~repro.errors.OverloadedError` carrying a
@@ -53,6 +53,7 @@ from functools import partial
 
 import numpy as np
 
+from repro import _file_layout, _refuse_file_kwargs
 from repro.core.pairs import decompose, recompose
 from repro.cost.feedback import CostFeedback
 from repro.errors import (
@@ -119,10 +120,10 @@ class SortService:
         :func:`~repro.resilience.degrade.resilient_execute`).  ``None``
         disables retries.
     degradation:
-        Walk failing in-memory plans down the engine ladder (hybrid →
-        LSD fallback → NumPy oracle) instead of failing the request;
-        downgrades are recorded in ``result.meta["resilience"]`` and
-        counted in ``stats.fallbacks``.
+        Fall back from a failing in-memory plan's engine to the NumPy
+        oracle (the stable sort over the §4.6 bits) instead of failing
+        the request; downgrades are recorded in
+        ``result.meta["resilience"]`` and counted in ``stats.fallbacks``.
     watchdog_timeout:
         Seconds one engine dispatch may run before the service stops
         waiting (``stats.timeouts``).  The worker thread itself cannot
@@ -372,19 +373,14 @@ class SortService:
         if workers is None:
             workers = config.workers if config is not None else 1
         if isinstance(data, (str, os.PathLike)):
-            if output is None:
-                raise ConfigurationError("sorting a file path needs output=")
             if values is not None:
                 raise ConfigurationError(
                     "values= does not apply to file-path inputs; describe "
                     "the pairs layout with value_dtype= or layout= instead"
                 )
-            if config is not None:
-                raise ConfigurationError(
-                    "config= does not apply to file-path inputs; use "
-                    "memory_budget=, workers=, and pair_packing= instead"
-                )
-            file_layout = self._resolve_layout(layout, dtype, value_dtype)
+            file_layout = _file_layout(
+                output, config, layout, dtype, value_dtype
+            )
             descriptor = InputDescriptor.for_file(
                 data,
                 file_layout,
@@ -403,20 +399,9 @@ class SortService:
                     "spool_dir": spool_dir,
                 },
             )
-        stray = {
-            "output": output, "layout": layout, "dtype": dtype,
-            "value_dtype": value_dtype, "spool_dir": spool_dir,
-        }
-        if pair_packing != "auto":
-            # Mirrors repro.sort: a non-default packing would be
-            # silently dead for in-memory inputs (use config= instead).
-            stray["pair_packing"] = pair_packing
-        bad = [name for name, value in stray.items() if value is not None]
-        if bad:
-            raise ConfigurationError(
-                f"{', '.join(bad)}= only apply to file-path inputs; "
-                f"got an in-memory array"
-            )
+        _refuse_file_kwargs(
+            output, layout, dtype, value_dtype, spool_dir, pair_packing
+        )
         data = np.asarray(data)
         kind = "keys"
         records = None
@@ -445,24 +430,6 @@ class SortService:
             values=values,
             records=records,
             io={"config": config, "device": device},
-        )
-
-    @staticmethod
-    def _resolve_layout(layout, dtype, value_dtype):
-        from repro.external.format import FileLayout, parse_dtype
-
-        if layout is not None:
-            return layout
-        if dtype is None:
-            raise ConfigurationError(
-                "sorting a file path needs layout= or dtype= "
-                "(e.g. dtype='uint32')"
-            )
-        return FileLayout(
-            parse_dtype(np.dtype(dtype).name),
-            None
-            if value_dtype is None
-            else parse_dtype(np.dtype(value_dtype).name, value=True),
         )
 
     # ------------------------------------------------------------------

@@ -214,14 +214,14 @@ class TestImportSafety:
         )
 
     #: Keys take the library rung, which needs no compiled tier;
-    #: 64-bit-key pairs would run native and fall back to hybrid.
+    #: without the tier, so do 64-bit-key pairs.
     SORTS = (
         "k = np.arange(200_000, dtype=np.uint64)[::-1].copy();"
         "r = repro.sort(k.astype(np.uint32));"
         "assert r.meta['engine'] == 'library';"
         "assert (r.keys[:-1] <= r.keys[1:]).all();"
         "p = repro.sort_pairs(k, k);"
-        "assert p.meta['engine'] == 'hybrid';"
+        "assert p.meta['engine'] == 'library';"
         "assert (p.keys[:-1] <= p.keys[1:]).all();"
         "assert (p.values == p.keys).all();"
     )

@@ -26,7 +26,7 @@ from repro.errors import ConfigurationError
 from repro.external import FileLayout
 from repro.plan import InputDescriptor, Planner
 from repro.plan.executors import execute_plan
-from repro.plan.planner import NATIVE_MIN_KEYS, run_footprint
+from repro.plan.planner import layout_preset, run_footprint
 from repro.resilience.degrade import (
     DEFAULT_LADDER,
     fallback_chain,
@@ -57,7 +57,7 @@ class TestPlannerChoice:
             assert [s.kind for s in plan.steps] == ["native-lsd"]
             assert any("selected" in note for note in plan.notes)
         else:
-            assert plan.strategy == "hybrid"
+            assert plan.strategy == "library"
             assert any("unavailable" in note for note in plan.notes)
 
     def test_never_pins_numpy_tier(self):
@@ -73,24 +73,27 @@ class TestPlannerChoice:
         assert plan.strategy == "native"
         assert any("forced" in note for note in plan.notes)
 
-    def test_small_inputs_stay_on_numpy_tier(self):
-        plan = Planner().plan(pairs64_descriptor(n=NATIVE_MIN_KEYS - 1))
-        assert plan.strategy == "hybrid"
-        assert any("floor" in note for note in plan.notes)
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
+    @pytest.mark.parametrize("n", [0, 1, 255])
+    def test_small_wide_pairs_take_the_tiers_rung(
+        self, fresh_probe, monkeypatch, n, built
+    ):
+        # No size floor: 64-bit-key pairs of any size run on the
+        # compiled tier where it is built, on the library rung where not.
+        use_tier(monkeypatch, built)
+        plan = Planner().plan(pairs64_descriptor(n=n))
+        assert plan.strategy == ("native" if built else "library")
+        assert not any("floor" in note for note in plan.notes)
 
-    def test_floor_is_inclusive(self, fresh_probe, monkeypatch):
-        # Fake availability so the boundary test runs on any host.
-        from repro.native import build
-
-        monkeypatch.setattr(
-            build,
-            "_probe",
-            lambda: build.NativeStatus(True, "compiled native kernel"),
-        )
-        plan = Planner().plan(pairs64_descriptor(n=NATIVE_MIN_KEYS))
+    def test_one_wide_pair_is_native_where_built(
+        self, fresh_probe, monkeypatch
+    ):
+        # Fake availability so the test runs on any host.
+        fake_available(monkeypatch)
+        plan = Planner().plan(pairs64_descriptor(n=1))
         assert plan.strategy == "native"
 
-    @pytest.mark.parametrize("n", [0, 1, NATIVE_MIN_KEYS - 1, 1 << 20])
+    @pytest.mark.parametrize("n", [0, 1, 255, 1 << 20])
     def test_auto_sends_library_layouts_to_the_library(self, n):
         # Keys, and pairs whose keys index-pack, whatever the size and
         # whether or not the compiled tier built.
@@ -105,12 +108,16 @@ class TestPlannerChoice:
             assert [s.kind for s in plan.steps] == ["library-sort"]
             assert any("library rung" in note for note in plan.notes)
 
-    def test_narrow_keys_stay_off_the_library(self):
-        # The in-memory engines refuse 8/16-bit keys (they are
-        # file-only); the library rung must not change which inputs
-        # succeed.
+    def test_narrow_keys_plan_the_library_which_refuses_them(self):
+        # Every in-memory array plans the library rung, but it refuses
+        # 8/16-bit keys (they are file-only), as every in-memory engine
+        # does: the route must not change which inputs succeed.
+        import repro
+
         plan = Planner().plan(InputDescriptor(n=1 << 20, key_dtype=np.uint16))
-        assert plan.strategy != "library"
+        assert plan.strategy == "library"
+        with pytest.raises(ConfigurationError):
+            repro.sort(np.arange(300, dtype=np.uint16))
 
     @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
     @pytest.mark.parametrize("packing", ["fused", "off"])
@@ -158,23 +165,19 @@ class TestPlannerChoice:
 
     @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
     @pytest.mark.parametrize("dtype", [np.uint8, np.uint16], ids=str)
-    def test_narrow_arrays_stay_off_the_library_on_both_tiers(
+    def test_narrow_arrays_fail_on_the_library_on_both_tiers(
         self, fresh_probe, monkeypatch, dtype, built
     ):
-        # Only a file's runs take narrow keys to the library rung; an
-        # array of them, budgeted or not, still fails.
+        # Only a file's runs sort narrow keys; an array of them, budgeted
+        # or not, plans the library rung (which sorts keys in their own
+        # bytes, so never chunks them) and still fails.
         import repro
 
         use_tier(monkeypatch, built)
-        # Enough records that their chunks' overheads leave chunking
-        # holding less than the whole sort.
         keys = np.arange(1 << 16, dtype=dtype)
         for budget in (None, keys.nbytes // 4):
             plan = repro.plan_for(keys, memory_budget=budget)
-            assert plan.strategy != "library"
-            if budget is not None:
-                step = plan.step("chunked-pipeline")
-                assert step.params["engine"] != "library"
+            assert plan.strategy == "library"
             with pytest.raises(ConfigurationError):
                 repro.sort(keys, memory_budget=budget)
 
@@ -273,8 +276,8 @@ def use_tier(monkeypatch, built: bool) -> None:
 class TestExternalRunEngine:
     """The ``spill-runs`` step names the run sorts' engine and why.
 
-    The floor tests use 64-bit-key pairs, a layout the library rung
-    does not serve, so ``native="auto"`` decides by the native floor.
+    The tier tests use 64-bit-key pairs, the one layout ``native="auto"``
+    sends to the compiled tier where it is built, whatever the run size.
     """
 
     PAIRS64 = FileLayout(np.uint64, np.uint32)
@@ -287,19 +290,17 @@ class TestExternalRunEngine:
         )
 
     def native_sized(self, tmp_path, layout=PAIRS64):
-        # Runs just past the floor: the native footprint, 72 bytes a
-        # 12-byte record, cuts 4 runs of 260-261 records.
-        return self.file_descriptor(
-            tmp_path, 4 * NATIVE_MIN_KEYS + 17, 8 * NATIVE_MIN_KEYS, layout
-        )
+        # The native footprint, 72 bytes a 12-byte record, cuts 4 runs
+        # of 260-261 records.
+        return self.file_descriptor(tmp_path, 4 * 256 + 17, 8 * 256, layout)
 
-    def test_runs_at_the_floor_sort_native(
+    def test_runs_sort_native_where_built(
         self, tmp_path, fresh_probe, monkeypatch
     ):
         fake_available(monkeypatch)
         plan = Planner().plan(self.native_sized(tmp_path))
         step = plan.step("spill-runs")
-        assert step.params["run_records"] >= NATIVE_MIN_KEYS
+        assert step.params["run_records"] == 261
         assert step.params["engine"] == "native"
         assert step.params["engine_note"] == (
             "native tier selected: compiled native kernel"
@@ -309,19 +310,19 @@ class TestExternalRunEngine:
         assert "engine_note=native tier selected" in text
         assert "sorted by the native engine" in plan.reason
 
-    def test_runs_below_the_floor_sort_hybrid(
-        self, tmp_path, fresh_probe, monkeypatch
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
+    def test_short_runs_sort_on_the_tiers_rung(
+        self, tmp_path, fresh_probe, monkeypatch, built
     ):
-        fake_available(monkeypatch)
+        # Runs of a dozen or so records: no floor sends them elsewhere.
+        use_tier(monkeypatch, built)
         plan = Planner().plan(
-            self.file_descriptor(
-                tmp_path, 4 * NATIVE_MIN_KEYS, 85, self.PAIRS64
-            )
+            self.file_descriptor(tmp_path, 4 * 256, 85, self.PAIRS64)
         )
         step = plan.step("spill-runs")
-        assert step.params["run_records"] < NATIVE_MIN_KEYS
-        assert step.params["engine"] == "hybrid"
-        assert "floor" in step.params["engine_note"]
+        assert step.params["run_records"] < 256
+        assert step.params["engine"] == ("native" if built else "library")
+        assert "floor" not in step.params["engine_note"]
 
     def test_never_planner_keeps_runs_on_numpy(self, tmp_path):
         plan = Planner(native="never").plan(
@@ -345,7 +346,7 @@ class TestExternalRunEngine:
         layout = FileLayout(np.uint32)
         desc = self.file_descriptor(
             tmp_path,
-            4 * NATIVE_MIN_KEYS + 17,
+            4 * 256 + 17,
             NATIVE_LOCAL_SORT_MAX * run_footprint(layout, "native") // 4,
             layout,
         )
@@ -380,6 +381,7 @@ class TestExternalRunEngine:
             (FileLayout(np.uint32, np.uint32), "off", True),
             (FileLayout(np.uint16, np.uint16), "fused", True),
             (FileLayout(np.uint64, np.uint32), "auto", False),
+            (FileLayout(np.float64, np.uint64), "off", False),
             (FileLayout(np.uint16), "auto", True),
             (FileLayout(np.uint8), "auto", True),
             (FileLayout(np.uint8, np.uint32), "auto", True),
@@ -390,9 +392,9 @@ class TestExternalRunEngine:
         self, tmp_path, fresh_probe, monkeypatch, layout, packing, library,
         built,
     ):
-        # Every layout np.sort serves byte-identically, a file's
-        # 8/16-bit keys and fused/off packing included, on either tier;
-        # 64-bit-key pairs keep the radix engines.
+        # Every layout, a file's 8/16-bit keys and fused/off packing
+        # included, on either tier; 64-bit-key pairs take the compiled
+        # tier where it is built.
         use_tier(monkeypatch, built)
         desc = replace(
             self.native_sized(tmp_path, layout), pair_packing=packing
@@ -404,7 +406,7 @@ class TestExternalRunEngine:
                 "library rung selected"
             )
         else:
-            assert step.params["engine"] == ("native" if built else "hybrid")
+            assert step.params["engine"] == ("native" if built else "library")
 
 
 class TestExecutorDegradation:
@@ -415,10 +417,10 @@ class TestExecutorDegradation:
         keys = rng.integers(0, 1 << 32, 100_000).astype(np.uint32)
         plan = Planner(native="always").plan(InputDescriptor.for_array(keys))
         result = execute_plan(plan, keys=keys)
-        assert result.meta["engine"] == "hybrid"
+        assert result.meta["engine"] == "library"
         resilience = result.meta["resilience"]
         assert resilience["requested"] == "native"
-        assert resilience["executed"] == "hybrid"
+        assert resilience["executed"] == "library"
         assert resilience["downgrades"][0]["engine"] == "native"
         assert "NativeUnavailableError" in resilience["downgrades"][0]["error"]
         assert "REPRO_NATIVE=0" in resilience["native"]
@@ -453,18 +455,14 @@ class TestExecutorDegradation:
 
 class TestLadder:
     def test_native_plans_walk_down_to_numpy(self):
-        assert fallback_chain("native") == (
-            "native", "hybrid", "fallback", "oracle",
-        )
+        assert fallback_chain("native") == ("native", "oracle")
 
     def test_library_plans_walk_down_to_numpy(self):
-        assert fallback_chain("library") == (
-            "library", "hybrid", "fallback", "oracle",
-        )
+        assert fallback_chain("library") == ("library", "oracle")
 
     def test_default_ladder_never_escalates_to_native(self):
         assert "native" not in DEFAULT_LADDER
-        assert fallback_chain("hybrid") == ("hybrid", "fallback", "oracle")
+        assert fallback_chain("hybrid") == ("hybrid", "oracle")
 
 
 class TestFacadeKnob:
@@ -489,3 +487,76 @@ class TestFacadeKnob:
         plan = repro.plan_for(keys)
         assert plan.notes  # the tier decision is always explained
         assert repro.plan_for(keys, native="never").strategy == "hybrid"
+
+
+class TestNoSimulatedRoute:
+    """``native="auto"`` never reaches a simulated engine, on either tier.
+
+    Every in-memory and file layout, every pair packing, sizes around
+    and far from the old 2^8 native floor, with no budget and with half
+    the input's bytes: the plan, a file's run engine and a budgeted
+    array's chunk engine are all host rungs (library or native).
+    """
+
+    SIZES = (0, 1, 255, 256, 1 << 16)
+    PACKINGS = ("auto", "index", "fused", "off")
+
+    def layouts(self):
+        from repro.core.keys import SUPPORTED_DTYPES
+        from repro.external.format import VALUE_DTYPES
+
+        for key in SUPPORTED_DTYPES:
+            yield key, None
+            for value in VALUE_DTYPES:
+                yield key, value
+
+    def descriptors(self):
+        for key, value in self.layouts():
+            record = key.itemsize + (0 if value is None else value.itemsize)
+            for n in self.SIZES:
+                for budget in {None, (n * record) // 2 or None}:
+                    for packing in self.PACKINGS:
+                        yield packing, InputDescriptor(
+                            n=n, key_dtype=key, value_dtype=value,
+                            memory_budget=budget,
+                        )
+                        yield packing, InputDescriptor(
+                            n=n, key_dtype=key, value_dtype=value,
+                            source="file", path="in.bin",
+                            memory_budget=budget, pair_packing=packing,
+                        )
+
+    @pytest.mark.parametrize("built", [True, False], ids=["built", "off"])
+    def test_auto_plans_only_host_rungs(self, fresh_probe, monkeypatch, built):
+        if built:
+            fake_available(monkeypatch)
+        else:  # a host without cffi, which warns once
+            monkeypatch.setattr(
+                build,
+                "_probe",
+                lambda: build.NativeStatus(False, "cffi not installed"),
+            )
+            with pytest.warns(RuntimeWarning, match="cffi not installed"):
+                build.native_status()
+        host = {"library", "native"}
+        checked = 0
+        for packing, desc in self.descriptors():
+            config = None
+            if packing != "auto" and desc.source == "array":
+                config = replace(
+                    layout_preset(desc.key_bits, desc.value_bits),
+                    pair_packing=packing,
+                )
+            plan = Planner(config=config).plan(desc)
+            assert plan.strategy not in ("hybrid", "fallback"), desc
+            for kind in ("chunked-pipeline", "spill-runs"):
+                if any(step.kind == kind for step in plan.steps):
+                    assert plan.step(kind).params["engine"] in host, desc
+            if desc.has_values and desc.key_bits == 64:
+                want = "native" if built else "library"
+                engine = plan.strategy
+                if plan.strategy in ("hetero", "external"):
+                    engine = plan.steps[0].params["engine"]
+                assert engine == want, desc
+            checked += 1
+        assert checked > 2000

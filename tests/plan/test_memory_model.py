@@ -5,7 +5,8 @@ plan its rung's measured footprint per record
 (:func:`repro.plan.planner.array_footprint`), and the sort service
 charges each micro-batch member the batch footprint
 (:func:`repro.plan.planner.array_resident_bytes`).  For every in-memory
-layout on every rung a host reaches — the library rung, the compiled
+layout on every rung a host reaches — the library rung (64-bit-key
+pairs there too, where the compiled tier is not built), the compiled
 tier where it is built, the hybrid engine (``native="never"``) and the
 micro-batch — the charge must cover the ``tracemalloc`` peak of the
 execution, plus the 16 bytes a record of scratch the compiled kernel
@@ -108,6 +109,7 @@ def _check(native, keys, values, packing):
         peak += NATIVE_SCRATCH * keys.size
     charge = plan_resident_bytes(plan)
     assert charge >= peak, (plan.strategy, charge, peak)
+    return plan
 
 
 @pytest.mark.parametrize("n", [1 << 14, 1 << 18])
@@ -123,13 +125,25 @@ def test_keys_are_never_under_charged(n, native, key_dtype):
 @pytest.mark.parametrize("key_dtype,value_dtype,packing", PAIR_LAYOUTS)
 def test_pairs_are_never_under_charged(n, native, key_dtype, value_dtype, packing):
     keys, values = _data(key_dtype, value_dtype, n)
-    if native == "auto" and keys.itemsize == 8 and not (
-        native_status(warn=False).available
-    ):
-        native = "never"  # 64-bit-key pairs plan hybrid without the tier
     if keys.itemsize == 8 and packing == "fused":
         pytest.skip("64-bit keys leave no room to fuse a value")
     _check(native, keys, values, packing)
+
+
+@pytest.mark.parametrize("n", [1 << 10, 1 << 14, 1 << 18])
+@pytest.mark.parametrize(
+    "key_dtype,value_dtype",
+    [("i8", "u4"), ("u8", "u8"), ("f8", "u8"), ("i8", "u1"), ("f8", "f8")],
+)
+@pytest.mark.parametrize("packing", ["auto", "off"])
+def test_wide_key_pairs_on_the_library_are_never_under_charged(
+    tier, n, key_dtype, value_dtype, packing
+):
+    # Without the compiled tier, 64-bit-key pairs sort on the library
+    # rung in two 32-bit passes: 32 bytes a record, output included.
+    tier(False)
+    keys, values = _data(key_dtype, value_dtype, n)
+    assert _check("auto", keys, values, packing).strategy == "library"
 
 
 @pytest.mark.parametrize("value_dtype", [None, "u4", "u8", "u1"])
@@ -164,13 +178,18 @@ def test_micro_batches_are_never_under_charged(sizes, key_dtype, value_dtype):
     assert charge >= peak
 
 
-#: Budgeted layouts the model chunks, with the rung that plans them:
-#: uint32 pairs on the library rung (under a budget below their bytes)
-#: and any layout on the radix rungs.
+#: Budgeted layouts the model chunks, with the policy that plans them
+#: (``"library"``: ``"auto"`` without the compiled tier): uint32 pairs
+#: on the library rung (under a budget below their bytes), 64-bit-key
+#: pairs on it under a quarter of theirs, and any layout on the radix
+#: rungs.
 CHUNKED_LAYOUTS = [
     ("u4", "u4", "auto"), ("f4", "u4", "auto"), ("u4", None, "never"),
-    ("f8", None, "never"), ("u8", "u8", "never"), ("i8", "u4", "auto"),
-] + ([("u4", None, "always")] if "always" in _rungs() else [])
+    ("f8", None, "never"), ("u8", "u8", "never"),
+] + (
+    [("u4", None, "always"), ("i8", "u4", "auto")]
+    if "always" in _rungs() else []
+)
 
 #: A 5 % budget cuts about 250 radix chunks, whose sorts tracemalloc
 #: slows to seconds; it runs on the library rung's 31 chunks.
@@ -179,17 +198,22 @@ CHUNKED_CASES = [
     for layout in CHUNKED_LAYOUTS
     for n in (1 << 14, 1 << 16)
     for fraction in (0.75, 0.25)
-] + [(k, v, "auto", 1 << 14, 0.05) for k, v in (("u4", "u4"), ("f4", "u4"))]
+] + [(k, v, "auto", 1 << 14, 0.05) for k, v in (("u4", "u4"), ("f4", "u4"))] + [
+    (k, "u4", "library", n, 0.25) for k in ("i8", "f8") for n in (1 << 14, 1 << 16)
+]
 
 
 @pytest.mark.parametrize(
     "key_dtype,value_dtype,native,n,fraction", CHUNKED_CASES
 )
 def test_chunked_plans_are_never_under_charged(
-    monkeypatch, key_dtype, value_dtype, native, n, fraction
+    monkeypatch, tier, key_dtype, value_dtype, native, n, fraction
 ):
     from repro.external.runs import RunWriter
 
+    if native == "library":
+        tier(False)
+        native = "auto"
     keys, values = _data(key_dtype, value_dtype, n)
     nbytes = keys.nbytes + (0 if values is None else values.nbytes)
     desc = InputDescriptor.for_array(

@@ -213,9 +213,8 @@ class TestChunkedPlan:
         )
         plan = planner.plan_chunked(desc)
         step = plan.step("chunked-pipeline")
-        chunk = plan.run_plan.run_records
         assert (step.params["engine"], step.params["engine_note"]) == (
-            planner.run_engine(desc, chunk)
+            planner.run_engine(desc)
         )
         assert plan.engine == f"{step.params['engine']} chunks + drain_cursors"
 

@@ -23,14 +23,13 @@ from hypothesis import strategies as st
 
 import repro
 from repro.core.keys import SUPPORTED_DTYPES, to_sortable_bits
-from repro.core.library import library_serves
 from repro.core.pairs import fused_packable
 from repro.errors import TransientError
 from repro.external import ExternalSorter, FileLayout, write_records, write_run
 from repro.external.merge import merge_runs
-from repro.external.runs import RunWriter, plan_runs
+from repro.external.runs import RunWriter
 from repro.native import build
-from repro.plan.planner import NATIVE_MIN_KEYS, run_footprint
+from repro.plan.planner import Planner, run_footprint
 from repro.resilience.faults import FaultPlan, inject
 
 # Keys drawn from a tiny alphabet force long runs of equal keys that
@@ -168,10 +167,14 @@ needs_native = pytest.mark.skipif(
 )
 
 
+#: Records of a tier-comparison file: four runs of about 256 and some.
+FILE_RECORDS = 4 * 256 + 17
+
+
 def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
-    """Four floors' worth of records: (layout, input path, budget)."""
+    """Four runs' worth of records: (layout, input path, budget)."""
     layout = FileLayout(key_dtype, value_dtype)
-    n = 4 * NATIVE_MIN_KEYS + 17
+    n = FILE_RECORDS
     rng = np.random.default_rng(seed)
     kd = layout.key_dtype
     if kd.kind == "f":
@@ -188,9 +191,9 @@ def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
     path = os.path.join(tmpdir, "in.bin")
     write_records(path, layout.to_records(keys, values))
     # Four runs of n / 4 under §5's three-buffer rule.  Tests that need
-    # runs just above the native floor size the budget by the engine's
+    # about four runs on a given engine size the budget by its
     # run_footprint instead.
-    return layout, path, 4 * NATIVE_MIN_KEYS * layout.record_bytes
+    return layout, path, (FILE_RECORDS - 17) * layout.record_bytes
 
 
 def _sort_file(
@@ -254,6 +257,22 @@ def test_file_sort_is_identical_on_both_tiers(
     assert native == hybrid == _reference(layout, path, pair_packing)
 
 
+@pytest.mark.parametrize("key_dtype, value_dtype, pair_packing", _TIER_CASES)
+def test_forced_native_runs_without_the_tier_sort_on_the_library(
+    tmp_path, tier, key_dtype, value_dtype, pair_packing
+):
+    # native="always" plans native runs; without the tier each degrades
+    # inline to the library rung, 8/16-bit keys included.
+    tmpdir = str(tmp_path)
+    layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
+    tier(False)
+    got, engine = _sort_file(
+        tmpdir, "forced", layout, path, budget, pair_packing, "always"
+    )
+    assert engine == "native"
+    assert got == _reference(layout, path, pair_packing)
+
+
 @pytest.fixture
 def run_engines(monkeypatch):
     """The engine of every run sort, in order (a ``RunWriter`` spy)."""
@@ -272,39 +291,32 @@ def run_engines(monkeypatch):
 def test_library_rung_runs_exactly_where_it_serves(
     tmp_path, run_engines, key_dtype, value_dtype, pair_packing
 ):
-    """``native="auto"`` plans and runs the library rung for exactly
-    the run layouts :func:`library_serves` accepts for a file under the
-    sort's packing — every key file, 8/16-bit keys included, and pairs
-    of at most 32-bit keys under any packing — with identical bytes."""
+    """``native="auto"`` plans and runs the library rung for every run
+    layout under every packing — key files, 8/16-bit keys included, and
+    pairs — except 64-bit-key pairs where the compiled tier is built,
+    which run on it; the bytes are identical either way."""
     tmpdir = str(tmp_path)
     layout, path, budget = _file_input(tmpdir, key_dtype, value_dtype)
     got, engine = _sort_file(tmpdir, "auto", layout, path, budget, pair_packing)
-    run_records = plan_runs(
-        layout.records_in(path),
-        budget,
-        run_footprint(layout, "native", pair_packing),
-    ).run_records
-    serves = library_serves(
-        layout.key_bits, run_records, layout.is_pairs, pair_packing, True
-    )
-    assert serves == (not layout.is_pairs or layout.key_bits <= 32)
-    assert (engine == "library") == serves
+    native = layout.is_pairs and layout.key_bits == 64 and NATIVE_AVAILABLE
+    assert engine == ("native" if native else "library")
     assert set(run_engines) == {engine}
     assert got == _reference(layout, path, pair_packing)
 
 
 @needs_native
 @pytest.mark.parametrize(
-    "spill_native", [True, False], ids=["native-first", "hybrid-first"]
+    "spill_native", [True, False], ids=["native-first", "library-first"]
 )
 def test_resume_finishes_the_other_tiers_runs(tmp_path, tier, spill_native):
-    # 64-bit-key pairs stay off the library rung, so the tier decides.
+    # 64-bit-key pairs run on the compiled tier where it is built and on
+    # the library rung where it is not, so the tier decides.
     tmpdir = str(tmp_path)
     layout, path, _ = _file_input(tmpdir, np.int64, np.uint32, seed=3)
-    # Runs just above the native floor on either tier: the hybrid
-    # engine's footprint is the larger, so its runs are the shorter.
+    # At least four runs on either tier: the library rung's footprint
+    # is the smaller, so its runs are the longer.
     budget = (layout.records_in(path) // 4 + 1) * run_footprint(
-        layout, "hybrid"
+        layout, "library"
     )
     out = os.path.join(tmpdir, "out.bin")
     spool = os.path.join(tmpdir, "spool")
@@ -333,14 +345,16 @@ def test_resume_finishes_the_other_rungs_runs(
     tmp_path, monkeypatch, run_engines, spill_library
 ):
     """Runs one rung spilled and runs the other re-produces merge into
-    the same bytes.  Keeping the library rung off for one phase stands
-    in for a host whose planner routed differently."""
-    import repro.core.library as library
-
+    the same bytes.  Routing the runs off the library rung for one
+    phase stands in for a host whose planner routed differently."""
     on_rung = [spill_library]
-    serves = library.library_serves
+    route = Planner.run_engine
     monkeypatch.setattr(
-        library, "library_serves", lambda *a: on_rung[0] and serves(*a)
+        Planner,
+        "run_engine",
+        lambda self, desc: route(self, desc) if on_rung[0] else (
+            off_rung, "routed off the library rung"
+        ),
     )
     off_rung = "native" if NATIVE_AVAILABLE else "hybrid"
     first, second = (
@@ -348,9 +362,9 @@ def test_resume_finishes_the_other_rungs_runs(
     )
     tmpdir = str(tmp_path)
     layout, path, _ = _file_input(tmpdir, np.uint32, np.uint32, seed=4)
-    # About four runs at the native floor, whichever rung spills first:
-    # the library rung sorts these pairs in place, so its runs are cut
-    # by a smaller footprint than the radix engines'.
+    # About four runs, whichever rung spills first: the library rung
+    # sorts these pairs in place, so its runs are cut by a smaller
+    # footprint than the radix engines'.
     budget = (layout.records_in(path) // 4 + 1) * run_footprint(layout, first)
     out = os.path.join(tmpdir, "out.bin")
     spool = os.path.join(tmpdir, "spool")
@@ -411,17 +425,18 @@ def test_resume_keeps_narrow_key_runs_on_the_library(
         assert fh.read() == _reference(layout, path, "auto")
 
 
-def test_runs_below_the_native_floor_sort_hybrid(tmp_path):
-    # 64-bit-key pairs: off the library rung, so the floor decides.
+def test_small_runs_of_wide_pairs_sort_on_the_tiers_rung(tmp_path):
+    # 64-bit-key pairs: the tier decides, whatever the run size (runs
+    # of a few dozen records here).
     layout = FileLayout(np.uint64, np.uint32)
     rng = np.random.default_rng(5)
     keys = rng.integers(0, 1 << 40, 2_000).astype(np.uint64)
     values = np.arange(keys.size, dtype=np.uint32)
     path = str(tmp_path / "in.bin")
     write_records(path, layout.to_records(keys, values))
-    budget = layout.record_bytes * NATIVE_MIN_KEYS  # runs of floor / 3
+    budget = layout.record_bytes * 256
     got, engine = _sort_file(str(tmp_path), "small", layout, path, budget)
-    assert engine == "hybrid"
+    assert engine == ("native" if NATIVE_AVAILABLE else "library")
     assert got == _reference(layout, path, "auto")
 
 

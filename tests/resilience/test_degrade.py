@@ -42,25 +42,23 @@ def registry_with(**engines) -> ExecutorRegistry:
 
 class TestFallbackChain:
     def test_planned_strategy_runs_first_then_ladder(self):
-        assert fallback_chain("hybrid") == ("hybrid", "fallback", "oracle")
-        assert fallback_chain("hetero") == (
-            "hetero", "hybrid", "fallback", "oracle"
-        )
+        assert fallback_chain("hybrid") == ("hybrid", "oracle")
+        assert fallback_chain("hetero") == ("hetero", "oracle")
+        assert fallback_chain("fallback") == ("fallback", "oracle")
 
     def test_native_walks_down_but_is_never_escalated_to(self):
-        # A native plan degrades through every NumPy rung; a hybrid
-        # plan must never walk *up* into the compiled tier.
-        assert fallback_chain("native") == (
-            "native", "hybrid", "fallback", "oracle"
-        )
+        # A native plan degrades to the oracle; no plan may walk *up*
+        # into the compiled tier or over to a simulated engine.
+        assert fallback_chain("native") == ("native", "oracle")
         assert "native" not in fallback_chain("hybrid")
+        assert "hybrid" not in fallback_chain("library")
 
     def test_external_never_changes_engine(self):
         assert fallback_chain("external") == ("external",)
 
     def test_custom_ladder(self):
-        assert fallback_chain("hybrid", ladder=("oracle",)) == (
-            "hybrid", "oracle"
+        assert fallback_chain("library", ladder=("fallback", "oracle")) == (
+            "library", "fallback", "oracle"
         )
 
 
@@ -108,14 +106,14 @@ class TestResilientExecute:
             plan_for("hybrid"),
             registry=registry_with(
                 hybrid=broken,
-                fallback=lambda plan, **io: ok_result("fb"),
+                oracle=lambda plan, **io: ok_result("or"),
             ),
             report=report,
         )
-        assert result.tag == "fb"
+        assert result.tag == "or"
         resilience = result.meta["resilience"]
         assert resilience["requested"] == "hybrid"
-        assert resilience["executed"] == "fallback"
+        assert resilience["executed"] == "oracle"
         assert [d["engine"] for d in resilience["downgrades"]] == ["hybrid"]
         assert report["downgrades"] == resilience["downgrades"]
 
@@ -182,6 +180,7 @@ class TestResilientExecute:
             registry=registry_with(
                 hybrid=broken, oracle=lambda plan, **io: ok_result("or")
             ),
+            ladder=("fallback", "oracle"),
         )
         assert result.tag == "or"
         assert result.meta["resilience"]["executed"] == "oracle"
@@ -210,8 +209,13 @@ class TestResilientExecute:
             result = resilient_execute(
                 plan_for("hybrid"), registry=registry
             )
-        assert result.tag == "fb"
-        assert result.meta["resilience"]["executed"] == "fallback"
+        assert result.tag == "or"
+        assert result.meta["resilience"]["executed"] == "oracle"
+        with inject(FaultPlan.single("engine.fallback", times=-1)):
+            result = resilient_execute(
+                plan_for("fallback"), registry=registry
+            )
+        assert result.meta["resilience"]["executed"] == "oracle"
 
     def test_default_ladder_matches_registered_oracle(self):
         # The real registry must know every default rung, or the

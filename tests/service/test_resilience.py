@@ -107,7 +107,7 @@ class TestRetryAndDegrade:
         with inject(FaultPlan.single("engine.hybrid", times=-1)):
             result, stats = run(submit_once(keys))
         assert bytes(result.keys) == bytes(repro.sort(keys).keys)
-        assert result.meta["resilience"]["executed"] == "fallback"
+        assert result.meta["resilience"]["executed"] == "oracle"
         assert stats.fallbacks == 1
         assert stats.completed == 1
 
@@ -284,6 +284,6 @@ class TestDriverSurface:
         assert rc == 0
         first = responses[0]
         assert first["ok"] is True
-        assert first["degraded_to"] == "fallback"
+        assert first["degraded_to"] == "oracle"
         stats = responses[-1]
         assert stats["fallbacks"] == 1

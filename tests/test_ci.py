@@ -220,6 +220,53 @@ class TestPerfbenchGateFilters:
         assert not _gate_passes(_gate("service", 1), values)
 
 
+class TestNoCompiledTierGate:
+    """The perfbench job on a host where the compiled tier cannot exist:
+    numpy only, and a bulk route check that no operation runs native or
+    on the simulated hybrid engine."""
+
+    JOB = "perfbench-numpy"
+
+    def _gate(self) -> str:
+        (match,) = _GATED_RUN.finditer(_job(self.JOB))
+        assert match["workload"] == "bulk" and "--trace 1" in match["args"]
+        return " ".join(match["filter"].split())
+
+    def test_installs_numpy_only(self):
+        installs = re.findall(r"pip install (.+)$", _job(self.JOB), re.MULTILINE)
+        assert installs == ["numpy"]
+
+    def test_pipes_keep_perfbench_exit_status(self):
+        assert re.search(
+            r"^    defaults:\n      run:\n\s+shell: bash$",
+            _job(self.JOB),
+            re.MULTILINE,
+        )
+
+    @pytest.mark.skipif(
+        shutil.which("jq") is None, reason="the perfbench gates run through jq"
+    )
+    def test_gate_passes_library_routes_only(self):
+        healthy = {
+            "plan.route.hybrid": 0.0,
+            "plan.route.native": 0.0,
+            "trace.absent_targets": 0.0,
+        }
+        jq = self._gate()
+        assert jq.startswith(".failed == 0 and ")
+        assert _gate_passes(jq, healthy)
+        assert not _gate_passes(jq, healthy, failed=1)
+        assert not _gate_passes(jq, {})
+        # pairs-i64, 1 of 6 bulk cases, on the hybrid engine: the route
+        # a host without the compiled tier took before the library rung
+        # sorted 64-bit-key pairs.
+        assert not _gate_passes(jq, dict(healthy, **{"plan.route.hybrid": 1 / 6}))
+        assert not _gate_passes(jq, dict(healthy, **{"plan.route.native": 1 / 6}))
+        assert not _gate_passes(
+            jq, dict(healthy, **{"trace.absent_targets": 1.0})
+        )
+
+
 def _job_step(job: str, name: str) -> str:
     """The text of ``job``'s step named ``name``, up to the next step."""
     step = re.search(

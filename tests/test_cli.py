@@ -72,8 +72,9 @@ class TestSortCommand:
         assert rc == 0
         if native_status(warn=False).available:
             assert "simulated time  : n/a (native runs on the host)" in out
-        else:  # the hybrid engine stands in and simulates the sort
-            assert "simulated rate" in out
+        else:  # the library rung stands in, on the host too
+            assert "executed as     : library" in out
+            assert "simulated time  : n/a (library runs on the host)" in out
 
     def test_packing_flag(self, capsys):
         for packing in ("index", "fused", "off"):
@@ -104,10 +105,11 @@ class TestPlanCommand:
         if native_status(warn=False).available:
             assert "strategy        : native" in out
             assert "native-lsd" in out
+            assert "note            : native tier selected" in out
         else:
-            assert "strategy        : hybrid" in out
-            assert "hybrid-msd" in out
-        assert "note            : native tier" in out
+            assert "strategy        : library" in out
+            assert "library-sort" in out
+            assert "native tier unavailable" in out
         assert "predicted total" in out
 
     def test_budgeted_plan_chooses_chunked_pipeline(self, capsys):
