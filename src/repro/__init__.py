@@ -179,10 +179,8 @@ def _native_policy(native: str, device: SimulatedGPU | None) -> str:
 
 
 def _file_layout(output, config, layout, dtype, value_dtype):
-    """A file-path request's checks, then its FileLayout.
-
-    :func:`sort` and :class:`~repro.service.SortService` both call it.
-    """
+    """A file-path request's checks, then its FileLayout (for
+    :func:`sort` and :class:`~repro.service.SortService` alike)."""
     if output is None:
         raise ConfigurationError("sorting a file path needs output=")
     if config is not None:
@@ -195,14 +193,12 @@ def _file_layout(output, config, layout, dtype, value_dtype):
     return _resolve_layout(layout, dtype, value_dtype)
 
 
-def _refuse_file_kwargs(output, layout, dtype, value_dtype, spool_dir,
-                        pair_packing):
-    """Refuse file-only keywords on an in-memory array, where they would
-    be silently dead (no output file would ever be written); a
-    non-default ``pair_packing`` too (arrays take ``config=``).
-
-    :func:`sort` and :class:`~repro.service.SortService` both call it.
-    """
+def _refuse_file_kwargs(
+    output, layout, dtype, value_dtype, spool_dir, pair_packing
+):
+    """Refuse file-only keywords on an in-memory array (for :func:`sort`
+    and :class:`~repro.service.SortService` alike): they would be
+    silently dead, and arrays take a packing through ``config=``."""
     file_only = {
         "output": output, "layout": layout, "dtype": dtype,
         "value_dtype": value_dtype, "spool_dir": spool_dir,
@@ -323,8 +319,9 @@ def sort(
             spool_dir=spool_dir,
             layout=file_layout,
         )
-    _refuse_file_kwargs(output, layout, dtype, value_dtype, spool_dir,
-                        pair_packing)
+    _refuse_file_kwargs(
+        output, layout, dtype, value_dtype, spool_dir, pair_packing
+    )
     descriptor = _describe(
         data, None, device, memory_budget, workers, config
     )

@@ -378,9 +378,7 @@ class SortService:
                     "values= does not apply to file-path inputs; describe "
                     "the pairs layout with value_dtype= or layout= instead"
                 )
-            file_layout = _file_layout(
-                output, config, layout, dtype, value_dtype
-            )
+            file_layout = _file_layout(output, config, layout, dtype, value_dtype)
             descriptor = InputDescriptor.for_file(
                 data,
                 file_layout,
@@ -399,9 +397,7 @@ class SortService:
                     "spool_dir": spool_dir,
                 },
             )
-        _refuse_file_kwargs(
-            output, layout, dtype, value_dtype, spool_dir, pair_packing
-        )
+        _refuse_file_kwargs(output, layout, dtype, value_dtype, spool_dir, pair_packing)
         data = np.asarray(data)
         kind = "keys"
         records = None

@@ -167,14 +167,10 @@ needs_native = pytest.mark.skipif(
 )
 
 
-#: Records of a tier-comparison file: four runs of about 256 and some.
-FILE_RECORDS = 4 * 256 + 17
-
-
 def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
     """Four runs' worth of records: (layout, input path, budget)."""
     layout = FileLayout(key_dtype, value_dtype)
-    n = FILE_RECORDS
+    n = 4 * 256 + 17
     rng = np.random.default_rng(seed)
     kd = layout.key_dtype
     if kd.kind == "f":
@@ -193,7 +189,7 @@ def _file_input(tmpdir, key_dtype, value_dtype, seed=0):
     # Four runs of n / 4 under §5's three-buffer rule.  Tests that need
     # about four runs on a given engine size the budget by its
     # run_footprint instead.
-    return layout, path, (FILE_RECORDS - 17) * layout.record_bytes
+    return layout, path, 4 * 256 * layout.record_bytes
 
 
 def _sort_file(
