@@ -6,9 +6,10 @@ Three parts:
 1. An *external* run: writes a flat binary file of key-value records
    that is four times larger than the sorter's memory budget, sorts it
    end-to-end with :class:`repro.external.ExternalSorter` (budgeted
-   run production fanned across two workers + streaming k-way merge),
-   and verifies the output file byte-for-byte against one in-memory
-   sort of the same data.
+   run production, each run's commit overlapped with the next slice's
+   sort on the spool thread, then a streaming k-way merge), and
+   verifies the output file byte-for-byte against one in-memory sort
+   of the same data.
 2. A *functional* budgeted run: sorts an in-memory array under a
    memory budget that splits it into four chunks (chunk sorts on the
    host rungs, then the in-memory merge), checks the bytes against the
@@ -55,7 +56,7 @@ def external_demo(n: int = 1_000_000) -> None:
         input_path = os.path.join(tmp, "input.bin")
         output_path = os.path.join(tmp, "sorted.bin")
         write_records(input_path, layout.to_records(keys, values))
-        sorter = ExternalSorter(memory_budget=budget, workers=2)
+        sorter = ExternalSorter(memory_budget=budget)
         report = sorter.sort_file(input_path, output_path, layout)
         print(
             f"file {total_bytes / 1e6:.1f} MB, budget {budget / 1e6:.1f} MB "

@@ -144,8 +144,6 @@ def _describe(
     values: np.ndarray | None = None,
     device: SimulatedGPU | None = None,
     memory_budget: int | None = None,
-    workers: int | None = None,
-    config: SortConfig | None = None,
     layout=None,
     dtype=None,
     value_dtype=None,
@@ -153,14 +151,11 @@ def _describe(
 ) -> InputDescriptor:
     """Build the planner's input descriptor for arrays or file paths."""
     spec = device.spec if device is not None else TITAN_X_PASCAL
-    if workers is None:
-        workers = config.workers if config is not None else 1
     if isinstance(data, (str, os.PathLike)):
         return InputDescriptor.for_file(
             data,
             _resolve_layout(layout, dtype, value_dtype),
             memory_budget=memory_budget,
-            workers=workers,
             spec=spec,
             pair_packing=pair_packing,
         )
@@ -168,7 +163,6 @@ def _describe(
         np.asarray(data),
         None if values is None else np.asarray(values),
         memory_budget=memory_budget,
-        workers=workers,
         spec=spec,
     )
 
@@ -188,7 +182,7 @@ def _file_layout(output, config, layout, dtype, value_dtype):
         # the file layout; a caller config would be silently dropped.
         raise ConfigurationError(
             "config= does not apply to file-path inputs; use "
-            "memory_budget=, workers=, and pair_packing= instead"
+            "memory_budget= and pair_packing= instead"
         )
     return _resolve_layout(layout, dtype, value_dtype)
 
@@ -239,7 +233,6 @@ def plan_for(
     device: SimulatedGPU | None = None,
     *,
     memory_budget: int | None = None,
-    workers: int | None = None,
     layout=None,
     dtype=None,
     value_dtype=None,
@@ -252,8 +245,7 @@ def plan_for(
     steps, and predicted costs.  Planning never reads input data.
     """
     descriptor = _describe(
-        data, values, device, memory_budget, workers, config,
-        layout, dtype, value_dtype,
+        data, values, device, memory_budget, layout, dtype, value_dtype
     )
     return Planner(
         config=config, native=_native_policy(native, device)
@@ -266,7 +258,6 @@ def sort(
     device: SimulatedGPU | None = None,
     *,
     memory_budget: int | None = None,
-    workers: int | None = None,
     output: str | os.PathLike | None = None,
     layout=None,
     dtype=None,
@@ -293,8 +284,7 @@ def sort(
       and merges them into ``output=``, returning the
       :class:`~repro.external.ExternalSortReport`.
 
-    ``workers=`` fans disjoint work across host threads; the output
-    is byte-identical for any worker count.
+    The sort runs on the calling thread.
 
     ``native=`` is the engine policy (``"auto"``, the default, sends
     64-bit-key pairs to the compiled tier wherever the extension is
@@ -309,7 +299,7 @@ def sort(
     if isinstance(data, (str, os.PathLike)):
         file_layout = _file_layout(output, config, layout, dtype, value_dtype)
         descriptor = _describe(
-            data, None, device, memory_budget, workers, config,
+            data, None, device, memory_budget,
             layout=file_layout, pair_packing=pair_packing,
         )
         return execute_plan(
@@ -322,9 +312,7 @@ def sort(
     _refuse_file_kwargs(
         output, layout, dtype, value_dtype, spool_dir, pair_packing
     )
-    descriptor = _describe(
-        data, None, device, memory_budget, workers, config
-    )
+    descriptor = _describe(data, None, device, memory_budget)
     return execute_plan(
         Planner(
             config=config, native=_native_policy(native, device)
@@ -342,15 +330,12 @@ def sort_pairs(
     device: SimulatedGPU | None = None,
     *,
     memory_budget: int | None = None,
-    workers: int | None = None,
     native: str = "auto",
 ) -> SortResult:
     """Sort decomposed key-value pairs (§4.6) through the planner."""
     keys = np.asarray(keys)
     values = np.asarray(values)
-    descriptor = _describe(
-        keys, values, device, memory_budget, workers, config
-    )
+    descriptor = _describe(keys, values, device, memory_budget)
     plan = Planner(
         config=config, native=_native_policy(native, device)
     ).plan(descriptor)
@@ -365,7 +350,6 @@ def sort_records(
     device: SimulatedGPU | None = None,
     *,
     memory_budget: int | None = None,
-    workers: int | None = None,
     native: str = "auto",
 ) -> SortResult:
     """Sort coherent key-value records: decompose, sort, recompose."""
@@ -376,7 +360,6 @@ def sort_records(
         config=config,
         device=device,
         memory_budget=memory_budget,
-        workers=workers,
         native=native,
     )
     result.meta["records"] = recompose(result.keys, result.values)

@@ -27,9 +27,7 @@ def even_bounds(total: int, parts: int) -> np.ndarray:
 
     Exact integer arithmetic (no float rounding): part ``i`` spans
     ``[bounds[i], bounds[i+1])`` and part sizes differ by at most one.
-    The engines decompose work into tasks with this single helper so
-    the "byte-identical output for any worker count" guarantee rests on
-    one definition of the split.
+    The chunked counting scatter cuts its chunks with it.
     """
     return (total * np.arange(parts + 1, dtype=np.int64)) // parts
 

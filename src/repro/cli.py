@@ -37,7 +37,7 @@ Examples::
     python -m repro sweep --key-bits 64 --target 250000000
     python -m repro gen-file --output data.bin --n 8000000 --dtype uint32
     python -m repro sort-file --input data.bin --output sorted.bin \
-        --dtype uint32 --memory-budget 8M --workers 2 --verify
+        --dtype uint32 --memory-budget 8M --verify
     python -m repro sort-file --input data.bin --output sorted.bin \
         --dtype uint32 --spool-dir spool --resume
     printf '%s\n' '{"id": 1, "keys": [3, 1, 2], "dtype": "uint32"}' \
@@ -100,10 +100,10 @@ def cmd_sort(args) -> int:
     values = None
     if args.pairs:
         keys, values = generate_pairs(keys, args.key_bits)
-    tuned = args.workers != 1 or args.packing != "auto"
+    tuned = args.packing != "auto"
     if tuned and args.engine != "hybrid":
         print(
-            f"warning: --workers/--packing only apply to the hybrid "
+            f"warning: --packing only applies to the hybrid "
             f"engine; ignored for {args.engine!r}",
             file=sys.stderr,
         )
@@ -118,7 +118,6 @@ def cmd_sort(args) -> int:
                     SortConfig.for_layout(
                         args.key_bits, args.key_bits if args.pairs else 0
                     ),
-                    workers=args.workers,
                     pair_packing=args.packing,
                 )
             if args.engine == "adaptive":
@@ -403,7 +402,6 @@ def cmd_sort_file(args) -> int:
     try:
         sorter = ExternalSorter(
             memory_budget=budget,
-            workers=args.workers,
             pair_packing=args.packing,
             spool_dir=args.spool_dir,
         )
@@ -424,7 +422,7 @@ def cmd_sort_file(args) -> int:
     print(f"memory budget   : {budget:,} B")
     print(
         f"runs            : {report.n_runs} x <= {report.run_records:,} "
-        f"records (workers={report.workers})"
+        f"records"
     )
     if report.reused_runs:
         print(f"resumed         : reused {report.reused_runs} run(s)")
@@ -454,10 +452,7 @@ def cmd_plan(args) -> int:
     try:
         if args.input is not None:
             descriptor = InputDescriptor.for_file(
-                args.input,
-                layout,
-                memory_budget=budget,
-                workers=args.workers,
+                args.input, layout, memory_budget=budget
             )
         else:
             descriptor = InputDescriptor(
@@ -466,7 +461,6 @@ def cmd_plan(args) -> int:
                 value_dtype=layout.value_dtype,
                 source="array",
                 memory_budget=budget,
-                workers=args.workers,
             )
         plan = Planner(adaptive=args.adaptive).plan(descriptor)
     except FileNotFoundError as exc:
@@ -527,12 +521,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_sort.add_argument("--engine", choices=sorted(ENGINES), default="hybrid")
     p_sort.add_argument("--seed", type=int, default=0)
     p_sort.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="host threads for the hybrid engine (default 1)",
-    )
-    p_sort.add_argument(
         "--packing",
         choices=("auto", "index", "fused", "off"),
         default="auto",
@@ -576,12 +564,6 @@ def build_parser() -> argparse.ArgumentParser:
         "for arrays, 256M for files)",
     )
     p_plan.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="host threads the plan may fan work across",
-    )
-    p_plan.add_argument(
         "--adaptive",
         action="store_true",
         help="apply the §6.1 small-input fallback policy",
@@ -620,12 +602,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget",
         default="256M",
         help="host RAM working-set budget (bytes, K/M/G suffixes)",
-    )
-    p_sf.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        help="host threads producing runs (default 1)",
     )
     p_sf.add_argument(
         "--packing",

@@ -88,12 +88,7 @@ class AdaptiveSorter:
     ) -> SortResult:
         """Plan (dispatching on input size), then execute the plan."""
         keys = np.asarray(keys)
-        descriptor = InputDescriptor.for_array(
-            keys,
-            values,
-            workers=1 if self._config is None else self._config.workers,
-            spec=self.spec,
-        )
+        descriptor = InputDescriptor.for_array(keys, values, spec=self.spec)
         plan = self.planner.plan(descriptor)
         return execute_plan(plan, keys=keys, values=values, config=self._config)
 

@@ -89,10 +89,6 @@ class SortConfig:
         key word (default: all of them).  Internal lever of the packed
         pair fast paths, where a payload occupies the low bits of the
         word and must not be partitioned on.
-    workers:
-        Host threads the execution engines fan disjoint spans, chunks,
-        and local-sort batches across.  ``1`` (default) is the exact
-        serial behaviour; any value produces byte-identical output.
     pair_packing:
         Key-value fast-path policy (§4.6 in host terms): ``"auto"``
         packs whenever a bit-identical packed layout exists, ``"index"``
@@ -118,7 +114,6 @@ class SortConfig:
     lookahead_skew_threshold: float = 0.3
     lookahead_depth: int = 2
     sort_bits: int | None = None
-    workers: int = 1
     pair_packing: str = "auto"
 
     def __post_init__(self) -> None:
@@ -162,8 +157,6 @@ class SortConfig:
             1 <= self.sort_bits <= self.key_bits
         ):
             raise ConfigurationError("sort_bits must be in [1, key_bits]")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         if self.pair_packing not in ("auto", "index", "fused", "off"):
             raise ConfigurationError(
                 "pair_packing must be 'auto', 'index', 'fused', or 'off'"

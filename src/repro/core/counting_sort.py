@@ -19,14 +19,11 @@ exclusive prefix sum → scatter (§4.1).  Two engines implement it:
      across chunks per digit value, then a per-chunk scatter to the
      globally computed sub-bucket positions.  Chunk-major order with a
      stable in-chunk sort *is* the global stable order, so the output
-     is bit-identical for any chunk count — which also makes the chunks
-     safe to fan across :class:`~repro.parallel.ExecutionContext`
-     workers (disjoint reads, disjoint writes).
+     is bit-identical for any chunk count.
   2. **per-bucket slices** — a span of large adjacent buckets is
      partitioned bucket by bucket on direct sub-slices.  Each bucket's
      working set fits the cache, which beats one span-wide composite
-     sort by a wide margin; buckets are disjoint, so they fan across
-     workers too.
+     sort by a wide margin.
   3. **sliced span path** — adjacent small active buckets are coalesced
      into maximal contiguous memory spans
      (:func:`repro._util.coalesce_spans`) and each span is processed on
@@ -80,7 +77,6 @@ from repro.core.histogram import (
 )
 from repro.core.scatter import BlockScatterEngine, lookahead_ops_per_key
 from repro.errors import ConfigurationError
-from repro.parallel import SERIAL, ExecutionContext
 from repro.types import BlockStats
 
 __all__ = ["PassOutput", "counting_sort_pass", "block_level_counting_sort"]
@@ -122,7 +118,6 @@ def counting_sort_pass(
     src_values: np.ndarray | None = None,
     dst_values: np.ndarray | None = None,
     rng: np.random.Generator | None = None,
-    ctx: ExecutionContext | None = None,
 ) -> PassOutput:
     """Partition every active bucket on MSD digit ``digit_index``.
 
@@ -149,9 +144,6 @@ def counting_sort_pass(
         (both or neither).
     rng:
         Source for the sampled block statistics; deterministic default.
-    ctx:
-        Fans the disjoint spans, buckets, and chunks across worker
-        threads; the output is byte-identical for any worker count.
 
     Returns a :class:`PassOutput` with per-bucket digit histograms (the
     partition result the caller turns into sub-buckets) and the block
@@ -163,7 +155,6 @@ def counting_sort_pass(
         raise ConfigurationError("offsets and sizes must be parallel")
     geometry = config.geometry
     radix = config.radix
-    ctx = ctx or SERIAL
 
     n_buckets = offsets.size
     n_keys = int(sizes.sum())
@@ -182,10 +173,10 @@ def counting_sort_pass(
     n_spans = starts.size
     if n_spans <= max(_SPAN_LOOP_MIN, n_keys // _SPAN_KEY_RATIO):
         counts = np.zeros((n_buckets, radix), dtype=np.int64)
-
-        def run_span(i: int, span_ctx: ExecutionContext) -> np.ndarray:
+        digit_chunks = []
+        for i in range(n_spans):
             lo, hi = int(bucket_lo[i]), int(bucket_hi[i])
-            return _partition_span(
+            digit_chunks += _partition_span(
                 src,
                 dst,
                 int(starts[i]),
@@ -197,16 +188,7 @@ def counting_sort_pass(
                 radix,
                 src_values,
                 dst_values,
-                span_ctx,
             )
-
-        if n_spans > 1 and ctx.parallel:
-            # Many spans: parallelism across them, serial inside each.
-            chunks = ctx.map(lambda i: run_span(i, SERIAL), range(n_spans))
-        else:
-            # One (or few) spans: let each span parallelise internally.
-            chunks = [run_span(i, ctx) for i in range(n_spans)]
-        digit_chunks = [c for span in chunks for c in span]
     else:
         digits, counts = _partition_gathered(
             src,
@@ -265,7 +247,6 @@ def _partition_span(
     radix: int,
     src_values: np.ndarray | None,
     dst_values: np.ndarray | None,
-    ctx: ExecutionContext = SERIAL,
 ) -> list[np.ndarray]:
     """Partition one contiguous span of buckets on direct buffer slices.
 
@@ -286,7 +267,6 @@ def _partition_span(
                 geometry,
                 digit_index,
                 radix,
-                ctx,
             )
     if n_span_buckets == 1:
         # Single-bucket span: the digit itself is the sort key — no
@@ -294,7 +274,7 @@ def _partition_span(
         if src_values is None and stop - start >= _CHUNKED_MIN:
             digits = _partition_bucket_chunked(
                 src, dst, start, stop, counts_block[0], geometry,
-                digit_index, radix, ctx,
+                digit_index, radix,
             )
             return [digits]
         active = src[start:stop]
@@ -329,15 +309,13 @@ def _partition_span_per_bucket(
     geometry: DigitGeometry,
     digit_index: int,
     radix: int,
-    ctx: ExecutionContext,
 ) -> list[np.ndarray]:
     """Partition a span of large buckets one cache-sized slice at a time.
 
     Equivalent to the composite-key sort (the composite key orders
     bucket-major, and buckets are adjacent), but every argsort and
-    gather touches only one bucket's working set.  Buckets are disjoint
-    regions, so they fan across workers; bucket order in the returned
-    digit stream is preserved either way.
+    gather touches only one bucket's working set.  The returned digit
+    stream keeps bucket order.
     """
     bounds = start + np.concatenate(
         ([0], np.cumsum(bucket_sizes))
@@ -348,7 +326,7 @@ def _partition_span_per_bucket(
         if hi - lo >= _CHUNKED_MIN:
             return _partition_bucket_chunked(
                 src, dst, lo, hi, counts_block[b], geometry, digit_index,
-                radix, SERIAL,
+                radix,
             )
         active = src[lo:hi]
         digits = extract_digit_compact(active, geometry, digit_index)
@@ -356,7 +334,7 @@ def _partition_span_per_bucket(
         dst[lo:hi] = active[np.argsort(digits, kind="stable")]
         return digits
 
-    return ctx.map(run_bucket, range(bucket_sizes.size))
+    return [run_bucket(b) for b in range(bucket_sizes.size)]
 
 
 def _partition_bucket_chunked(
@@ -368,7 +346,6 @@ def _partition_bucket_chunked(
     geometry: DigitGeometry,
     digit_index: int,
     radix: int,
-    ctx: ExecutionContext,
 ) -> np.ndarray:
     """Counting-scatter one large keys-only bucket in fixed-size chunks.
 
@@ -377,8 +354,7 @@ def _partition_bucket_chunked(
     globally computed positions.  Chunk-major traversal with a stable
     in-chunk sort reproduces the global stable order exactly, so the
     output does not depend on the chunk count — chunks exist purely to
-    keep working sets cache-sized and to give worker threads disjoint
-    tasks.
+    keep working sets cache-sized.
 
     Parameters
     ----------
@@ -393,10 +369,6 @@ def _partition_bucket_chunked(
         ``(n_buckets, radix)`` histogram, filled in place.
     geometry / digit_index / radix:
         Digit extraction parameters for this pass.
-    ctx:
-        Chunk histogram and scatter tasks fan across these workers;
-        both phases write disjoint regions, so any worker count gives
-        identical output.
 
     Returns the bucket's digit stream (reused by the caller for the
     pass statistics).
@@ -404,20 +376,14 @@ def _partition_bucket_chunked(
     size = stop - start
     active = src[start:stop]
     digits = extract_digit_compact(active, geometry, digit_index)
-    n_chunks = max(
-        -(-size // _CHUNK_TARGET),
-        min(ctx.workers, size // max(1, _CHUNK_TARGET // 8)),
-    )
+    n_chunks = -(-size // _CHUNK_TARGET)
     bounds = even_bounds(size, n_chunks)
 
     per_chunk = np.empty((n_chunks, radix), dtype=np.int64)
-
-    def histogram(c: int) -> None:
+    for c in range(n_chunks):
         per_chunk[c] = np.bincount(
             digits[bounds[c] : bounds[c + 1]], minlength=radix
         )
-
-    ctx.map(histogram, range(n_chunks))
     counts_row[...] = per_chunk.sum(axis=0)
     digit_base = np.zeros(radix, dtype=np.int64)
     np.cumsum(counts_row[:-1], out=digit_base[1:])
@@ -427,7 +393,7 @@ def _partition_bucket_chunked(
         start + digit_base[None, :] + np.cumsum(per_chunk, axis=0) - per_chunk
     )
 
-    def scatter(c: int) -> None:
+    for c in range(n_chunks):
         lo, hi = int(bounds[c]), int(bounds[c + 1])
         chunk_digits = digits[lo:hi]
         order = np.argsort(chunk_digits, kind="stable")
@@ -440,8 +406,6 @@ def _partition_bucket_chunked(
             chunk_base[c] - in_chunk_start, chunk_counts
         ) + np.arange(hi - lo, dtype=np.int64)
         dst[pos] = active[lo:hi][order]
-
-    ctx.map(scatter, range(n_chunks))
     return digits
 
 

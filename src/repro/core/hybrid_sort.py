@@ -33,9 +33,9 @@ Every run emits a :class:`~repro.types.SortTrace` describing the *pair*
 layout (packed passes report the decomposed record widths, so the cost
 model prices the same kernels the paper runs); the simulated Titan X
 timing attached to the result comes from
-:class:`repro.cost.model.CostModel`.  ``SortConfig(workers=N)`` fans the
-disjoint spans, chunks, and local-sort batches of every pass across N
-host threads with byte-identical output.
+:class:`repro.cost.model.CostModel`.  Every pass runs on the calling
+thread: the paper's parallelism is the GPU's thread blocks, which the
+cost model prices.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ from repro.core.pairs import (
 from repro.errors import ConfigurationError
 from repro.gpu.device import SimulatedGPU
 from repro.gpu.kernel import KernelLaunch, LaunchConfig
-from repro.parallel import ExecutionContext, get_context
 from repro.types import (
     CountingPassTrace,
     LocalSortTrace,
@@ -136,27 +135,22 @@ class HybridRadixSorter:
             if values.shape != keys.shape:
                 raise ConfigurationError("values must parallel keys")
         config = self._resolve_config(keys, values)
-        ctx = get_context(config.workers)
 
         bits = to_sortable_bits(keys)
         mode = self._packing_mode(config, bits.size, values)
         if mode == "decomposed":
             trace, sorted_bits, sorted_values = self._sort_bits(
-                bits, values, config, ctx
+                bits, values, config
             )
         elif mode == "fused":
             trace, sorted_bits, sorted_values = self._sort_packed_fused(
-                bits, values, config, ctx
+                bits, values, config
             )
         elif mode == "index":
-            trace, sorted_bits, perm = self._sort_packed_index(
-                bits, config, ctx
-            )
+            trace, sorted_bits, perm = self._sort_packed_index(bits, config)
             sorted_values = values[perm]
         else:  # mode == "split"
-            trace, sorted_bits, perm = self._sort_packed_split(
-                bits, config, ctx
-            )
+            trace, sorted_bits, perm = self._sort_packed_split(bits, config)
             sorted_values = values[perm]
         out_keys = from_sortable_bits(sorted_bits, keys.dtype)
         result = SortResult(
@@ -251,7 +245,6 @@ class HybridRadixSorter:
         self,
         bits: np.ndarray,
         config: SortConfig,
-        ctx: ExecutionContext,
     ) -> tuple[SortTrace, np.ndarray, np.ndarray]:
         """Keys ≤ 32 bits: pack key+row-index, sort words, unpack.
 
@@ -264,7 +257,6 @@ class HybridRadixSorter:
             packed,
             None,
             self._packed_config(config, 64),
-            ctx,
             record_bytes=(config.key_bytes, config.value_bytes),
         )
         out_bits, perm = unpack_key_index(sorted_packed, config.key_bits)
@@ -274,7 +266,6 @@ class HybridRadixSorter:
         self,
         bits: np.ndarray,
         config: SortConfig,
-        ctx: ExecutionContext,
     ) -> tuple[SortTrace, np.ndarray, np.ndarray]:
         """64-bit keys: packed sort of the high word, low-word refinement.
 
@@ -302,7 +293,6 @@ class HybridRadixSorter:
                 pack_key_index(low, 32),
                 None,
                 stage_config,
-                ctx,
                 record_bytes=(config.key_bytes, config.value_bytes),
                 trace_digit_offset=offset,
             )
@@ -314,7 +304,6 @@ class HybridRadixSorter:
             packed,
             None,
             stage_config,
-            ctx,
             record_bytes=(config.key_bytes, config.value_bytes),
             trace_digit_offset=offset,
         )
@@ -344,7 +333,6 @@ class HybridRadixSorter:
         bits: np.ndarray,
         values: np.ndarray,
         config: SortConfig,
-        ctx: ExecutionContext,
     ) -> tuple[SortTrace, np.ndarray, np.ndarray]:
         """Opt-in value fusion: sort ``key|value`` words, unpack both.
 
@@ -362,7 +350,6 @@ class HybridRadixSorter:
                 self._packed_config(config, packed.dtype.itemsize * 8),
                 sort_bits=None,
             ),
-            ctx,
             record_bytes=(config.key_bytes, config.value_bytes),
         )
         out_bits, out_values = unpack_key_value(
@@ -387,7 +374,6 @@ class HybridRadixSorter:
         bits: np.ndarray,
         values: np.ndarray | None,
         config: SortConfig,
-        ctx: ExecutionContext | None = None,
         record_bytes: tuple[int, int] | None = None,
         trace_digit_offset: int = 0,
     ) -> tuple[SortTrace, np.ndarray, np.ndarray | None]:
@@ -395,7 +381,6 @@ class HybridRadixSorter:
         num_digits = config.num_digits
         final_idx = 0 if num_digits % 2 == 0 else 1
         geometry = config.geometry
-        ctx = ctx or get_context(config.workers)
         key_bytes, value_bytes = record_bytes or (
             config.key_bytes,
             config.value_bytes,
@@ -420,9 +405,7 @@ class HybridRadixSorter:
         if values is not None:
             value_buffers = [values.copy(), np.empty_like(values)]
 
-        local_engine = LocalSortEngine(
-            config.effective_configs, geometry, ctx=ctx
-        )
+        local_engine = LocalSortEngine(config.effective_configs, geometry)
         counting_traces: list[CountingPassTrace] = []
         local_traces: list[LocalSortTrace] = []
 
@@ -498,7 +481,6 @@ class HybridRadixSorter:
                 pass_index,
                 src_values=src_v,
                 dst_values=dst_v,
-                ctx=ctx,
             )
             final_pass = pass_index == num_digits - 1
             if final_pass:

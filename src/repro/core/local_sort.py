@@ -18,12 +18,10 @@ Two implementations live here:
 
   - classes whose (keys-only) buckets are large are sorted as direct
     contiguous destination slices — copy in, sort in place, zero pad
-    cells and zero index arrays — which is also the natural unit to fan
-    across :class:`~repro.parallel.ExecutionContext` workers, since the
-    slices are disjoint;
+    cells and zero index arrays;
   - batches whose buckets all share one size skip the pad matrix
     entirely (the rows are gathered dense, no fill);
-  - padded batches draw their key/value matrices from a per-thread
+  - padded batches draw their key/value matrices from the engine's
     scratch-buffer pool instead of allocating afresh — the value matrix
     is never even initialised, because padding cells sort behind the
     real keys and are never read back.
@@ -39,14 +37,11 @@ Two implementations live here:
 
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 
-from repro._util import concatenated_aranges, even_bounds
+from repro._util import concatenated_aranges
 from repro.core.digits import DigitGeometry, extract_digit_lsd
 from repro.errors import ConfigurationError
-from repro.parallel import SERIAL, ExecutionContext
 from repro.types import LocalConfigStats, LocalSortTrace
 
 __all__ = [
@@ -84,33 +79,28 @@ class LocalSortEngine:
         self,
         configs: tuple[int, ...],
         geometry: DigitGeometry,
-        ctx: ExecutionContext | None = None,
     ) -> None:
         if not configs:
             raise ConfigurationError("at least one configuration required")
         self.configs = tuple(int(c) for c in configs)
         self.geometry = geometry
-        self.ctx = ctx or SERIAL
-        # Scratch-buffer pools, keyed by (role, dtype): flat arrays the
+        # Scratch-buffer pool, keyed by (role, dtype): flat arrays the
         # padded batches reshape into their row matrices, reused across
-        # batches instead of allocating per call.  Thread-local, so
-        # batches running on different workers never share a buffer.
-        self._scratch_tls = threading.local()
+        # batches instead of allocating per call.  Every sort builds
+        # its own engine, so no two threads share a pool.
+        self._scratch: dict[tuple[str, str], np.ndarray] = {}
 
     def _scratch_matrix(
         self, role: str, dtype: np.dtype, n_rows: int, capacity: int
     ) -> np.ndarray:
         """An uninitialised ``(n_rows, capacity)`` view of pooled scratch."""
-        pools = getattr(self._scratch_tls, "pools", None)
-        if pools is None:
-            pools = self._scratch_tls.pools = {}
         n = n_rows * capacity
         key = (role, np.dtype(dtype).str)
-        buf = pools.get(key)
+        buf = self._scratch.get(key)
         if buf is None or buf.size < n:
             grow = 0 if buf is None else 2 * buf.size
             buf = np.empty(max(n, grow), dtype=dtype)
-            pools[key] = buf
+            self._scratch[key] = buf
         return buf[:n].reshape(n_rows, capacity)
 
     def execute(
@@ -209,15 +199,7 @@ class LocalSortEngine:
             self._sort_class_slices(src_keys, dst_keys, offsets, sizes)
             return
         rows_per_batch = max(1, _BATCH_ELEMENT_LIMIT // capacity)
-        if self.ctx.parallel:
-            # Split large classes so every worker gets a batch.
-            rows_per_batch = min(
-                rows_per_batch,
-                max(1, -(-offsets.size // self.ctx.workers)),
-            )
-        batch_starts = list(range(0, offsets.size, rows_per_batch))
-
-        def run_batch(start: int) -> None:
+        for start in range(0, offsets.size, rows_per_batch):
             self._sort_batch(
                 capacity,
                 src_keys,
@@ -227,8 +209,6 @@ class LocalSortEngine:
                 src_values,
                 dst_values,
             )
-
-        self.ctx.map(run_batch, batch_starts)
 
     def _sort_class_slices(
         self,
@@ -243,22 +223,12 @@ class LocalSortEngine:
         place: no pad matrix, no row/column index arrays, no scatter.
         An unstable slice sort emits the same bytes as the stable
         matrix path — a keys-only bucket's sorted content is just its
-        multiset in order.  Buckets are disjoint slices, so contiguous
-        bucket ranges fan across workers unchanged.
+        multiset in order.
         """
-        n = offsets.size
-        n_groups = min(n, self.ctx.workers * 4) if self.ctx.parallel else 1
-        bounds = even_bounds(n, n_groups)
-
-        def run_group(g: int) -> None:
-            for i in range(int(bounds[g]), int(bounds[g + 1])):
-                lo = int(offsets[i])
-                hi = lo + int(sizes[i])
-                view = dst_keys[lo:hi]
-                np.copyto(view, src_keys[lo:hi])
-                view.sort()
-
-        self.ctx.map(run_group, range(n_groups))
+        for lo, size in zip(offsets.tolist(), sizes.tolist()):
+            view = dst_keys[lo : lo + size]
+            np.copyto(view, src_keys[lo : lo + size])
+            view.sort()
 
     def _sort_batch(
         self,

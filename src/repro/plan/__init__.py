@@ -6,7 +6,7 @@ layout, and memory geometry before any data moves.  This package makes
 that phase first-class and inspectable:
 
 * :class:`~repro.plan.descriptor.InputDescriptor` — the facts planning
-  needs (size, layout, array vs file, budget, workers, device);
+  needs (size, layout, array vs file, budget, device);
 * :class:`~repro.plan.ir.SortPlan` / :class:`~repro.plan.ir.PlanStep`
   — the serialisable plan IR with cost annotations;
 * :class:`~repro.plan.planner.Planner` — the single strategy decision

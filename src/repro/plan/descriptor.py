@@ -4,8 +4,8 @@ Planning before sorting — the paper's §3 analytical model and §5
 chunk/pipeline schedule pick a strategy from input size, layout, and
 memory geometry *before any data moves*.  :class:`InputDescriptor` is
 the record of exactly those facts: how many records, what layout, where
-the bytes live (an in-memory array or an on-disk file), and what memory
-and worker resources the sort may use.  It deliberately holds no data —
+the bytes live (an in-memory array or an on-disk file), and how much
+memory the sort may use.  It deliberately holds no data —
 a descriptor for a 64 GB file is a few dozen bytes — so planning is
 always cheap, side-effect free, and serialisable.
 """
@@ -43,9 +43,6 @@ class InputDescriptor:
         Optional resident-byte budget.  ``None`` means "the whole
         input fits comfortably"; a budget the input does not fit under
         selects a chunked or spill-to-disk plan.
-    workers:
-        Host threads the execution may fan disjoint work across.
-        Never affects the plan's output — only its wall-clock.
     pair_packing:
         A file sort's pair packing policy (``"auto"``, ``"index"``,
         ``"fused"`` or ``"off"``), which decides how its run sorts
@@ -61,7 +58,6 @@ class InputDescriptor:
     source: str = "array"
     path: str | None = None
     memory_budget: int | None = None
-    workers: int = 1
     pair_packing: str | None = None
     spec: GPUSpec = field(default=TITAN_X_PASCAL, repr=False)
 
@@ -74,8 +70,6 @@ class InputDescriptor:
             raise ConfigurationError("file descriptors need a path")
         if self.memory_budget is not None and self.memory_budget <= 0:
             raise ConfigurationError("memory_budget must be positive")
-        if self.workers < 1:
-            raise ConfigurationError("workers must be >= 1")
         if self.pair_packing not in (None, "auto", "index", "fused", "off"):
             raise ConfigurationError(
                 "pair_packing must be 'auto', 'index', 'fused', or 'off'"
@@ -120,7 +114,6 @@ class InputDescriptor:
         keys: np.ndarray,
         values: np.ndarray | None = None,
         memory_budget: int | None = None,
-        workers: int = 1,
         spec: GPUSpec = TITAN_X_PASCAL,
     ) -> "InputDescriptor":
         """Describe an in-memory (keys[, values]) input without copying it."""
@@ -137,7 +130,6 @@ class InputDescriptor:
             value_dtype=None if values is None else values.dtype,
             source="array",
             memory_budget=memory_budget,
-            workers=workers,
             spec=spec,
         )
 
@@ -147,7 +139,6 @@ class InputDescriptor:
         path: str | os.PathLike,
         layout,
         memory_budget: int | None = None,
-        workers: int = 1,
         spec: GPUSpec = TITAN_X_PASCAL,
         pair_packing: str | None = None,
     ) -> "InputDescriptor":
@@ -160,7 +151,6 @@ class InputDescriptor:
             source="file",
             path=path,
             memory_budget=memory_budget,
-            workers=workers,
             pair_packing=pair_packing,
             spec=spec,
         )
@@ -182,7 +172,6 @@ class InputDescriptor:
             self.source,
             self.path,
             self.memory_budget,
-            self.workers,
             self.pair_packing,
             self.spec.name,
         )
@@ -207,7 +196,6 @@ class InputDescriptor:
             "source": self.source,
             "path": self.path,
             "memory_budget": self.memory_budget,
-            "workers": self.workers,
             "pair_packing": self.pair_packing,
             "spec": self.spec.name,
             "total_bytes": self.total_bytes,

@@ -60,29 +60,6 @@ class ExecutorRegistry:
 # ----------------------------------------------------------------------
 # Stock executors
 # ----------------------------------------------------------------------
-def _merged_config(plan: SortPlan, config):
-    """Fold the descriptor's worker count into the engine config.
-
-    The descriptor's ``workers`` is the resolved request (an explicit
-    ``workers=`` kwarg, or the config's own count) and always wins —
-    including an explicit ``workers=1`` overriding a threaded config.
-    """
-    from dataclasses import replace
-
-    from repro.plan.planner import layout_preset
-
-    desc = plan.descriptor
-    if config is not None:
-        if config.workers != desc.workers:
-            return replace(config, workers=desc.workers)
-        return config
-    if desc.workers == 1:
-        return None
-    return replace(
-        layout_preset(desc.key_bits, desc.value_bits), workers=desc.workers
-    )
-
-
 def sort_in_memory(
     engine: str,
     keys: np.ndarray,
@@ -148,9 +125,7 @@ def _execute_hybrid(
     device=None,
     **_: object,
 ) -> SortResult:
-    result = sort_in_memory(
-        "hybrid", keys, values, _merged_config(plan, config), device
-    )
+    result = sort_in_memory("hybrid", keys, values, config, device)
     result.meta["plan"] = plan
     return result
 
@@ -218,7 +193,7 @@ def _execute_hetero(
     chunks = list(zip(bounds, bounds[1:]))
     for lo, hi in chunks:
         chunk = staged[lo:hi]
-        done = writer.sort_records(chunk, plan.descriptor.workers)
+        done = writer.sort_records(chunk)
         if not np.may_share_memory(done, chunk):  # a sorted copy
             chunk[...] = done
         del done  # one chunk's sort at a time, none in the merge
@@ -267,7 +242,6 @@ def _execute_external(
         layout = FileLayout(desc.key_dtype, desc.value_dtype)
     sorter = ExternalSorter(
         memory_budget=desc.memory_budget or DEFAULT_MEMORY_BUDGET,
-        workers=desc.workers,
         pair_packing=pair_packing,
         spool_dir=spool_dir,
     )
@@ -288,9 +262,7 @@ def _execute_native(
     inline to the library rung rather than fail for tier-availability
     reasons, even outside ``resilient_execute``.
     """
-    result = sort_in_memory(
-        "native", keys, values, _merged_config(plan, config), device
-    )
+    result = sort_in_memory("native", keys, values, config, device)
     result.meta["plan"] = plan
     return result
 

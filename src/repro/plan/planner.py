@@ -537,7 +537,7 @@ class Planner:
         if budget is None:
             raise ConfigurationError("the chunked strategy needs a memory_budget")
         engine, note, footprint, run_plan, sort_seconds = self._cut(
-            descriptor, budget, 1
+            descriptor, budget
         )
         k, total = run_plan.n_runs, descriptor.total_bytes
         chunks = PlanStep(
@@ -563,21 +563,19 @@ class Planner:
 
     def plan_external(self, descriptor: InputDescriptor) -> SortPlan:
         """The spill-to-disk strategy for file inputs: runs cut by
-        :meth:`_cut`, with the descriptor's ``workers`` runs in flight
-        sharing the budget, then a streaming merge."""
+        :meth:`_cut`, then a streaming merge."""
         from repro.external.sorter import DEFAULT_MEMORY_BUDGET
 
         budget = descriptor.memory_budget or DEFAULT_MEMORY_BUDGET
-        workers = descriptor.workers
         engine, note, footprint, run_plan, sort_seconds = self._cut(
-            descriptor, budget, workers
+            descriptor, budget
         )
         k, total = run_plan.n_runs, descriptor.total_bytes
         io_seconds = 2 * total / HOST_DISK_BANDWIDTH
         runs = PlanStep(
             "spill-runs",
             {"n_runs": k, "run_records": run_plan.run_records,
-             "memory_budget": budget, "workers": workers,
+             "memory_budget": budget,
              "engine": engine, "engine_note": note,
              "footprint_bytes": footprint, "run_plan": run_plan},
             io_seconds + sort_seconds, 2 * total,
@@ -593,7 +591,7 @@ class Planner:
             f"engine, then a streaming merge",
         )
 
-    def _cut(self, descriptor: InputDescriptor, budget: int, workers: int):
+    def _cut(self, descriptor: InputDescriptor, budget: int):
         """Size a file's runs, or an array's chunks, under ``budget``.
 
         The runs sort on :meth:`run_engine`'s choice and are cut by its
@@ -612,7 +610,7 @@ class Planner:
         scratch = 0
         if engine == "library" and descriptor.source == "file":
             scratch = word_sort_scratch(descriptor, packing)
-        run_plan = plan_runs(n, budget, footprint, workers, scratch)
+        run_plan = plan_runs(n, budget, footprint, scratch)
         k, longest = run_plan.n_runs, run_plan.run_records
         # Runs are cut evenly: each holds `longest` records or one fewer.
         long_runs = n - k * (longest - 1)

@@ -1,9 +1,9 @@
 """Deterministic fault injection at named sites.
 
 A production sorter is mostly made of things that can fail — reads,
-writes, fsyncs, engine dispatches, thread-pool workers — and the only
-way to *test* how the stack contains those failures is to make them
-happen on demand.  This module is that switchboard:
+writes, fsyncs, engine dispatches, the service's pool threads — and
+the only way to *test* how the stack contains those failures is to
+make them happen on demand.  This module is that switchboard:
 
 * every failure-prone operation in the codebase calls
   :func:`trip` (or :func:`faulted_write`) with a **site name** from
@@ -30,12 +30,12 @@ partial    write only half the payload, then raise ``OSError(EIO)``
            :func:`faulted_write`)
 slow       sleep ``delay`` seconds, then proceed normally
 hang       block (up to ``delay`` seconds) until the plan's
-           :meth:`~FaultPlan.release_hangs` — a wedged worker
+           :meth:`~FaultPlan.release_hangs` — a wedged thread
 ========== ==========================================================
 
 The active plan is process-global (not thread-local) on purpose: the
-service executes on a thread pool and the external sorter fans slices
-across workers, and a fault plan must reach those threads.
+service executes on a thread pool and a file sort commits its runs on
+a spool thread, and a fault plan must reach those threads.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ file sorts (out-of-core; the response reports the run/merge phases)::
     {"id": 4, "input": "data.bin", "output": "sorted.bin",
      "dtype": "uint32", "memory_budget": "64M"}
 
-Any shape may add ``memory_budget``, ``workers`` and ``deadline``; a key
-outside :data:`REQUEST_KEYS` fails its line instead of being dropped.
+Any shape may add ``memory_budget`` and ``deadline``; a key outside
+:data:`REQUEST_KEYS` fails its line instead of being dropped.
 
 At EOF the driver drains the service and emits one final
 ``{"event": "stats", ...}`` record with the aggregate
@@ -49,8 +49,7 @@ __all__ = ["serve_stream", "request_kwargs"]
 #: option this driver does not have, and is refused rather than dropped.
 REQUEST_KEYS = frozenset({
     "id", "keys", "values", "dtype", "value_dtype", "input", "output",
-    "pairs", "n", "seed", "distribution", "memory_budget", "workers",
-    "deadline",
+    "pairs", "n", "seed", "distribution", "memory_budget", "deadline",
 })
 
 
@@ -117,13 +116,8 @@ def request_kwargs(record: dict, default_seed: int = 0) -> dict:
             "request needs 'keys' (inline), 'n' (generated), or "
             "'input' (file)"
         )
-    for option in ("memory_budget", "workers"):
-        if record.get(option) is not None:
-            source[option] = (
-                _parse_size(record[option])
-                if option == "memory_budget"
-                else int(record[option])
-            )
+    if record.get("memory_budget") is not None:
+        source["memory_budget"] = _parse_size(record["memory_budget"])
     if record.get("deadline") is not None:
         # Seconds from submission; expired requests come back as typed
         # DeadlineExceededError responses instead of running late.

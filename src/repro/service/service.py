@@ -27,8 +27,9 @@ service does the multi-tenant work a blocking facade cannot:
    batch while engines crunch.
 
 The engines themselves are untouched: concurrency changes *when* work
-happens, never *what* is produced (the same worker-count-independence
-doctrine :mod:`repro.parallel` established).
+happens, never *what* is produced.  Each sort runs on the one executor
+thread that dispatched it; the pool's threads only run different
+sorts side by side.
 
 The service is also the resilience integration point (PR 6): each
 request may carry a ``deadline`` (rejected once expired — at dispatch,
@@ -274,7 +275,6 @@ class SortService:
         values: np.ndarray | None = None,
         *,
         memory_budget: int | None = None,
-        workers: int | None = None,
         output: str | os.PathLike | None = None,
         layout=None,
         dtype=None,
@@ -311,7 +311,6 @@ class SortService:
             data,
             values,
             memory_budget=memory_budget,
-            workers=workers,
             output=output,
             layout=layout,
             dtype=dtype,
@@ -359,7 +358,6 @@ class SortService:
         values,
         *,
         memory_budget,
-        workers,
         output,
         layout,
         dtype,
@@ -370,8 +368,6 @@ class SortService:
         device,
     ) -> SortRequest:
         spec = device.spec if device is not None else self.spec
-        if workers is None:
-            workers = config.workers if config is not None else 1
         if isinstance(data, (str, os.PathLike)):
             if values is not None:
                 raise ConfigurationError(
@@ -383,7 +379,6 @@ class SortService:
                 data,
                 file_layout,
                 memory_budget=memory_budget,
-                workers=workers,
                 spec=spec,
                 pair_packing=pair_packing,
             )
@@ -416,7 +411,6 @@ class SortService:
             data,
             values,
             memory_budget=memory_budget,
-            workers=workers,
             spec=spec,
         )
         return SortRequest(

@@ -30,10 +30,6 @@ _FD_DIR = "/proc/self/fd"
 #: dirs) and its atomic-write temp files.
 _TEMP_PREFIXES = ("repro-", ".tmp-")
 
-#: Threads named so belong to the shared pools ``parallel.get_context``
-#: keeps warm for the life of the process, on purpose.
-_SHARED_POOL_PREFIX = "repro-sort"
-
 #: How long a new thread may take to finish exiting before it counts.
 _THREAD_GRACE_SECONDS = 1.0
 
@@ -60,11 +56,7 @@ def _temp_entries() -> set[str]:
 
 
 def _live_threads() -> set[threading.Thread]:
-    return {
-        thread
-        for thread in threading.enumerate()
-        if not (thread.daemon or thread.name.startswith(_SHARED_POOL_PREFIX))
-    }
+    return {thread for thread in threading.enumerate() if not thread.daemon}
 
 
 @pytest.fixture

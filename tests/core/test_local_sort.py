@@ -150,13 +150,11 @@ class TestFastEngine:
         sort_from = np.zeros(3, dtype=np.int64)
         dst = keys.copy()
         engine.execute(0, keys, dst, offsets, sizes, sort_from)
-        buffers = {k: id(v) for k, v in engine._scratch_tls.pools.items()}
+        buffers = {k: id(v) for k, v in engine._scratch.items()}
         assert buffers  # padded path drew from the pool
         dst2 = keys.copy()
         engine.execute(1, keys, dst2, offsets, sizes, sort_from)
-        assert {
-            k: id(v) for k, v in engine._scratch_tls.pools.items()
-        } == buffers
+        assert {k: id(v) for k, v in engine._scratch.items()} == buffers
         assert np.array_equal(dst, dst2)
 
     def test_empty_execute_remaining_uses_digit_form(self):

@@ -216,16 +216,14 @@ class TestApply:
     @given(
         n=st.integers(min_value=1, max_value=50_000_000),
         pairs=st.booleans(),
-        workers=st.integers(min_value=1, max_value=8),
         seconds=st.floats(min_value=1e-6, max_value=10.0),
     )
     @settings(max_examples=40, deadline=None)
-    def test_measured_prices_never_reroute(self, n, pairs, workers, seconds):
+    def test_measured_prices_never_reroute(self, n, pairs, seconds):
         descriptor = InputDescriptor(
             n=n,
             key_dtype=np.uint32,
             value_dtype=np.uint32 if pairs else None,
-            workers=workers,
         )
         plan = Planner().plan(descriptor)
         feedback = CostFeedback()

@@ -65,16 +65,6 @@ class TestHybridOracle:
         assert facade.keys.dtype == np.dtype(dtype)
         assert np.array_equal(facade.keys, oracle.keys)
 
-    def test_workers_kwarg_is_bit_identical(self, rng):
-        keys = rng.integers(0, 2**32, 60_000, dtype=np.uint64).astype(
-            np.uint32
-        )
-        values = np.arange(keys.size, dtype=np.uint32)
-        serial = repro.sort_pairs(keys, values)
-        threaded = repro.sort_pairs(keys, values, workers=4)
-        assert np.array_equal(serial.keys, threaded.keys)
-        assert np.array_equal(serial.values, threaded.values)
-
     def test_records_facade_keeps_recomposition(self, rng):
         from repro.core.pairs import make_records
 
@@ -167,25 +157,6 @@ class TestHeteroOracle:
             assert out.keys.tobytes() == whole.keys.tobytes()
             assert out.values.tolist() == whole.values.tolist()
 
-    def test_chunk_sorts_use_the_requests_workers(self, rng, monkeypatch):
-        from repro.plan import executors
-
-        real, workers = executors.sort_in_memory, []
-
-        def spy(engine, keys, values=None, config=None, device=None):
-            workers.append(config.workers)
-            return real(engine, keys, values, config, device)
-
-        monkeypatch.setattr(executors, "sort_in_memory", spy)
-        keys = rng.integers(0, 2**63, 40_000, dtype=np.uint64)
-        out = repro.sort(
-            keys, memory_budget=keys.nbytes // 4, workers=2, native="never"
-        )
-        assert out.meta["plan"].strategy == "hetero"
-        assert len(workers) == out.meta["plan"].run_plan.n_runs > 1
-        assert set(workers) == {2}
-        assert np.array_equal(out.keys, np.sort(keys))
-
     def test_hetero_sorter_unchanged_by_refactor(
         self, rng, budget_for_chunks
     ):
@@ -232,7 +203,6 @@ class TestExternalOracle:
         )
         assert np.array_equal(got_keys, oracle.keys)
         assert np.array_equal(got_values, oracle.values)
-        assert report.plan.descriptor.workers == 1
 
     def test_file_sort_requires_output_and_layout(self, tmp_path):
         inp = tmp_path / "in.bin"

@@ -227,10 +227,10 @@ def test_chunked_plans_are_never_under_charged(
     # (staging, every chunk sort, the merge) is measured on its own.
     peaks, sort_records = [], RunWriter.sort_records
 
-    def sort_chunk(writer, records, workers=1):
+    def sort_chunk(writer, records):
         peaks.append(tracemalloc.get_traced_memory()[1])
         tracemalloc.reset_peak()
-        done = sort_records(writer, records, workers)
+        done = sort_records(writer, records)
         peaks.append(tracemalloc.get_traced_memory()[1] + scratch * records.size)
         tracemalloc.reset_peak()
         return done

@@ -1,21 +1,25 @@
-"""In-memory sorts run in the caller's process; threads are the only fan-out.
+"""Sorts run on the caller's thread, in the caller's process.
 
-No entry point takes a ``shards=`` keyword and no CLI verb or flag
-starts worker processes: an in-memory sort spreads over cores through
-``workers=`` alone.  Passing the keyword fails with Python's own
-``TypeError`` rather than being ignored.
+A sort runs on the thread that calls it: the caller's own, or one of
+a :class:`~repro.service.SortService`'s executor threads.  No entry
+point takes a ``shards=`` or ``workers=`` keyword, and no CLI verb or
+flag starts worker processes or threads.  Passing either keyword fails
+with Python's own ``TypeError`` rather than being ignored.
 """
 
 from __future__ import annotations
 
 import asyncio
+import json
 
 import numpy as np
 import pytest
 
 import repro
 from repro.cli import main
+from repro.core.config import SortConfig
 from repro.core.pairs import make_records
+from repro.external import ExternalSorter
 from repro.plan import InputDescriptor
 from repro.service import SortService
 
@@ -40,6 +44,8 @@ ENTRY_POINTS = {
     "descriptor": lambda **kw: InputDescriptor(
         n=KEYS.size, key_dtype=KEYS.dtype, **kw
     ),
+    "sort_config": lambda **kw: SortConfig(**kw),
+    "external_sorter": lambda **kw: ExternalSorter(**kw),
     "service_submit": _submit,
 }
 
@@ -47,9 +53,15 @@ ENTRY_POINTS = {
 @pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
 def test_shards_keyword_is_a_type_error(entry):
     call = ENTRY_POINTS[entry]
-    call(workers=2)  # the supported fan-out is accepted
+    call()  # the entry point itself works
     with pytest.raises(TypeError, match="shards"):
         call(shards=2)
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_workers_keyword_is_a_type_error(entry):
+    with pytest.raises(TypeError, match="workers"):
+        ENTRY_POINTS[entry](workers=2)
 
 
 @pytest.mark.parametrize(
@@ -62,3 +74,35 @@ def test_cli_has_no_process_fan_out(argv, capsys):
         main(argv)
     assert exc.value.code == 2
     assert "shard" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sort", "--n", "64"],
+        ["plan", "--n", "64"],
+        ["sort-file", "--input", "in.bin", "--output", "out.bin"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_cli_has_no_workers_flag(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--workers", "2"])
+    assert exc.value.code == 2
+    assert "--workers" in capsys.readouterr().err
+
+
+def test_serve_refuses_a_workers_key_and_goes_on(tmp_path, capsys):
+    requests = tmp_path / "requests.jsonl"
+    requests.write_text(
+        json.dumps({"id": 1, "keys": [3, 1, 2], "workers": 2}) + "\n"
+        + json.dumps({"id": 2, "keys": [3, 1, 2]}) + "\n"
+    )
+    code = main(["serve", "--input", str(requests)])
+    lines = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    by_id = {line["id"]: line for line in lines if "id" in line}
+    assert code == 1
+    assert not by_id[1]["ok"]
+    assert by_id[1]["error_type"] == "ConfigurationError"
+    assert "unknown request key(s): workers" in by_id[1]["error"]
+    assert by_id[2]["ok"] and by_id[2]["keys"] == [1, 2, 3]

@@ -64,8 +64,6 @@ class TestInputDescriptor:
         with pytest.raises(ConfigurationError):
             InputDescriptor(n=1, key_dtype=np.uint32, memory_budget=0)
         with pytest.raises(ConfigurationError):
-            InputDescriptor(n=1, key_dtype=np.uint32, workers=0)
-        with pytest.raises(ConfigurationError):
             InputDescriptor.for_array(np.zeros((2, 2), dtype=np.uint32))
 
     def test_to_dict_is_json_ready(self):
@@ -400,15 +398,13 @@ class TestProvenance:
     @given(
         n=st.integers(min_value=1, max_value=50_000_000),
         pairs=st.booleans(),
-        workers=st.integers(min_value=1, max_value=8),
     )
     @settings(max_examples=40, deadline=None)
-    def test_deterministic_over_descriptor_space(self, n, pairs, workers):
+    def test_deterministic_over_descriptor_space(self, n, pairs):
         desc = InputDescriptor(
             n=n,
             key_dtype=np.uint32,
             value_dtype=np.uint32 if pairs else None,
-            workers=workers,
         )
         first = Planner(native="never").plan(desc)
         second = Planner(native="never").plan(desc)
@@ -551,25 +547,6 @@ class TestPaperPricing:
                 record_bytes=desc.record_bytes,
             )
         )
-
-    def test_host_workers_leave_in_memory_prices_alone(self):
-        # The §6 device's seconds do not depend on how many host
-        # threads execute the plan.
-        for native in ("auto", "never", "always"):
-            for value_dtype in (None, np.uint64):
-                one, four = (
-                    Planner(native=native).plan(
-                        InputDescriptor(
-                            n=1 << 20,
-                            key_dtype=np.uint64,
-                            value_dtype=value_dtype,
-                            workers=workers,
-                        )
-                    )
-                    for workers in (1, 4)
-                )
-                assert four.strategy == one.strategy
-                assert four.predicted_seconds == one.predicted_seconds
 
 
 class TestChunkOnlyWhenItHoldsLess:

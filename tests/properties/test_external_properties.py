@@ -84,10 +84,9 @@ def test_streaming_merge_equals_in_memory_stable_merge(
 @given(
     keys=st.lists(st.integers(0, 30), min_size=1, max_size=400),
     budget_records=st.integers(6, 60),
-    workers=st.sampled_from([1, 2]),
 )
 def test_external_sort_equals_global_stable_sort(
-    tmp_path_factory, keys, budget_records, workers
+    tmp_path_factory, keys, budget_records
 ):
     """Run boundaries are invisible: output = one global stable sort."""
     tmpdir = str(tmp_path_factory.mktemp("ext"))
@@ -97,10 +96,7 @@ def test_external_sort_equals_global_stable_sort(
     inp = os.path.join(tmpdir, "in.bin")
     out = os.path.join(tmpdir, "out.bin")
     write_records(inp, layout.to_records(keys, values))
-    sorter = ExternalSorter(
-        memory_budget=budget_records * layout.record_bytes,
-        workers=workers,
-    )
+    sorter = ExternalSorter(memory_budget=budget_records * layout.record_bytes)
     sorter.sort_file(inp, out, layout)
     got = np.fromfile(out, dtype=layout.storage_dtype)
     order = np.argsort(keys, kind="stable")

@@ -107,17 +107,6 @@ def test_fused_engine_matches_record_sort_oracle(inputs):
     assert np.array_equal(result.values, values[order])
 
 
-@settings(max_examples=40, deadline=None)
-@given(pair_inputs())
-def test_worker_counts_produce_identical_output(inputs):
-    keys, values, key_bits, value_bits = inputs
-    base = _sort(keys, values, key_bits, value_bits, workers=1)
-    for workers in (2, 8):
-        threaded = _sort(keys, values, key_bits, value_bits, workers=workers)
-        assert np.array_equal(threaded.keys, base.keys)
-        assert np.array_equal(threaded.values, base.values)
-
-
 class TestPackedDispatch:
     """Deterministic probes of the packing mode resolution."""
 

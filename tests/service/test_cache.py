@@ -21,7 +21,7 @@ class TestDescriptorSignature:
             InputDescriptor(n=100, key_dtype=np.uint64),
             InputDescriptor(n=100, key_dtype=np.uint32, value_dtype=np.uint32),
             InputDescriptor(n=100, key_dtype=np.uint32, memory_budget=1 << 10),
-            InputDescriptor(n=100, key_dtype=np.uint32, workers=2),
+            InputDescriptor(n=100, key_dtype=np.uint32, pair_packing="fused"),
         ]
         signatures = {descriptor_signature(d) for d in variants}
         assert descriptor_signature(base) not in signatures

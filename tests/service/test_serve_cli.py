@@ -243,8 +243,7 @@ class TestRequestKwargs:
 FULL_RECORDS = {
     "inline": {
         "id": 1, "keys": [3, 1, 2], "values": [0, 1, 2], "dtype": "int32",
-        "value_dtype": "uint64", "memory_budget": "1M", "workers": 2,
-        "deadline": 5,
+        "value_dtype": "uint64", "memory_budget": "1M", "deadline": 5,
     },
     "generated": {
         "id": 2, "n": 64, "seed": 3, "distribution": "zipf", "pairs": True,
@@ -273,7 +272,6 @@ class TestRequestShapes:
             assert kwargs["data"].dtype == np.int32
             assert kwargs["values"].dtype == np.uint64
             assert kwargs["memory_budget"] == 1 << 20
-            assert kwargs["workers"] == 2
             assert kwargs["deadline"] == 5.0
         elif shape == "generated":
             assert kwargs["data"].dtype == np.uint64

@@ -114,18 +114,6 @@ class TestBasics:
         assert bytes(a.keys) == bytes(expect.keys) == bytes(c.keys)
         assert bytes(b.values) == bytes(repro.sort_pairs(keys, values).values)
 
-    def test_workers_kwarg_is_byte_identical(self, rng):
-        keys = rng.integers(0, 2**32, 50_000).astype(np.uint32)
-
-        async def main():
-            async with SortService() as service:
-                return await asyncio.gather(
-                    service.submit(keys), service.submit(keys, workers=2)
-                )
-
-        one, two = run(main())
-        assert bytes(one.keys) == bytes(two.keys)
-
     def test_stray_file_kwargs_rejected_for_arrays(self):
         async def main():
             async with SortService() as service:
@@ -166,11 +154,11 @@ class TestBasics:
 
         async def main():
             async with SortService() as service:
-                # Looks config-ish enough to pass submit (has .workers)
-                # but explodes inside the planner: the caller must get
-                # the exception, not an eternal await.
+                # Passes submit, which never reads it, but explodes
+                # inside the planner: the caller must get the
+                # exception, not an eternal await.
                 await asyncio.wait_for(
-                    service.submit(keys, config=SimpleNamespace(workers=1)),
+                    service.submit(keys, config=SimpleNamespace()),
                     timeout=10,
                 )
 

@@ -11,7 +11,9 @@ exactly as ``ci.yml`` writes it, a last perfbench line that must pass
 and lines that must fail.  No step, and no command of the verify
 recipe that copies them, may outlive what it runs: every
 ``python -m repro <verb>`` names a subcommand of the CLI, and every
-``tools/`` or ``perfbench/`` script exists.
+``tools/`` or ``perfbench/`` script exists.  Those commands, and the
+ones in the README's code blocks, must also parse: a flag deleted
+from the CLI cannot outlive it in a step or a document.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import re
+import shlex
 import shutil
 import subprocess
 from pathlib import Path
@@ -30,6 +33,7 @@ from repro.cli import build_parser
 REPO_ROOT = Path(__file__).resolve().parents[1]
 CI = REPO_ROOT / ".github" / "workflows" / "ci.yml"
 VERIFY = REPO_ROOT / ".claude" / "skills" / "verify" / "SKILL.md"
+README = REPO_ROOT / "README.md"
 
 #: One job of the workflow: its header line up to the next line
 #: indented like a job key.
@@ -323,6 +327,35 @@ def _subcommands() -> set[str]:
     return set(verbs.choices)
 
 
+def _fenced(text: str) -> str:
+    """The contents of ``text``'s fenced code blocks."""
+    return "\n".join(re.findall(r"^```[^\n]*\n(.*?)^```", text, re.M | re.S))
+
+
+def _repro_argvs(text: str) -> list[list[str]]:
+    """The arguments of every ``python -m repro <verb>`` in ``text``,
+    backslash-continued lines joined, each cut at a pipe; a ``--help``
+    command is skipped."""
+    argvs = []
+    for line in text.replace("\\\n", " ").splitlines():
+        match = re.search(r"python3? -m repro (\S.*)", line)
+        if match:
+            argv = shlex.split(match.group(1).split("|")[0], comments=True)
+            if "--help" not in argv:
+                argvs.append(argv)
+    return argvs
+
+
+#: Where documented commands live: CI steps and the verify recipe as
+#: written, and the README's code blocks (its prose names commands
+#: inline, without their arguments).
+DOCUMENTED = {
+    "ci.yml": lambda: CI.read_text(),
+    "verify": lambda: VERIFY.read_text(),
+    "README": lambda: _fenced(README.read_text()),
+}
+
+
 class TestStepCommands:
     @pytest.mark.parametrize(
         "path", [CI, VERIFY], ids=["ci.yml", "verify"]
@@ -335,3 +368,14 @@ class TestStepCommands:
         scripts = set(re.findall(r"\b(?:tools|perfbench)/\w+\.py\b", text))
         missing = {s for s in scripts if not (REPO_ROOT / s).is_file()}
         assert not missing, missing
+
+    @pytest.mark.parametrize("doc", sorted(DOCUMENTED))
+    def test_every_command_parses(self, doc, capsys):
+        argvs = _repro_argvs(DOCUMENTED[doc]())
+        assert argvs, "no `python -m repro <verb>` found"
+        parser = build_parser()
+        for argv in argvs:
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"{shlex.join(argv)}: {capsys.readouterr().err}")

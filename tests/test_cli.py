@@ -49,11 +49,6 @@ class TestSortCommand:
         )
         assert rc == 0
 
-    def test_workers_flag(self, capsys):
-        rc = main(["sort", "--n", "30000", "--pairs", "--workers", "2"])
-        assert rc == 0
-        assert "sorted          : yes" in capsys.readouterr().out
-
     def test_zero_simulated_time_is_not_blamed_on_the_host(self, capsys):
         # One record runs the simulated hybrid engine (native="never"):
         # it carries a trace whose simulated time is zero.
@@ -136,7 +131,7 @@ class TestPlanCommand:
         capsys.readouterr()
         rc = main(
             ["plan", "--input", data, "--dtype", "uint32",
-             "--memory-budget", "20K", "--workers", "2"]
+             "--memory-budget", "20K"]
         )
         out = capsys.readouterr().out
         assert rc == 0
@@ -270,7 +265,7 @@ class TestGenAndSortFile:
         assert "verified        : yes" in stdout
         assert "runs            :" in stdout
 
-    def test_roundtrip_pairs_with_workers(self, tmp_path, capsys):
+    def test_roundtrip_pairs(self, tmp_path, capsys):
         data = str(tmp_path / "pairs.bin")
         out = str(tmp_path / "sorted.bin")
         assert main(
@@ -280,7 +275,7 @@ class TestGenAndSortFile:
         rc = main(
             ["sort-file", "--input", data, "--output", out, "--pairs",
              "--dtype", "uint32", "--value-dtype", "uint32",
-             "--memory-budget", "30K", "--workers", "2", "--verify"]
+             "--memory-budget", "30K", "--verify"]
         )
         assert rc == 0
         assert "verified        : yes" in capsys.readouterr().out
