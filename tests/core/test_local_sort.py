@@ -192,6 +192,22 @@ class TestFastEngine:
         reshaped = out.reshape(n_buckets, size)
         assert np.all(reshaped[:, :-1] <= reshaped[:, 1:])
 
+    def test_slice_path_matches_matrix_path(self, rng, monkeypatch):
+        import repro.core.local_sort as ls
+
+        keys = rng.integers(0, 2**32, 600, dtype=np.uint64).astype(np.uint32)
+        offsets = [0, 100, 230, 300, 420, 500]
+        sizes = [100, 128, 70, 120, 80, 100]  # padded rows on the matrix path
+        monkeypatch.setattr(ls, "_SLICE_SORT_MIN_AVG", 1)
+        sliced, _, _ = _run_engine(keys, offsets, sizes)
+        monkeypatch.setattr(ls, "_SLICE_SORT_MIN_AVG", 10**9)
+        matrixed, _, _ = _run_engine(keys, offsets, sizes)
+        assert np.array_equal(sliced, matrixed)
+        for lo, size in zip(offsets, sizes):
+            assert np.array_equal(
+                sliced[lo : lo + size], np.sort(keys[lo : lo + size])
+            )
+
 
 class TestBlockRadixSortShared:
     def test_full_sort(self, rng):
