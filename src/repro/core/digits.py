@@ -185,7 +185,10 @@ def native_pairs_pass_plan(
     while it holds more than :data:`NATIVE_LOCAL_SORT_MAX` keys and has
     more than :data:`NATIVE_INNER_BITS` bits left, and finishes the
     sub-bucket with :func:`native_finish_widths` — the paper's §4
-    recursion.  Bucket sizes are those of uniform keys.  Keeping the
+    recursion.  Sub-buckets of at most :data:`NATIVE_LOCAL_SORT_MAX`
+    keys split no further: each stretch of them between larger ones
+    finishes in one insertion sort, which moves no key across their
+    boundaries.  Bucket sizes are those of uniform keys.  Keeping the
     schedule here lets plans and docs state exactly which passes the
     compiled side will run without parsing C.
 
@@ -225,7 +228,10 @@ def native_traffic(sort_bits: int, n: int) -> tuple[int, int]:
 
     The kernel (schedule :func:`native_pairs_pass_plan`) reads its
     input only in the MSD partition: a histogram read, then a scatter
-    read and write of the records into the output (3x).  Each bucket
+    read and write of the records into the output (3x).  The scatter
+    writes through one 64-byte line per bucket and lane; a line that
+    fills is a whole, aligned output line and streams past the cache,
+    so it moves its bytes without a read-for-ownership.  Each bucket
     is then read and written once more (2x); its further splits and its
     finish run in a scratch buffer the size of the largest bucket,
     which stays in cache.  An input the kernel does not partition is

@@ -15,11 +15,15 @@ points lift it from "NumPy in C" to a bandwidth-shaped kernel:
   partitioning a bucket by MSD digits until it fits a local sort or
   one LSD digit, as the paper's §4 hybrid does.
 * **Software write-combining.**  The one scatter that *does* span the
-  full output array — the MSD partition — goes through per-bucket
-  write-combining buffers flushed in cache-line-multiple (128-byte)
-  bursts, the Wassenberg–Sanders technique.  Random single-element
-  stores into a large region cost several× a streaming burst; the WC
-  buffers turn 2048-way scattered traffic into sequential line writes.
+  full output array — the MSD partition — goes through one 64-byte
+  line per bucket and output lane, its slots indexed by the
+  destination address mod 64, so every line that fills is a whole,
+  aligned output line.  Full lines go out with non-temporal stores
+  (SSE2; a plain copy where the compiler does not target it), which
+  skip the read-for-ownership a cached store pays: the
+  Wassenberg–Sanders technique ("Faster Radix Sort via Virtual Memory
+  and Write-Combining", arXiv:1008.2849).  Only a bucket's partial
+  first and last lines take plain stores.
 * **The §4.6 bijection inside the passes.**  The kernel reads the
   caller's raw key and value lanes as ``const`` and maps each key
   (unsigned, signed or IEEE float) "during the scattering step of the
@@ -88,6 +92,7 @@ int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
                             int kind, int lo_bit);
 uint32_t repro_native_crc32(const uint8_t *buf, int64_t n, uint32_t crc);
 int repro_native_crc32_fast(void);
+int repro_native_stream_lines(void);
 """
 
 C_SOURCE = r"""
@@ -100,11 +105,12 @@ C_SOURCE = r"""
  * partition pass on the key's top MSD_BITS bits.  Each bucket then
  * splits further by MSD digits of about log2(bucket) bits (msd_pairs)
  * until a sub-bucket fits LOCAL_SORT_MAX keys or INNER_BITS bits, and
- * finishes by its size (inner_pairs):
+ * finishes by its size:
  *
- *   - at most LOCAL_SORT_MAX keys: one stable insertion sort -- a
- *     bucket at or below the local-sort threshold finishes in one
- *     local sort (§4.1) and tiny buckets pay no counting pass (§4.3);
+ *   - at most LOCAL_SORT_MAX keys: a stable insertion sort -- a bucket
+ *     at or below the local-sort threshold finishes in one local sort
+ *     (§4.1) and tiny buckets pay no counting pass (§4.3); adjacent
+ *     small sub-buckets of one split share that sort;
  *   - larger: the p cache-resident LSD passes of w = ceil(bits / p)
  *     <= INNER_BITS bits that minimise p * (2n + 2^w / 10), i.e. the
  *     fewest passes whose histogram is not far larger than the bucket
@@ -128,11 +134,12 @@ C_SOURCE = r"""
 #define INNER_BITS 11
 #define INNER_RADIX (1 << INNER_BITS)
 #define LOCAL_SORT_MAX 32
-/* WC burst size: two 64-byte cache lines per flush.  One line already
- * beats per-element stores; doubling the burst halves flush overhead
- * for +128KB of buffer, still far inside L2. */
-#define WC_LINE_BYTES 128
-#define WC_KEYS64 (WC_LINE_BYTES / 8)
+/* Write-combining line: one 64-byte cache line per MSD bucket and lane,
+ * its slots indexed by the destination address mod 64, so a line that
+ * fills is one whole, aligned output line.  2048 buckets x 2 lanes x
+ * 64 bytes = 256 KiB of lines, inside L2. */
+#define WC_LINE_BYTES 64
+#define WC_SLOTS (WC_LINE_BYTES / 8)
 
 /* Digit width for an LSD finish of `bits` bits over n keys: w =
  * ceil(bits / p) for the pass count p minimising p * (2n + 2^w / 10)
@@ -232,8 +239,10 @@ static int split_width(int64_t n, int bits)
  * hybrid does: further MSD partitions, each split_width bits wide
  * (a constant digit moves nothing and is skipped), until a sub-bucket
  * holds at most LOCAL_SORT_MAX keys or has at most INNER_BITS bits
- * left; inner_pairs finishes it.  Same buffer contract as inner_pairs.
- * Recursion depth is bounded by bits / 6 (w >= 6 while n > 32). */
+ * left.  inner_pairs finishes the latter; the small ones finish by one
+ * insertion sort per stretch of them.  Same buffer contract as
+ * inner_pairs.  Recursion depth is bounded by bits / 6 (w >= 6 while
+ * n > 32). */
 static int msd_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
                      uint64_t *vt, int64_t n, int lo, int bits)
 {
@@ -242,7 +251,7 @@ static int msd_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
         int w = split_width(n, bits), shift = lo + bits - w;
         unsigned radix = 1u << w, d;
         uint64_t mask = radix - 1;
-        int64_t i, base = 0;
+        int64_t i, base = 0, run;
         int trivial = 0;
         bits -= w;
         memset(cnt, 0, radix * sizeof(int64_t));
@@ -262,17 +271,26 @@ static int msd_pairs(uint64_t *k, uint64_t *kt, uint64_t *v,
             kt[p] = k[i];
             vt[p] = v[i];
         }
-        /* cnt[d] now ends sub-bucket d; finish each one in (kt, vt) */
-        base = 0;
+        /* cnt[d] now ends sub-bucket d; each finishes in (kt, vt).  A
+         * sub-bucket past LOCAL_SORT_MAX recurses; each stretch of
+         * smaller ones between them takes one insertion sort, which
+         * moves no key across a sub-bucket boundary: §4.1's local sort,
+         * once per stretch at the cost of its length plus inversions. */
+        base = run = 0;
         for (d = 0; d < radix; d++) {
             int64_t c = cnt[d] - base;
-            if (c > 1 && msd_pairs(kt + base, k + base, vt + base,
-                                   v + base, c, lo, bits) != 0) {
-                memcpy(kt + base, k + base, (size_t)c * 8);
-                memcpy(vt + base, v + base, (size_t)c * 8);
+            if (c > LOCAL_SORT_MAX) {
+                insertion_pairs(kt + run, vt + run, base - run, lo);
+                if (msd_pairs(kt + base, k + base, vt + base, v + base, c,
+                              lo, bits) != 0) {
+                    memcpy(kt + base, k + base, (size_t)c * 8);
+                    memcpy(vt + base, v + base, (size_t)c * 8);
+                }
+                run = cnt[d];
             }
             base = cnt[d];
         }
+        insertion_pairs(kt + run, vt + run, n - run, lo);
         return 1;
     }
     return inner_pairs(k, kt, v, vt, n, lo, bits);
@@ -326,15 +344,72 @@ static void finish_bucket(uint64_t *bk, uint64_t *bv, uint64_t *sk,
     }
 }
 
+/* A whole write-combining line goes to its aligned output line with
+ * four 16-byte non-temporal stores, which skip the read-for-ownership
+ * a cached store pays (Wassenberg & Sanders); the caller fences once
+ * before the lines are read.  Without SSE2 it is a plain copy.
+ * REPRO_NATIVE_PLAIN_LINES forces the copy, so a test can run it. */
+#if defined(__SSE2__) && !defined(REPRO_NATIVE_PLAIN_LINES)
+#include <emmintrin.h>
+#define STREAM_LINES 1
+static inline void put_line(uint64_t *dst, const uint64_t *line)
+{
+    const __m128i *s = (const __m128i *)line;
+    __m128i *d = (__m128i *)dst;
+    _mm_stream_si128(d, _mm_load_si128(s));
+    _mm_stream_si128(d + 1, _mm_load_si128(s + 1));
+    _mm_stream_si128(d + 2, _mm_load_si128(s + 2));
+    _mm_stream_si128(d + 3, _mm_load_si128(s + 3));
+}
+#else
+#define STREAM_LINES 0
+static inline void put_line(uint64_t *dst, const uint64_t *line)
+{
+    memcpy(dst, line, WC_LINE_BYTES);
+}
+#endif
+
+/* The line of lane positions [first, first + WC_SLOTS) just filled, for
+ * a bucket that starts at `start`: whole, it is put; a bucket's partial
+ * first line is stored from `start` on, leaving the previous bucket's
+ * records in the same output line alone. */
+static inline void flush_line(uint64_t *lane, const uint64_t *line,
+                              int64_t first, int64_t start)
+{
+    if (first >= start)
+        put_line(lane + first, line);
+    else
+        memcpy(lane + start, line + (start - first),
+               (size_t)(first + WC_SLOTS - start) * 8);
+}
+
+/* A bucket's last, partial line, positions [max(start, line start),
+ * end) of a lane whose slot 0 is `slot0` words past a line boundary. */
+static inline void flush_tail(uint64_t *lane, const uint64_t *line,
+                              int64_t start, int64_t end, unsigned slot0)
+{
+    int64_t first = end - ((slot0 + (unsigned)end) & (WC_SLOTS - 1));
+    if (first < start)
+        first = start;
+    if (first < end)
+        memcpy(lane + first, line + ((slot0 + (unsigned)first)
+                                     & (WC_SLOTS - 1)),
+               (size_t)(end - first) * 8);
+}
+
 /* Stably sort the records (k[i], v[i]) by bits [lo_bit, 64) of the
  * mapped key map(k[i]) into (ok, ov): ok gets the raw key words back,
  * ov the payload, and k and v are only read.  A payload of 0..n-1
- * comes back as the stable sorting permutation of the keys.
+ * comes back as the stable sorting permutation of the keys.  The
+ * output lanes must be 8-byte aligned, as uint64_t lanes are.
  *
  * DRAM traffic, counted by repro.core.digits.native_traffic: the MSD
  * partition reads the keys for its histogram, then reads the records
- * and writes them into (ok, ov) through the write-combining buffers;
- * each bucket is then read and written once more, its further splits
+ * and writes them into (ok, ov) through one write-combining line per
+ * bucket and lane: every line that fills is a whole, aligned output
+ * line and streams past the cache without a read-for-ownership, and
+ * only a bucket's partial first and last lines take cached stores.
+ * Each bucket is then read and written once more, its further splits
  * and its finish running in a scratch buffer the size of the largest
  * bucket.  When the partition would not split the input (a narrow sort
  * range, at most LOCAL_SORT_MAX records, or one bucket holding them
@@ -349,11 +424,10 @@ int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
     int msd_lo = 64 - MSD_BITS, bits = 64 - lo_bit, partition, split = 0;
     int d;
     int64_t i, base, big;
-    uint64_t flip, sign, *sk;
-    uint64_t (*wck)[WC_KEYS64], (*wcv)[WC_KEYS64];
-    int *wc_n;
+    uint64_t flip, sign, *sk, *lines;
+    unsigned kslot0, vslot0;
     if (n < 0 || lo_bit < 0 || lo_bit >= 64 || kind < KEY_UNSIGNED
-        || kind > KEY_FLOAT)
+        || kind > KEY_FLOAT || ((uintptr_t)ok | (uintptr_t)ov) % 8)
         return -1;
     if (n <= 1) {
         if (n == 1) {
@@ -393,14 +467,10 @@ int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
         free(sk);
         return 0;
     }
-    wck = malloc(MSD_RADIX * WC_LINE_BYTES);
-    wcv = malloc(MSD_RADIX * WC_LINE_BYTES);
-    wc_n = calloc(MSD_RADIX, sizeof(int));
-    if (wck == NULL || wcv == NULL || wc_n == NULL) {
+    /* bucket d's key line, then its payload line */
+    lines = aligned_alloc(WC_LINE_BYTES, MSD_RADIX * 2 * WC_LINE_BYTES);
+    if (lines == NULL) {
         free(sk);
-        free(wck);
-        free(wcv);
-        free(wc_n);
         return -2;
     }
     base = 0;
@@ -408,28 +478,32 @@ int repro_native_sort_pairs(const uint64_t *k, const uint64_t *v,
         start[d] = pos[d] = base;
         base += hist[d];
     }
+    /* a lane's position p fills slot (slot0 + p) mod 8 of its line */
+    kslot0 = (unsigned)((uintptr_t)ok / 8);
+    vslot0 = (unsigned)((uintptr_t)ov / 8);
     for (i = 0; i < n; i++) {
         uint64_t x = map_key(k[i], flip, sign);
         unsigned dg = (unsigned)(x >> msd_lo);
-        int c = wc_n[dg];
-        wck[dg][c] = x;
-        wcv[dg][c] = v[i];
-        if (c == WC_KEYS64 - 1) {
-            memcpy(ok + pos[dg], wck[dg], WC_LINE_BYTES);
-            memcpy(ov + pos[dg], wcv[dg], WC_LINE_BYTES);
-            pos[dg] += WC_KEYS64;
-            wc_n[dg] = 0;
-        } else
-            wc_n[dg] = c + 1;
+        int64_t p = pos[dg]++;
+        unsigned ks = (kslot0 + (unsigned)p) & (WC_SLOTS - 1);
+        unsigned vs = (vslot0 + (unsigned)p) & (WC_SLOTS - 1);
+        uint64_t *line = lines + (size_t)dg * 2 * WC_SLOTS;
+        line[ks] = x;
+        line[WC_SLOTS + vs] = v[i];
+        if (ks == WC_SLOTS - 1)
+            flush_line(ok, line, p + 1 - WC_SLOTS, start[dg]);
+        if (vs == WC_SLOTS - 1)
+            flush_line(ov, line + WC_SLOTS, p + 1 - WC_SLOTS, start[dg]);
     }
-    for (d = 0; d < MSD_RADIX; d++)
-        if (wc_n[d]) {
-            memcpy(ok + pos[d], wck[d], (size_t)wc_n[d] * 8);
-            memcpy(ov + pos[d], wcv[d], (size_t)wc_n[d] * 8);
-        }
-    free(wck);
-    free(wcv);
-    free(wc_n);
+    for (d = 0; d < MSD_RADIX; d++) {
+        const uint64_t *line = lines + (size_t)d * 2 * WC_SLOTS;
+        flush_tail(ok, line, start[d], pos[d], kslot0);
+        flush_tail(ov, line + WC_SLOTS, start[d], pos[d], vslot0);
+    }
+    free(lines);
+#if STREAM_LINES
+    _mm_sfence();
+#endif
     for (d = 0; d < MSD_RADIX; d++)
         finish_bucket(ok + start[d], ov + start[d], sk, sk + big, hist[d],
                       lo_bit, msd_lo - lo_bit, 1, flip, sign);
@@ -536,6 +610,13 @@ static uint32_t crc32_fold(uint32_t crc, const uint8_t *buf, int64_t n)
     return (uint32_t)_mm_extract_epi32(x1, 1);
 }
 #endif
+
+/* 1 when the MSD scatter streams whole lines with non-temporal stores,
+ * 0 when it copies them with plain ones. */
+int repro_native_stream_lines(void)
+{
+    return STREAM_LINES;
+}
 
 /* 1 when repro_native_crc32 folds by carry-less multiply on this CPU,
  * 0 when it would take the bitwise loop. */
@@ -855,6 +936,9 @@ def _main() -> int:  # pragma: no cover - manual/CI utility
         print(f"module    : {status.module_path}")
     crc = "carry-less multiply" if crc32_kernel() else "zlib"
     print(f"crc32     : {crc}")
+    if _LIB is not None:
+        lines = "streaming" if _LIB[1].repro_native_stream_lines() else "plain"
+        print(f"scatter   : {lines} 64-byte lines")
     return 0 if status.available else 1
 
 

@@ -15,9 +15,20 @@ words the engine shifts to the top of the key lane) and 40.  Each
 output is compared with a stable merge sort of the same input (over
 the driver's own §4.6 map) whose payload is the input index, which
 checks order and stability at once, and the kernel's input lanes must
-come back byte-unchanged; every buffer is allocated to its exact size,
-so a write past a bucket, a flush tail or the scratch is a sanitizer
-error.
+come back byte-unchanged; every input and scratch buffer is allocated
+to its exact size, so a write past one is a sanitizer error.
+The MSD scatter's write-combining lines follow each output lane's
+address mod 64 bytes, so which flush a bucket's lines take depends on
+where the lanes start: uniform, one-bucket and few-distinct keys sort
+into key and payload lanes offset independently by 0-7 records from a
+64-byte boundary (all 64 combinations at 2^14+5 records, about one
+line a bucket, and a diagonal of offsets at every size), and canary
+words from the line before each output lane to a line past its end
+must be intact after every call: a line written before a bucket's
+start or past the lane's end stays inside the allocation, where the
+sanitizer cannot see it.  The driver runs twice, once as the host
+builds the kernel (whole lines streamed by SSE2 non-temporal stores
+on x86-64) and once with the plain line copy of hosts without SSE2.
 The CRC-32 kernel runs on every length up to 1,100 bytes at offsets
 0-15 and on one 2^18+5-byte buffer, each allocated to its exact size,
 and must equal the driver's own bitwise CRC-32 from a varying start
@@ -32,6 +43,7 @@ runtime is missing.
 from __future__ import annotations
 
 import os
+import platform
 import shutil
 import subprocess
 
@@ -62,6 +74,11 @@ SIZES = (
     (1 << 11) - 1, (1 << 11) + 1, (1 << 16) - 1, (1 << 16) + 1, 74_898,
 )
 WIDTH_SIZES = (33, 40, 64, 100, 200, 359, 500, 1000, 2048, 10_000, 100_000)
+#: The driver runs twice: as the host builds the kernel (the scatter's
+#: whole lines streamed where the compiler targets SSE2), and with the
+#: plain 64-byte line copy of hosts without SSE2, which only this define
+#: selects on x86-64.
+BUILDS = {"default": (), "plain": ("-DREPRO_NATIVE_PLAIN_LINES",)}
 
 DRIVER = r"""
 #include <stdio.h>
@@ -79,6 +96,8 @@ static uint64_t next_u64(void)
 /* 0 uniform, 1 all-equal, 2 few-distinct, 3 AND of four words,
  * 4 timestamp-like (constant top 40 bits, dense low 24 bits) */
 #define SHAPES 5
+/* About one 64-byte line of records per MSD bucket of uniform keys */
+#define ALIGN_SIZE ((1 << 14) + 5)
 static uint64_t draw(int shape)
 {
     switch (shape) {
@@ -152,19 +171,53 @@ static const uint64_t edges[] = {
 #define EDGE_SHAPE SHAPES
 #define N_EDGES (sizeof(edges) / sizeof(edges[0]))
 
-/* (k, v) records through the pairs kernel for one key kind.  v is the
- * input index, so the reference's sorted payload is the stable
+/* An output lane of n words that starts `off` words past a 64-byte
+ * boundary, in an allocation that runs from the line before that
+ * boundary to a line past the lane's end, filled with canary words: a
+ * line written before a bucket's start or past the lane's end stays
+ * inside the allocation, where only the canaries see it. */
+#define CANARY 0x5a5aa5a5c3c33c3cULL
+#define GUARD 8
+static uint64_t *lane_alloc(int64_t n, int off, void **base)
+{
+    int64_t i, words = 2 * GUARD + off + n;
+    uint64_t *b;
+    if (posix_memalign(base, 64, (size_t)words * 8) != 0)
+        abort();
+    b = *base;
+    for (i = 0; i < words; i++)
+        b[i] = CANARY ^ (uint64_t)i;
+    return b + GUARD + off;
+}
+
+/* The first canary word of such a lane that changed, or -1. */
+static int64_t lane_canary(const void *base, int64_t n, int off)
+{
+    const uint64_t *b = base;
+    int64_t i, end = GUARD + off + n;
+    for (i = 0; i < end + GUARD; i = i + 1 == GUARD + off ? end : i + 1)
+        if (b[i] != (CANARY ^ (uint64_t)i))
+            return i;
+    return -1;
+}
+
+/* (k, v) records through the pairs kernel for one key kind, into key
+ * and payload lanes ko and vo records past a 64-byte boundary.  v is
+ * the input index, so the reference's sorted payload is the stable
  * permutation: the kernel must return (k[rv[i]], rv[i]).  Both input
- * lanes must come back byte-unchanged. */
-static void check_pairs(int64_t n, int shape, int lo, int kind)
+ * lanes must come back byte-unchanged, and every canary intact. */
+static void check_pairs(int64_t n, int shape, int lo, int kind, int ko,
+                        int vo)
 {
     uint64_t *k = calloc((size_t)n, 8), *v = calloc((size_t)n, 8);
-    uint64_t *ok = malloc((size_t)n * 8), *ov = malloc((size_t)n * 8);
+    void *kbase, *vbase;
+    uint64_t *ok = lane_alloc(n, ko, &kbase), *ov = lane_alloc(n, vo, &vbase);
     uint64_t *kc = malloc((size_t)(n ? n : 1) * 8);
     uint64_t *vc = malloc((size_t)(n ? n : 1) * 8);
     uint64_t *rk = malloc((size_t)(n ? n : 1) * 8);
     uint64_t *rv = malloc((size_t)(n ? n : 1) * 8);
-    int64_t i;
+    const char *what = NULL;
+    int64_t i, at = 0;
     int rc;
     for (i = 0; i < n; i++) {
         if (shape == EDGE_SHAPE)
@@ -182,16 +235,26 @@ static void check_pairs(int64_t n, int shape, int lo, int kind)
     rc = repro_native_sort_pairs(k, v, ok, ov, n, kind, lo);
     ref_sort(rk, rv, n, lo);
     if (rc < 0)
-        fail("pairs rc", n, shape, lo, rc);
+        what = "rc", at = rc;
     else if (n && (memcmp(k, kc, (size_t)n * 8) || memcmp(v, vc, (size_t)n * 8)))
-        fail("pairs input changed", n, shape, lo, kind);
+        what = "input changed";
+    else if ((at = lane_canary(kbase, n, ko)) >= 0)
+        what = "key canary";
+    else if ((at = lane_canary(vbase, n, vo)) >= 0)
+        what = "payload canary";
     else
         for (i = 0; i < n; i++)
             if (ov[i] != rv[i] || ok[i] != k[rv[i]]) {
-                fail("pairs", n, shape, lo, i);
+                what = "order", at = i;
                 break;
             }
-    free(k); free(v); free(ok); free(ov); free(kc); free(vc);
+    if (what) {
+        printf("FAIL pairs %s n=%lld shape=%d lo=%d kind=%d lanes=+%d/+%d"
+               " at %lld\n", what, (long long)n, shape, lo, kind, ko, vo,
+               (long long)at);
+        failures++;
+    }
+    free(k); free(v); free(kbase); free(vbase); free(kc); free(vc);
     free(rk); free(rv);
 }
 
@@ -233,24 +296,39 @@ int main(void)
     static const int64_t width_sizes[] = { WIDTH_SIZES };
     size_t s;
     int64_t n;
-    int shape, bits, kind;
+    int shape, bits, kind, ko, vo;
+    printf("stream_lines %d\n", repro_native_stream_lines());
     for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
         for (shape = 0; shape <= EDGE_SHAPE; shape++)
             for (kind = 0; kind < 3; kind++) {
-                check_pairs(sizes[s], shape, 0, kind);
-                check_pairs(sizes[s], shape, 32, kind);  /* 32-bit words */
-                check_pairs(sizes[s], shape, 40, kind);
-                check_pairs(sizes[s], shape, 48, kind);  /* 16-bit words */
-                check_pairs(sizes[s], shape, 56, kind);  /* 8-bit words */
+                check_pairs(sizes[s], shape, 0, kind, 0, 0);
+                check_pairs(sizes[s], shape, 32, kind, 0, 0);  /* 32-bit */
+                check_pairs(sizes[s], shape, 40, kind, 0, 0);
+                check_pairs(sizes[s], shape, 48, kind, 0, 0);  /* 16-bit */
+                check_pairs(sizes[s], shape, 56, kind, 0, 0);  /* 8-bit */
             }
+    /* The scatter's lines follow each output lane's address mod 64, so
+     * which flush a bucket's lines take depends on where the lanes
+     * start: uniform, one-bucket and few-distinct keys into lanes
+     * offset independently by 0-7 records from a 64-byte boundary,
+     * every combination at ALIGN_SIZE (about one line a bucket), then a
+     * diagonal of offsets at every size. */
+    for (ko = 0; ko < 8; ko++)
+        for (vo = 0; vo < 8; vo++)
+            for (shape = 0; shape <= 2; shape++)
+                check_pairs(ALIGN_SIZE, shape, 0, (ko + vo) % 3, ko, vo);
+    for (s = 0; s < sizeof(sizes) / sizeof(sizes[0]); s++)
+        for (ko = 0; ko < 8; ko++)
+            for (shape = 0; shape <= 2; shape++)
+                check_pairs(sizes[s], shape, 0, ko % 3, ko, 7 - ko);
     /* Around 2^18: 128-key buckets take one more split; shape 4's keys
      * share their top 40 bits, so one bucket (and the scratch) holds
      * the whole input. */
     for (n = (1 << 18) - 1; n <= (1 << 18) + 1; n++)
         for (kind = 0; kind < 3; kind++) {
-            check_pairs(n, 0, 0, kind);
-            check_pairs(n, 4, 0, kind);
-            check_pairs(n, EDGE_SHAPE, 0, kind);
+            check_pairs(n, 0, 0, kind, 0, 0);
+            check_pairs(n, 4, 0, kind, 0, 0);
+            check_pairs(n, EDGE_SHAPE, 0, kind, 0, 0);
         }
     /* Every fold step and tail length, at every alignment, and one
      * buffer of many 64-byte steps. */
@@ -269,12 +347,12 @@ int main(void)
 """
 
 
-def _compile(tmp_path, name: str, source: str):
+def _compile(tmp_path, name: str, source: str, defines=()):
     c_file = tmp_path / f"{name}.c"
     exe = tmp_path / name
     c_file.write_text(source)
     proc = subprocess.run(
-        ["gcc", *FLAGS, "-o", str(exe), str(c_file)],
+        ["gcc", *FLAGS, *defines, "-o", str(exe), str(c_file)],
         capture_output=True,
         text=True,
         timeout=120,
@@ -284,6 +362,7 @@ def _compile(tmp_path, name: str, source: str):
 
 @pytest.fixture(scope="module")
 def driver_output(tmp_path_factory):
+    """The driver's stdout from each of :data:`BUILDS`."""
     if shutil.which("gcc") is None:
         pytest.skip("gcc not installed")
     tmp_path = tmp_path_factory.mktemp("sanitize")
@@ -303,25 +382,35 @@ def driver_output(tmp_path_factory):
             "{ " + ", ".join(map(str, WIDTH_SIZES)) + " }",
         )
     )
-    exe, built = _compile(tmp_path, "kernels", source)
-    assert built.returncode == 0, built.stderr
-    ran = subprocess.run(
-        [str(exe)], capture_output=True, text=True, env=env, timeout=300
-    )
-    assert ran.returncode == 0, (ran.stdout[-2000:], ran.stderr[-4000:])
-    assert "runtime error" not in ran.stderr, ran.stderr[-4000:]
-    return ran.stdout
+    outputs = {}
+    for build, defines in BUILDS.items():
+        exe, built = _compile(tmp_path, f"kernels-{build}", source, defines)
+        assert built.returncode == 0, built.stderr
+        ran = subprocess.run(
+            [str(exe)], capture_output=True, text=True, env=env, timeout=300
+        )
+        assert ran.returncode == 0, (
+            build, ran.stdout[-2000:], ran.stderr[-4000:]
+        )
+        assert "runtime error" not in ran.stderr, (build, ran.stderr[-4000:])
+        outputs[build] = ran.stdout
+    return outputs
 
 
 def test_kernels_sort_stably_and_cleanly_under_sanitizers(driver_output):
-    assert "FAIL" not in driver_output
-    assert driver_output.rstrip().endswith("failures 0")
+    for build, output in driver_output.items():
+        assert "FAIL" not in output, build
+        assert output.rstrip().endswith("failures 0"), build
+    # x86-64 has SSE2, so its default build streams the scatter's lines
+    streams = int(platform.machine() in ("x86_64", "AMD64"))
+    assert f"stream_lines {streams}" in driver_output["default"].splitlines()
+    assert "stream_lines 0" in driver_output["plain"].splitlines()
 
 
 def test_python_mirror_matches_kernel_width_rule(driver_output):
     rows = [
         line.split()[1:]
-        for line in driver_output.splitlines()
+        for line in driver_output["default"].splitlines()
         if line.startswith("width ")
     ]
     assert len(rows) == len(WIDTH_SIZES) * 64
